@@ -3,8 +3,9 @@
 delta_m needs a provably exhaustive candidate family. Subspace candidates are
 found by growing chains of M-stable saturated subspaces: at a chain node Z the
 quotient lattice Λ/Λ_Z is enumerated up to a Minkowski bound for the remaining
-dimension, each short vector is closed up under M, and the chain continues
-from the closure. Completeness per node: a target Y ⊋ Z with r missing
+dimension, each short vector (lifted, together with Z) is closed up under M by
+`m_closure`'s integer worklist closure, and the chain continues from the
+closure. Completeness per node: a target Y ⊋ Z with r missing
 dimensions satisfies λ₁(Λ_Y/Λ_Z)² ≤ γ_r·(covol²(Y)/covol²(Z))^{1/r}, and the
 primitive form of that shortest vector is one of the enumerated vectors, so
 some enumerated vector leads into Y; induction on dim terminates the argument.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import exp, gcd, isqrt, log
 
 from . import ratlin as rl
@@ -170,6 +171,7 @@ def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
         x[level] = 0
 
     recurse(n - 1, bound, True)
+    del recurse  # the recursive closure is a reference cycle; free it now, not at a GC pass
     return out
 
 
@@ -277,29 +279,33 @@ class _Quotient:
             corr = rl.mat_mul(rl.mat_mul(g21, inv11), g12)
             self.gram = tuple(tuple(a - b for a, b in zip(r1, r2))
                               for r1, r2 in zip(g22, corr))
-        self._reps = None
 
     @property
     def rank(self) -> int:
         return self.lat.n - self.k
 
+    @cached_property
     def rep_matrices(self):
         """Row-action matrices of the generators on quotient coordinates."""
-        if self._reps is None:
-            reps = []
-            v = self.full_basis
-            vinv = rl.int_inverse_unimodular(v)
-            k = self.k
-            for ghat in conjugated_generators(self.lat, self.sc):
-                m = rl.mat_mul(rl.mat_mul(v, rl.transpose(ghat)), vinv)
-                for i in range(k):
-                    for j in range(k, len(v)):
-                        if m[i][j] != 0:
-                            raise InternalInvariantViolation(
-                                "quotient base subspace is not stable")
-                reps.append(tuple(tuple(row[k:]) for row in m[k:]))
-            self._reps = tuple(reps)
-        return self._reps
+        reps = []
+        v = self.full_basis
+        vinv = rl.int_inverse_unimodular(v)
+        k = self.k
+        for ghat in conjugated_generators(self.lat, self.sc):
+            m = rl.mat_mul(rl.mat_mul(v, rl.transpose(ghat)), vinv)
+            for i in range(k):
+                for j in range(k, len(v)):
+                    if m[i][j] != 0:
+                        raise InternalInvariantViolation(
+                            "quotient base subspace is not stable")
+            reps.append(tuple(tuple(row[k:]) for row in m[k:]))
+        return tuple(reps)
+
+    @cached_property
+    def reduced(self):
+        """(u, u·gram·uᵀ) with u the LLL transform; one reduction per quotient."""
+        u = lll_reduce_gram(self.gram)
+        return u, rl.mat_mul(rl.mat_mul(u, self.gram), rl.transpose(u))
 
     def lift(self, y) -> tuple[int, ...]:
         return tuple(sum(y[i] * self.lift_rows[i][j] for i in range(len(y)))
@@ -430,7 +436,7 @@ def _stable_quotient_lines(quot: _Quotient, t_sq: Fraction, budget: _Budget):
     if not quot.sc.m_generators:
         spaces = [rl.identity(m)]
     else:
-        spaces = common_eigenspace_bases(quot.rep_matrices(), m)
+        spaces = common_eigenspace_bases(quot.rep_matrices, m)
     seen = set()
     for e in spaces:
         ints, _ = rl.row_scale_to_int(rl.rat_matrix(e))
@@ -503,8 +509,7 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
                 emit(sub)
             return
         bound = _hermite_sq_bound(r) * rat_root_upper(t_sq, r)
-        u = lll_reduce_gram(quot.gram)
-        g = rl.mat_mul(rl.mat_mul(u, quot.gram), rl.transpose(u))
+        u, g = quot.reduced
         for _, w in _enumerate_gram(g, bound, bud, spanning=True):
             y = tuple(sum(w[i] * u[i][j] for i in range(len(w)))
                       for j in range(quot.rank))
@@ -525,6 +530,7 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
             search(base_rows, k)
     except BudgetExceeded:
         complete = False
+    del search  # as in _enumerate_gram: frees the quotients without waiting for the GC
     out = sorted(found.values(), key=lambda s: (s.dim, s.rows))
     for s in out:
         if not is_m_stable(s, lat, sc):

@@ -7,10 +7,11 @@ Group actions transport them for free; the real-coordinate span is derived.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from . import ratlin as rl
@@ -273,11 +274,6 @@ def subspace_from_rows(ambient: int, rows: Sequence[Sequence[int]]):
     return RationalSubspace(ambient=ambient, rows=sat)
 
 
-def subspace_from_rational_rows(ambient: int, rows: Sequence[Sequence]):
-    ints, _ = rl.row_scale_to_int(rl.rat_matrix(rows)) if rows else ((), ())
-    return subspace_from_rows(ambient, ints)
-
-
 def full_subspace(n: int) -> RationalSubspace:
     return RationalSubspace(ambient=n, rows=rl.identity(n))
 
@@ -332,38 +328,87 @@ def conjugated_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[rl.RatR
                  for g in sc.m_generators)
 
 
+def _int_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[rl.IntRows, ...]:
+    """Each ĝ = B⁻¹·g·B scaled to an integer matrix by the lcm of its denominators.
+
+    A positive scalar multiple has the same images up to scale, so every
+    span computed with it is the span computed with ĝ.
+    """
+    out = []
+    for ghat in conjugated_generators(lat, sc):
+        d = lcm(*(x.denominator for row in ghat for x in row))
+        out.append(tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                         for row in ghat))
+    return tuple(out)
+
+
+def _reduce(echelon: list[tuple[int, tuple[int, ...]]], v: Sequence[int]) -> list[int]:
+    """Residual of the integer row v against an echelon basis; zero iff v ∈ span.
+
+    echelon holds (pivot, row) pairs in ascending pivot order, each row zero
+    before its pivot. Eliminating pivot p with a row that vanishes left of p
+    never refills an earlier pivot, so one ascending pass suffices. Only
+    fraction-free row operations are used and the residual is kept primitive.
+    """
+    v = list(v)
+    for p, row in echelon:
+        if v[p]:
+            g = gcd(row[p], v[p])
+            a, b = row[p] // g, v[p] // g
+            v = [a * x - b * y for x, y in zip(v, row)]
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _insert(echelon: list[tuple[int, tuple[int, ...]]], v: Sequence[int]) -> tuple[int, ...] | None:
+    """Reduce v and add the residual to echelon; the new row, or None if v ∈ span."""
+    v = _reduce(echelon, v)
+    p = next((j for j, x in enumerate(v) if x), None)
+    if p is None:
+        return None
+    row = tuple(v)
+    insort(echelon, (p, row))
+    return row
+
+
 def is_m_stable(w, lat: UnimodularLattice, sc: Scenario) -> bool:
-    """Whether every generator of M maps the real span of w into itself."""
+    """Whether every generator of M maps the real span of w into itself.
+
+    The saturated HNF rows of w are an integer echelon basis, so w is stable
+    iff every image ĝ·x of a row x reduces to zero against them.
+    """
     if w is ZERO_SUBSPACE:
         return True
-    base = [tuple(Fraction(x) for x in r) for r in w.rows]
-    for ghat in conjugated_generators(lat, sc):
+    echelon = [(next(j for j, x in enumerate(r) if x), r) for r in w.rows]
+    for gen in _int_generators(lat, sc):
         # row coordinates transform by x ↦ x·ĝᵀ, i.e. entrywise rows of ĝ dot x
         for x in w.rows:
-            y = rl.mat_vec(ghat, [Fraction(v) for v in x])
-            if not rl.span_contains(base, y):
+            if any(_reduce(echelon, rl.mat_vec(gen, x))):
                 return False
     return True
 
 
 def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]]):
-    """Smallest M-stable Λ-rational subspace containing the span of rows."""
-    cur = [tuple(Fraction(x) for x in r) for r in rows if any(r)]
-    if not cur:
-        return ZERO_SUBSPACE
-    gens = conjugated_generators(lat, sc)
-    rank = rl.rat_rank(cur)
-    changed = True
-    while changed and rank < lat.n:
-        changed = False
-        for ghat in gens:
-            for row in list(cur):
-                y = rl.mat_vec(ghat, row)
-                if not rl.span_contains(cur, y):
-                    cur.append(tuple(y))
-                    rank = rl.rat_rank(cur)
-                    changed = True
-    return subspace_from_rational_rows(lat.n, cur)
+    """Smallest M-stable Λ-rational subspace containing the span of rows.
+
+    Incremental integer closure: the rows are reduced into an echelon basis
+    of primitive integer rows, and every row that enlarges the basis goes on
+    a worklist. Each worklist row x contributes the images ĝ·x under the
+    integer-scaled generators, reduced the same way. The span is closed once
+    the worklist is empty (the images of a basis span the image of the span)
+    or the rank reaches N. The result is the saturated HNF of the basis,
+    which is canonical for the span.
+    """
+    gens = _int_generators(lat, sc)
+    echelon: list = []
+    work = [row for row in (_insert(echelon, r) for r in rows) if row]
+    while work and len(echelon) < lat.n:
+        x = work.pop()
+        for gen in gens:
+            row = _insert(echelon, rl.mat_vec(gen, x))
+            if row:
+                work.append(row)
+    return subspace_from_rows(lat.n, [row for _, row in echelon])
 
 
 def apply_group(g: Sequence[Sequence], lat: UnimodularLattice) -> UnimodularLattice:

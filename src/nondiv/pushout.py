@@ -320,8 +320,8 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
         supers, complete = stable_subspaces_within(lat, sc, cap, base=x, budget=bud)
         if not complete:
             raise IncompleteSearch("budget exhausted while certifying the guard")
-        viol = [(covolume_sq(lat, y), y.dim, y.rows, y) for y in supers
-                if covolume_sq(lat, y) < cap]
+        viol = [(cv, y.dim, y.rows, y) for y in supers
+                if (cv := covolume_sq(lat, y)) < cap]
         if not viol:
             break
         viol.sort(key=lambda t: t[:3])

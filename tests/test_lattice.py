@@ -7,16 +7,19 @@ from nondiv import ratlin as rl
 from nondiv.errors import NotUnimodular, ValidationError
 from nondiv.lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
                             TorusElement, apply_group, apply_torus,
-                            covolume_sq, covolume_sq_rows, full_subspace,
-                            is_m_stable, m_closure, make_lattice, q_pow,
+                            conjugated_generators, covolume_sq,
+                            covolume_sq_rows, full_subspace, is_m_stable,
+                            m_closure, make_lattice, make_scenario, q_pow,
                             standard_lattice, subspace_from_rows,
                             subspace_intersect, subspace_sum,
                             trivial_scenario)
 from nondiv.samples import (sl4_so21_scenario, sl4_torus, sl4_torus_lattice,
                             so21_generators_3d, diagonal_lattice)
 
-from conftest import (random_torus, random_unimodular_lattice,
-                      real_coordinate_subspace)
+from nondiv.enumeration import _hnf_candidates, stable_subspaces_within
+
+from conftest import (random_torus, random_unimodular_int,
+                      random_unimodular_lattice, real_coordinate_subspace)
 
 F = Fraction
 
@@ -110,6 +113,119 @@ def test_m_closure():
     assert m_closure(z4, sc, [[1, 0, 0, 0]]).rows == ((1, 0, 0, 0),)
     assert m_closure(z4, sc, [[1, 1, 0, 0]]).is_full
     assert m_closure(z4, sc, [[0, 0, 0, 0]]) is ZERO_SUBSPACE
+
+
+def reference_closure(lat, sc, rows):
+    """Rank-recomputing Fraction fixed point: the closure as first written."""
+    cur = [tuple(Fraction(x) for x in r) for r in rows if any(r)]
+    if not cur:
+        return ZERO_SUBSPACE
+    gens = conjugated_generators(lat, sc)
+    rank = rl.rat_rank(cur)
+    changed = True
+    while changed and rank < lat.n:
+        changed = False
+        for ghat in gens:
+            for row in list(cur):
+                y = rl.mat_vec(ghat, row)
+                if not rl.span_contains(cur, y):
+                    cur.append(tuple(y))
+                    rank = rl.rat_rank(cur)
+                    changed = True
+    ints, _ = rl.row_scale_to_int(rl.rat_matrix(cur))
+    return subspace_from_rows(lat.n, ints)
+
+
+def closure_inputs(rng, n, count):
+    """Row lists with zero rows, repeated and dependent rows, and up to n + 2 rows."""
+    for _ in range(count):
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        kind = rng.randrange(4)
+        if kind == 1:
+            rows.append([0] * n)
+        elif kind == 2:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+            rows.append(list(rows[0]))
+        elif kind == 3:
+            rows += [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n + 2 - len(rows))]
+        rng.shuffle(rows)
+        yield rows
+
+
+def assert_closures_agree(lat, sc, rows):
+    got = m_closure(lat, sc, rows)
+    want = reference_closure(lat, sc, rows)
+    assert getattr(got, "rows", got) == getattr(want, "rows", want), rows
+
+
+def test_m_closure_matches_reference_sl4(rng):
+    sc = sl4_so21_scenario()
+    for t in (F(1, 4), F(1, 2), F(2), F(4), F(16)):
+        base = sl4_torus_lattice(t)
+        for _ in range(3):
+            u = random_unimodular_int(rng, 4, shears=4, c=1)
+            lat = make_lattice(rl.mat_mul(base.basis, u))
+            for rows in closure_inputs(rng, 4, 12):
+                assert_closures_agree(lat, sc, rows)
+
+
+def test_m_closure_matches_reference_trivial(rng):
+    for n in (2, 3, 5):
+        sc = trivial_scenario(n)
+        for _ in range(4):
+            lat = random_unimodular_lattice(rng, n)
+            for rows in closure_inputs(rng, n, 10):
+                assert_closures_agree(lat, sc, rows)
+
+
+def test_m_closure_edge_inputs():
+    sc = sl4_so21_scenario()
+    z4 = standard_lattice(4)
+    cases = [
+        [],
+        [[0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 2, 0, 0], [0, -4, 0, 0], [0, 0, 0, 0]],
+        [[3, 0, 0, 0], [6, 0, 0, 0]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [2, -1, 0, 0], [0, 0, 0, 0], [5, 5, 0, 0]],
+    ]
+    for rows in cases:
+        assert_closures_agree(z4, sc, rows)
+    assert m_closure(z4, sc, cases[2]).rows == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert m_closure(z4, sc, cases[4]).is_full
+
+
+def test_stable_family_non_semisimple():
+    # a unipotent generator: a vector inside a larger closure can have a strictly
+    # smaller closure of its own, so no enumerated vector may be skipped on the
+    # grounds that an earlier closure already contains it
+    sc = make_scenario(3, [[0, 2], [2, 3]], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]])
+    rng = random.Random(5)
+    cap = F(2)
+    for _ in range(12):
+        lat = random_unimodular_lattice(rng, 3, shears=3, dyadic_range=2)
+        family, complete = stable_subspaces_within(lat, sc, cap)
+        assert complete
+        got = {w.rows for w in family if max(abs(x) for r in w.rows for x in r) <= 3}
+        want = {mat for k in (1, 2) for mat in _hnf_candidates(3, k, 3)
+                if covolume_sq_rows(lat, mat) <= cap
+                and is_m_stable(RationalSubspace(ambient=3, rows=mat), lat, sc)}
+        assert got == want
+
+
+def test_is_m_stable_matches_span_test(rng):
+    sc = sl4_so21_scenario()
+    for _ in range(20):
+        lat = make_lattice(rl.mat_mul(sl4_torus_lattice(F(2)).basis,
+                                      random_unimodular_int(rng, 4, shears=4, c=1)))
+        gens = conjugated_generators(lat, sc)
+        for rows in closure_inputs(rng, 4, 6):
+            w = subspace_from_rows(4, rows)
+            if w is ZERO_SUBSPACE:
+                continue
+            want = all(rl.span_contains(w.rows, rl.mat_vec(g, x)) for g in gens for x in w.rows)
+            assert is_m_stable(w, lat, sc) == want
+            assert is_m_stable(m_closure(lat, sc, rows), lat, sc)
 
 
 def test_so21_generators_preserve_form():
