@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, gcd, isqrt, log
+from math import exp, gcd, isqrt, lcm, log
 
 from . import ratlin as rl
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
@@ -81,35 +81,65 @@ def _gso(g):
     return mu, d
 
 
-def _round_half(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
 def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
-    """Unimodular u with u·a·uᵀ LLL-reduced; exact arithmetic throughout."""
+    """Unimodular u with u·a·uᵀ LLL-reduced; exact arithmetic throughout.
+
+    Integral LLL (Cohen, Alg. 2.6.7) on the Gram matrix scaled to integers by
+    the lcm of its denominators; a positive scalar changes no μ and no Lovász
+    test. With D_i the leading principal minors (D_0 = 1) and
+    λ_ij = D_{j+1}·μ_ij, both computed once, every size-reduction step and
+    every swap is an O(n) exact integer update. The decisions are those of
+    the rational algorithm: row k is size-reduced against rows k-1, ..., 0
+    with μ rounded half up, then tested against the Lovász condition.
+    """
     n = len(a)
+    den = lcm(*(x.denominator for row in a for x in row))
+    g = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    delta = F(delta)
+    p, q = delta.numerator, delta.denominator
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    # every division below is exact (Cohen 2.6.7, step 2)
+    for i in range(n):
+        for j in range(i + 1):
+            s = g[i][j]
+            for t in range(j):
+                s = (d[t + 1] * s - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = s
+            else:
+                d[i + 1] = s
+        if d[i + 1] <= 0:
+            raise InternalInvariantViolation("Gram matrix not positive definite")
     u = [list(r) for r in rl.identity(n)]
-
-    def gram():
-        return rl.mat_mul(rl.mat_mul(u, a), rl.transpose(u))
-
-    g = gram()
-    mu, d = _gso(g)
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = _round_half(mu[k][j])
-            if q:
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                g = gram()
-                mu, d = _gso(g)
-        if d[k] >= (delta - mu[k][k - 1] ** 2) * d[k - 1]:
+            r = (2 * lk[j] + d[j + 1]) // (2 * d[j + 1])
+            if r:
+                u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+                lk[j] -= r * d[j + 1]
+                lj = lam[j]
+                for t in range(j):
+                    lk[t] -= r * lj[t]
+        lm = lk[k - 1]
+        if q * (d[k + 1] * d[k - 1] + lm * lm) >= p * d[k] * d[k]:
             k += 1
-        else:
-            u[k], u[k - 1] = u[k - 1], u[k]
-            g = gram()
-            mu, d = _gso(g)
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k: λ_{k,k-1} is kept, d[k] and the λ of the
+        # later rows in columns k-1 and k change (Cohen's SWAPI)
+        u[k], u[k - 1] = u[k - 1], u[k]
+        for j in range(k - 1):
+            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
+        b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lm * t) // d[k]
+            li[k - 1] = (b * t + lm * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
     return tuple(tuple(r) for r in u)
 
 
@@ -221,7 +251,13 @@ def _int_nthroot_floor(m: int, r: int) -> int:
         return m
     if r == 2:
         return isqrt(m)
-    t = int(round(m ** (1.0 / r))) + 2
+    # integer Newton from 2^⌈bits/r⌉ ≥ m^{1/r}: decreases to the floor, no floats
+    t = 1 << -(-m.bit_length() // r)
+    while True:
+        s = ((r - 1) * t + m // t ** (r - 1)) // r
+        if s >= t:
+            break
+        t = s
     while t ** r > m:
         t -= 1
     while (t + 1) ** r <= m:
@@ -670,14 +706,16 @@ def oracle_delta_m(lat: UnimodularLattice, sc: Scenario,
     """
     n = lat.n
     big_l = lcm_pow(n)
+    a_int, den = lat.int_gram
     best_key = (F(1), n, full_subspace(n).rows)
     best = (full_subspace(n), F(1))
     for k in range(1, n):
-        items = []
-        for mat in _hnf_candidates(n, k, hnf_entry_bound):
-            items.append((covolume_sq_rows(lat, mat), mat))
-        items.sort()
-        for c, mat in items:
+        # covol² = det(mat·a_int·matᵀ)/den^k: sort on the integer determinants
+        items = sorted(
+            (rl.int_det(rl.mat_mul(rl.mat_mul(mat, a_int), rl.transpose(mat))), mat)
+            for mat in _hnf_candidates(n, k, hnf_entry_bound))
+        for det, mat in items:
+            c = F(det, den ** k)
             q = c ** (big_l // k)
             if (q, k, mat) >= best_key:
                 break

@@ -160,10 +160,6 @@ class TorusElement:
                             self.block_dims)
 
 
-def torus_identity(sc: Scenario) -> TorusElement:
-    return TorusElement(tuple(Fraction(1) for _ in sc.blocks), sc.block_dims)
-
-
 @dataclass(frozen=True)
 class UnimodularLattice:
     """A point of SL_N(R)/SL_N(Z): columns of `basis` generate the lattice."""
@@ -435,8 +431,3 @@ def lcm_pow(n: int) -> int:
 def q_pow(covol_sq: Fraction, dim: int, n: int) -> Fraction:
     """Root-free comparison key (covol²)^{L/dim}; smaller means smaller covol^{1/dim}."""
     return Fraction(covol_sq) ** (lcm_pow(n) // dim)
-
-
-def shortest_vector_sq(lat: UnimodularLattice) -> Fraction:
-    from .enumeration import shortest_vector_sq as _svs
-    return _svs(lat)

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from nondiv.enumeration import (delta_m, eligible_subspaces, lll_reduce_gram,
-                                oracle_delta_m, rat_root_upper,
-                                short_vectors, shortest_vector_sq)
-from nondiv.errors import BudgetExceeded
+import nondiv
+from nondiv.enumeration import (_int_nthroot_floor, _Quotient, delta_m,
+                                eligible_subspaces, lll_reduce_gram,
+                                oracle_delta_m, rat_root_upper, short_vectors,
+                                shortest_vector_sq, stable_subspaces_within)
+from nondiv.errors import BudgetExceeded, InternalInvariantViolation
 from nondiv.lattice import (apply_group, make_lattice, standard_lattice,
                             subspace_from_rows, trivial_scenario)
 from nondiv.samples import (diagonal_lattice, sl4_so21_scenario, sl4_torus,
@@ -283,3 +285,146 @@ def test_delta_deep_squash_performance():
     assert d.complete
     assert d.witness.dim == 1
     assert d.witness_covol_sq == F(1, 2 ** 60)
+
+
+def reference_gso(g):
+    """Rational Gram-Schmidt data (mu, d) of a Fraction Gram matrix."""
+    n = len(g)
+    mu = [[F(0)] * n for _ in range(n)]
+    d = [F(0)] * n
+    for i in range(n):
+        for j in range(i):
+            s = g[i][j]
+            for t in range(j):
+                s -= mu[i][t] * mu[j][t] * d[t]
+            mu[i][j] = s / d[j]
+        mu[i][i] = F(1)
+        s = g[i][i]
+        for t in range(i):
+            s -= mu[i][t] ** 2 * d[t]
+        d[i] = s
+        if d[i] <= 0:
+            raise InternalInvariantViolation("Gram matrix not positive definite")
+    return mu, d
+
+
+def reference_round_half(x):
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+def reference_lll(a, delta=F(3, 4)):
+    """Rational LLL that rebuilds u·a·uᵀ and its GSO after every step.
+
+    Needs Fraction entries: an int Gram makes the GSO divide into floats.
+    """
+    n = len(a)
+    u = [list(r) for r in rl.identity(n)]
+
+    def gram():
+        return rl.mat_mul(rl.mat_mul(u, a), rl.transpose(u))
+
+    mu, d = reference_gso(gram())
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = reference_round_half(mu[k][j])
+            if q:
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                mu, d = reference_gso(gram())
+        if d[k] >= (delta - mu[k][k - 1] ** 2) * d[k - 1]:
+            k += 1
+        else:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            mu, d = reference_gso(gram())
+            k = max(k - 1, 1)
+    return tuple(tuple(r) for r in u)
+
+
+LLL_DELTAS = (F(3, 4), F(99, 100), F(1, 2))
+
+
+def assert_lll_matches_reference(g):
+    g = rl.rat_matrix(g)
+    for delta in LLL_DELTAS:
+        assert lll_reduce_gram(g, delta) == reference_lll(g, delta), (g, delta)
+
+
+def test_lll_matches_reference_random():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        lat = random_unimodular_lattice(rng, n, shears=rng.randint(3, 10),
+                                        dyadic_range=rng.randint(1, 6))
+        assert_lll_matches_reference(lat.gram)
+
+
+def test_lll_matches_reference_deep_squash():
+    rng = random.Random(43)
+    lat = diagonal_lattice(F(1, 2 ** 30), F(3, 2), F(2 ** 31, 3))
+    assert_lll_matches_reference(lat.gram)
+    for _ in range(4):
+        u = random_unimodular_int(rng, 3, shears=6, c=2)
+        assert_lll_matches_reference(rebase(lat, u).gram)
+    squash = rebase(diagonal_lattice(F(1, 2 ** 12), F(2 ** 5), F(2 ** 7)),
+                    random_unimodular_int(rng, 3, shears=6, c=2))
+    assert_lll_matches_reference(squash.gram)
+
+
+def test_lll_matches_reference_sl4_quotients():
+    rng = random.Random(47)
+    sc = sl4_so21_scenario()
+    for t in (F(1, 2), F(2), F(4)):
+        lat = rebase(sl4_torus_lattice(t), random_unimodular_int(rng, 4, shears=4, c=1))
+        subs, complete = stable_subspaces_within(lat, sc, F(4))
+        assert complete and subs
+        for z_rows in [()] + [s.rows for s in subs]:
+            assert_lll_matches_reference(_Quotient(lat, sc, z_rows).gram)
+
+
+def test_lll_small_and_tie_grams():
+    assert_lll_matches_reference([[F(5, 3)]])
+    assert lll_reduce_gram(rl.rat_matrix([[5]])) == ((1,),)
+    # mu = +1/2 rounds up, mu = -1/2 rounds to 0
+    plus = rl.rat_matrix([[2, 1], [1, 2]])
+    minus = rl.rat_matrix([[2, -1], [-1, 2]])
+    assert reference_lll(plus) == lll_reduce_gram(plus) == ((1, 0), (-1, 1))
+    assert reference_lll(minus) == lll_reduce_gram(minus) == ((1, 0), (0, 1))
+    for g in (plus, minus):
+        assert_lll_matches_reference(g)
+
+
+def test_lll_rejects_non_positive_definite():
+    for g in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]]):
+        for gram in (g, rl.rat_matrix(g)):
+            with pytest.raises(InternalInvariantViolation):
+                lll_reduce_gram(gram)
+
+
+def test_lll_accepts_int_gram():
+    rng = random.Random(53)
+    for _ in range(20):
+        u = random_unimodular_int(rng, rng.randint(2, 5), shears=8, c=2)
+        g = rl.mat_mul(u, rl.transpose(u))
+        assert nondiv.lll_reduce_gram(g) == nondiv.lll_reduce_gram(rl.rat_matrix(g))
+        assert nondiv.lll_reduce_gram(g) == reference_lll(rl.rat_matrix(g))
+
+
+def test_int_nthroot_floor_exact():
+    rng = random.Random(59)
+    cases = [(m, r) for m in (0, 1, 2, 3, 2 ** 1024, 2 ** 3000) for r in (1, 2, 3, 7, 420)]
+    for _ in range(300):
+        r = rng.randint(1, 420)
+        t = rng.randint(1, 1 << max(1, 3000 // r))
+        cases += [(t ** r - 1, r), (t ** r, r), (rng.randrange(1 << 3000), r)]
+    for m, r in cases:
+        t = _int_nthroot_floor(m, r)
+        assert t ** r <= m < (t + 1) ** r, (m, r)
+
+
+def test_delta_n7_no_overflow():
+    # the lcm(1..7) = 420 power key pushes the seed cap's root past float range
+    lat = diagonal_lattice(F(1, 2), 1, 1, 1, 1, 1, 2)
+    d = delta_m(lat, trivial_scenario(7))
+    assert d.complete
+    assert d.witness.rows == ((1, 0, 0, 0, 0, 0, 0),)
+    assert d.witness_covol_sq == F(1, 4)
