@@ -70,7 +70,7 @@ def _gso(g):
             s = g[i][j]
             for t in range(j):
                 s -= mu[i][t] * mu[j][t] * d[t]
-            mu[i][j] = s / d[j]
+            mu[i][j] = F(s) / d[j]
         mu[i][i] = F(1)
         s = g[i][i]
         for t in range(i):
@@ -223,9 +223,10 @@ def short_vectors(lat: UnimodularLattice, bound_sq, budget=None) -> list[tuple[i
     if bound_sq <= 0:
         raise ValidationError("bound_sq", "must be positive")
     bud = _as_budget(budget)
-    u = lll_reduce_gram(lat.gram)
-    g = rl.mat_mul(rl.mat_mul(u, lat.gram), rl.transpose(u))
-    raw = _enumerate_gram(g, bound_sq, bud, spanning=False)
+    a, den = lat.int_gram
+    u = lll_reduce_gram(a)
+    g = rl.mat_mul(rl.mat_mul(u, a), rl.transpose(u))
+    raw = _enumerate_gram(g, bound_sq * den, bud, spanning=False)
     mapped = []
     for qv, xs in raw:
         v = tuple(sum(xs[i] * u[i][j] for i in range(len(u))) for j in range(lat.n))
@@ -237,11 +238,12 @@ def short_vectors(lat: UnimodularLattice, bound_sq, budget=None) -> list[tuple[i
 def shortest_vector_sq(lat: UnimodularLattice, budget=None) -> Fraction:
     """Exact squared length of a shortest nonzero lattice vector."""
     bud = _as_budget(budget)
-    u = lll_reduce_gram(lat.gram)
-    g = rl.mat_mul(rl.mat_mul(u, lat.gram), rl.transpose(u))
-    bound = min(g[i][i] for i in range(len(g)))
+    a, den = lat.int_gram
+    u = lll_reduce_gram(a)
+    g = rl.mat_mul(rl.mat_mul(u, a), rl.transpose(u))
+    bound = F(min(g[i][i] for i in range(len(g))))
     raw = _enumerate_gram(g, bound, bud, spanning=False)
-    return min(qv for qv, _ in raw)
+    return min(qv for qv, _ in raw) / den
 
 
 def _int_nthroot_floor(m: int, r: int) -> int:
@@ -289,32 +291,45 @@ def _hermite_sq_bound(r: int) -> Fraction:
 
 
 class _Quotient:
-    """Λ/Λ_Z with exact quotient Gram (Schur complement) and integer lifts."""
+    """Λ/Λ_Z with an exact integer quotient Gram and integer lifts.
+
+    The quotient Gram (the Schur complement S of the Z block in v·A·vᵀ, v a
+    basis completion of Z) is gram/scale exactly: `gram` is the integer
+    matrix D_k·den·S left by k fraction-free (Bareiss) elimination steps on
+    the integer Gram den·v·A·vᵀ, and scale = den·D_k, with den the common
+    denominator of A and D_k > 0 the leading k×k minor of den·v·A·vᵀ.
+    Callers scale their bounds by `scale` instead of dividing the Gram.
+    """
 
     def __init__(self, lat: UnimodularLattice, sc: Scenario, z_rows):
         self.lat = lat
         self.sc = sc
-        self.k = len(z_rows)
+        self.k = k = len(z_rows)
         n = lat.n
-        if self.k == 0:
+        if k == 0:
             self.full_basis = rl.identity(n)
         else:
             self.full_basis = complete_to_basis(z_rows, n)
         v = self.full_basis
-        self.lift_rows = v[self.k:]
-        g_full = rl.mat_mul(rl.mat_mul(v, lat.gram), rl.transpose(v))
-        k = self.k
-        if k == 0:
-            self.gram = g_full
-        else:
-            g11 = [row[:k] for row in g_full[:k]]
-            g12 = [row[k:] for row in g_full[:k]]
-            g21 = [row[:k] for row in g_full[k:]]
-            g22 = [row[k:] for row in g_full[k:]]
-            inv11 = rl.rat_inverse(g11)
-            corr = rl.mat_mul(rl.mat_mul(g21, inv11), g12)
-            self.gram = tuple(tuple(a - b for a, b in zip(r1, r2))
-                              for r1, r2 in zip(g22, corr))
+        self.lift_rows = v[k:]
+        a, den = lat.int_gram
+        g = [list(r) for r in rl.mat_mul(rl.mat_mul(v, a), rl.transpose(v))]
+        # Bareiss on the first k pivots; every division is exact and after
+        # step p the pivot g[p][p] is the leading (p+1)×(p+1) minor
+        prev = 1
+        for p in range(k):
+            piv = g[p][p]
+            if piv <= 0:
+                raise InternalInvariantViolation("Gram matrix not positive definite")
+            prow = g[p]
+            for i in range(p + 1, n):
+                row = g[i]
+                gip = row[p]
+                for j in range(p + 1, n):
+                    row[j] = (row[j] * piv - gip * prow[j]) // prev
+            prev = piv
+        self.gram = tuple(tuple(row[k:]) for row in g[k:])
+        self.scale = den * prev
 
     @property
     def rank(self) -> int:
@@ -339,7 +354,10 @@ class _Quotient:
 
     @cached_property
     def reduced(self):
-        """(u, u·gram·uᵀ) with u the LLL transform; one reduction per quotient."""
+        """(u, u·gram·uᵀ) with u the LLL transform; one reduction per quotient.
+
+        Both are integer; the reduced quotient Gram is the second over `scale`.
+        """
         u = lll_reduce_gram(self.gram)
         return u, rl.mat_mul(rl.mat_mul(u, self.gram), rl.transpose(u))
 
@@ -473,6 +491,7 @@ def _stable_quotient_lines(quot: _Quotient, t_sq: Fraction, budget: _Budget):
         spaces = [rl.identity(m)]
     else:
         spaces = common_eigenspace_bases(quot.rep_matrices, m)
+    t_scaled = t_sq * quot.scale
     seen = set()
     for e in spaces:
         ints, _ = rl.row_scale_to_int(rl.rat_matrix(e))
@@ -481,11 +500,11 @@ def _stable_quotient_lines(quot: _Quotient, t_sq: Fraction, budget: _Budget):
             continue
         if len(s_e) == 1:
             y = _canon_sign(s_e[0])
-            norm = F(0)
+            norm = 0
             for i, yi in enumerate(y):
                 if yi:
                     norm += yi * sum(quot.gram[i][j] * yj for j, yj in enumerate(y))
-            if norm <= t_sq and y not in seen:
+            if norm <= t_scaled and y not in seen:
                 seen.add(y)
                 yield y
             continue
@@ -493,7 +512,7 @@ def _stable_quotient_lines(quot: _Quotient, t_sq: Fraction, budget: _Budget):
         u = lll_reduce_gram(gram_e)
         g = rl.mat_mul(rl.mat_mul(u, gram_e), rl.transpose(u))
         comp = rl.mat_mul(u, s_e)
-        for _, w in _enumerate_gram(g, t_sq, budget, spanning=True):
+        for _, w in _enumerate_gram(g, t_scaled, budget, spanning=True):
             y = tuple(sum(w[i] * comp[i][j] for i in range(len(w)))
                       for j in range(m))
             y = _canon_sign(rl.primitive_part(y))
@@ -546,7 +565,7 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
             return
         bound = _hermite_sq_bound(r) * rat_root_upper(t_sq, r)
         u, g = quot.reduced
-        for _, w in _enumerate_gram(g, bound, bud, spanning=True):
+        for _, w in _enumerate_gram(g, bound * quot.scale, bud, spanning=True):
             y = tuple(sum(w[i] * u[i][j] for i in range(len(w)))
                       for j in range(quot.rank))
             if rl.primitive_part(y) != y:
@@ -644,7 +663,7 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
     upper bound of q^{1/L} loses nothing and tames badly squashed inputs.
     """
     big_l = lcm_pow(lat.n)
-    u = lll_reduce_gram(lat.gram)
+    u = lll_reduce_gram(lat.int_gram[0])
     seed = m_closure(lat, sc, [tuple(u[0])])
     cap = F(1)
     extra = []

@@ -33,10 +33,6 @@ class PureWedge:
     def degree(self) -> int:
         return len(self.spanning_vectors)
 
-    def subspace_rows(self) -> rl.RatRows:
-        """The span L_v as rational rows."""
-        return self.spanning_vectors
-
 
 def apply_torus_to_wedge(s: TorusElement, v: PureWedge) -> PureWedge:
     diag = s.diagonal()

@@ -20,10 +20,6 @@ from .errors import NotUnimodular, ValidationError
 Rat = Fraction
 
 
-def _freeze_rat(rows) -> rl.RatRows:
-    return rl.rat_matrix(rows)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Block decomposition R^N = ⊕ V_i plus generators of M.
@@ -117,7 +113,7 @@ def trivial_scenario(n: int) -> Scenario:
 def make_scenario(n: int, blocks: Sequence[Sequence[int]], generators: Sequence[Sequence[Sequence]]) -> Scenario:
     return Scenario(n=n,
                     blocks=tuple((int(a), int(b)) for a, b in blocks),
-                    m_generators=tuple(_freeze_rat(g) for g in generators))
+                    m_generators=tuple(rl.rat_matrix(g) for g in generators))
 
 
 @dataclass(frozen=True)
@@ -212,11 +208,11 @@ class UnimodularLattice:
 
 
 def make_lattice(basis_rows: Sequence[Sequence]) -> UnimodularLattice:
-    return UnimodularLattice(basis=_freeze_rat(basis_rows))
+    return UnimodularLattice(basis=rl.rat_matrix(basis_rows))
 
 
 def standard_lattice(n: int) -> UnimodularLattice:
-    return UnimodularLattice(basis=_freeze_rat(rl.identity(n)))
+    return UnimodularLattice(basis=rl.rat_matrix(rl.identity(n)))
 
 
 class _ZeroSubspace:
@@ -409,7 +405,7 @@ def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]
 
 def apply_group(g: Sequence[Sequence], lat: UnimodularLattice) -> UnimodularLattice:
     """g·Λ; integer subspace coordinates are unchanged by transport."""
-    gm = _freeze_rat(g)
+    gm = rl.rat_matrix(g)
     d = rl.rat_det(gm)
     if d not in (1, -1):
         raise NotUnimodular(f"|det g| must be 1, got {d}")

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin as rl
-from .enumeration import (DeltaResult, _Budget, _int_nthroot_floor, delta_m,
-                          rational_roots, stable_subspaces_within)
+from .enumeration import (DEFAULT_VECTOR_BUDGET, DeltaResult, _as_budget,
+                          _int_nthroot_floor, delta_m, rational_roots,
+                          stable_subspaces_within)
 from .errors import (GrowthContractViolated, IncompleteSearch,
                      InternalInvariantViolation, NotBelowEta0,
                      ProtectionFailed, UnexpandableSubspace, ValidationError,
@@ -44,7 +45,7 @@ class PushoutConfig:
     lambda_multiplier: Fraction = F(2)
     eta0_override: Fraction | None = None
     max_steps: int = 32
-    vector_budget: int = 10 ** 6
+    vector_budget: int = DEFAULT_VECTOR_BUDGET
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_multiplier", F(self.lambda_multiplier))
@@ -68,18 +69,6 @@ class _NotNeeded:
 
 
 NOT_NEEDED = _NotNeeded()
-
-
-def _fresh_budget(cfg: PushoutConfig) -> _Budget:
-    return _Budget(cfg.vector_budget)
-
-
-def _budget_arg(cfg: PushoutConfig, budget) -> _Budget:
-    if budget is None:
-        return _fresh_budget(cfg)
-    if isinstance(budget, _Budget):
-        return budget
-    return _Budget(int(budget))
 
 
 def select_index_set(lat: UnimodularLattice, w: RationalSubspace,
@@ -297,7 +286,7 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
         raise ValidationError("c1c2_sq", "must be > 1")
     n = lat.n
     big_l = lcm_pow(n)
-    bud = _budget_arg(cfg, budget)
+    bud = _as_budget(cfg.vector_budget if budget is None else budget)
     if eta0_sq is None:
         eta0_sq = (cfg.eta0_override ** 2 if cfg.eta0_override is not None
                    else c ** (-n))
@@ -368,12 +357,6 @@ class PushoutStep:
     growth_qpow_factor: Fraction
     qpow_ratio: Fraction
 
-    @property
-    def growth_factor_float(self) -> float:
-        """A priori guaranteed δ ratio: min(achieved_c2_sq, 4)^(1/(2N))."""
-        n = self.delta_before.witness.ambient
-        return float(min(self.expansion.achieved_c2_sq, F(4))) ** (1 / (2 * n))
-
 
 def _resolve_protection(lat, sc, cfg, d0, big_l):
     """Stabilize (guard, eta0, W∞, certificate); raises NotBelowEta0 if moot."""
@@ -389,8 +372,7 @@ def _resolve_protection(lat, sc, cfg, d0, big_l):
         if d0.delta_sq_pow >= eta0_sq ** big_l:
             raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
         guard = dyadic_guard(eta0_sq, n)
-        pres = protect(lat, sc, cfg, guard, eta0_sq=eta0_sq, delta=d0,
-                       budget=_fresh_budget(cfg))
+        pres = protect(lat, sc, cfg, guard, eta0_sq=eta0_sq, delta=d0)
         if pres is NOT_NEEDED:
             raise InternalInvariantViolation("floor check diverged between layers")
         if pres.w_infinity != d0.witness:
@@ -402,8 +384,7 @@ def _resolve_protection(lat, sc, cfg, d0, big_l):
         # larger constants only lower the floor further
         raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
     for _ in range(8 * n):
-        pres = protect(lat, sc, cfg, c_work, eta0_sq=eta0_sq, delta=d0,
-                       budget=_fresh_budget(cfg))
+        pres = protect(lat, sc, cfg, c_work, eta0_sq=eta0_sq, delta=d0)
         if pres is NOT_NEEDED:
             raise InternalInvariantViolation("floor check diverged between layers")
         cert = expansion_element(lat, pres.w_infinity, sc, cfg)
@@ -420,7 +401,7 @@ def _execute_step(lat, sc, cfg, d0, pres, cert, big_l):
     """Apply the certified torus element and re-verify the growth claim."""
     n = lat.n
     new_lat = apply_torus(cert.s, lat)
-    d1 = delta_m(new_lat, sc, budget=_fresh_budget(cfg))
+    d1 = delta_m(new_lat, sc, budget=cfg.vector_budget)
     if not d1.complete:
         raise IncompleteSearch("moved lattice's delta could not be certified")
     factor = min(cert.achieved_c2_sq, F(4)) ** (big_l // n)
@@ -463,7 +444,7 @@ def pushout_step(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig,
     """
     big_l = lcm_pow(lat.n)
     d0 = delta_before if delta_before is not None else delta_m(
-        lat, sc, budget=_fresh_budget(cfg))
+        lat, sc, budget=cfg.vector_budget)
     if not d0.complete:
         raise IncompleteSearch("cannot certify a step from an incomplete delta")
     pres, cert = _resolve_protection(lat, sc, cfg, d0, big_l)
@@ -516,7 +497,7 @@ def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
     big_l = lcm_pow(lat.n)
     steps: list[PushoutStep] = []
     cur = lat
-    d_cur = delta_m(cur, sc, budget=_fresh_budget(cfg))
+    d_cur = delta_m(cur, sc, budget=cfg.vector_budget)
     d_init = d_cur
     status = None
     eta0_final = None

@@ -8,6 +8,7 @@ value computed here can sit on a branch decision.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -52,6 +53,7 @@ def rat_matrix(rows: Sequence[Sequence]) -> RatRows:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> IntRows:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -335,15 +337,15 @@ def rat_inverse(m: Sequence[Sequence]) -> RatRows:
 
 
 def int_inverse_unimodular(m: Sequence[Sequence[int]]) -> IntRows:
-    """Integer inverse of a unimodular integer matrix."""
-    inv = rat_inverse(m)
-    out = []
-    for r in inv:
-        for x in r:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in r))
-    return tuple(out)
+    """Integer inverse of a unimodular integer matrix.
+
+    The HNF of a unimodular matrix is the identity, so the HNF transform u
+    (with u·m = I) is the inverse; any other HNF means m is not unimodular.
+    """
+    h, u = hnf(m)
+    if h != identity(len(m)):
+        raise ValueError("matrix is not unimodular")
+    return u
 
 
 def lcm_upto(n: int) -> int:

@@ -22,8 +22,6 @@ from .pushout import PushoutConfig, PushoutCertificate, Terminated
 
 F = Fraction
 
-DEFAULT_VECTOR_BUDGET = 10 ** 6
-
 CSV_HEADER = ["step", "delta_num", "delta_den_pow", "delta_float",
               "case_tag", "torus_scalars", "witness_hnf"]
 

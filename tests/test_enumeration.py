@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 import nondiv
-from nondiv.enumeration import (_int_nthroot_floor, _Quotient, delta_m,
-                                eligible_subspaces, lll_reduce_gram,
-                                oracle_delta_m, rat_root_upper, short_vectors,
+from nondiv import enumeration
+from nondiv.enumeration import (_Budget, _enumerate_gram, _int_nthroot_floor,
+                                _Quotient, delta_m, eligible_subspaces,
+                                lll_reduce_gram, oracle_delta_m,
+                                rat_root_upper, short_vectors,
                                 shortest_vector_sq, stable_subspaces_within)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation
 from nondiv.lattice import (apply_group, make_lattice, standard_lattice,
@@ -428,3 +430,133 @@ def test_delta_n7_no_overflow():
     assert d.complete
     assert d.witness.rows == ((1, 0, 0, 0, 0, 0, 0),)
     assert d.witness_covol_sq == F(1, 4)
+
+
+def reference_quotient_gram(lat, v, k):
+    """Fraction Schur complement of the leading k×k block of v·gram·vᵀ."""
+    g_full = rl.mat_mul(rl.mat_mul(v, lat.gram), rl.transpose(v))
+    if k == 0:
+        return g_full
+    g11 = [row[:k] for row in g_full[:k]]
+    g12 = [row[k:] for row in g_full[:k]]
+    g21 = [row[:k] for row in g_full[k:]]
+    g22 = [row[k:] for row in g_full[k:]]
+    corr = rl.mat_mul(rl.mat_mul(g21, rl.rat_inverse(g11)), g12)
+    return tuple(tuple(a - b for a, b in zip(r1, r2))
+                 for r1, r2 in zip(g22, corr))
+
+
+def search_quotients(monkeypatch, lat, sc, cap):
+    """Every quotient the chain search builds on lat up to cap, plus Λ/Λ_Y
+    for each subspace Y it finds."""
+    made = []
+
+    class Recording(_Quotient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_Quotient", Recording)
+        subs, complete = stable_subspaces_within(lat, sc, cap)
+    assert complete and subs
+    return made + [_Quotient(lat, sc, y.rows) for y in subs]
+
+
+def assert_quotients_match_reference(quots):
+    # D_1 = the first pivot, so k >= 2 is where the exact `// prev` matters
+    assert any(q.k > 1 for q in quots)
+    for q in quots:
+        assert isinstance(q.scale, int) and q.scale > 0
+        assert all(isinstance(x, int) for row in q.gram for x in row)
+        ref = reference_quotient_gram(q.lat, q.full_basis, q.k)
+        got = tuple(tuple(F(x, q.scale) for x in row) for row in q.gram)
+        assert got == ref, (q.lat.basis, q.full_basis[:q.k])
+
+
+def test_quotient_gram_matches_reference_sl4(monkeypatch):
+    rng = random.Random(61)
+    sc = sl4_so21_scenario()
+    quots = []
+    for t in (F(1, 2), F(2), F(4)):
+        lat = rebase(sl4_torus_lattice(t), random_unimodular_int(rng, 4, shears=4, c=1))
+        quots += search_quotients(monkeypatch, lat, sc, F(4))
+    assert_quotients_match_reference(quots)
+
+
+def test_quotient_gram_matches_reference_dyadic_n5(monkeypatch):
+    rng = random.Random(67)
+    sc = trivial_scenario(5)
+    quots = []
+    for exps in ((1, -1, 0, 0, 0), (1, 1, -1, -1, 0), (0, -1, 1, -1, 1)):
+        lat = rebase(diagonal_lattice(*(F(2) ** e for e in exps)),
+                     random_unimodular_int(rng, 5, shears=6, c=1))
+        quots += search_quotients(monkeypatch, lat, sc, F(1))
+    assert_quotients_match_reference(quots)
+
+
+def test_quotient_gram_matches_reference_deep_squash(monkeypatch):
+    rng = random.Random(71)
+    sc = trivial_scenario(3)
+    lat = diagonal_lattice(F(1, 2 ** 30), F(3, 2), F(2 ** 31, 3))
+    quots = search_quotients(monkeypatch, lat, sc, F(1, 4))
+    for _ in range(3):
+        quots += search_quotients(
+            monkeypatch, rebase(lat, random_unimodular_int(rng, 3, shears=6, c=2)),
+            sc, F(1, 4))
+    assert_quotients_match_reference(quots)
+
+
+def reference_lll_gram(lat):
+    """(u, u·gram·uᵀ) on the Fraction Gram of lat."""
+    u = lll_reduce_gram(lat.gram)
+    return u, rl.mat_mul(rl.mat_mul(u, lat.gram), rl.transpose(u))
+
+
+def reference_short_vectors(lat, bound_sq):
+    u, g = reference_lll_gram(lat)
+    raw = _enumerate_gram(g, F(bound_sq), _Budget(10 ** 6), spanning=False)
+    mapped = sorted(
+        (qv, enumeration._canon_sign(tuple(
+            sum(xs[i] * u[i][j] for i in range(len(u))) for j in range(lat.n))))
+        for qv, xs in raw)
+    return [v for _, v in mapped]
+
+
+def reference_shortest_vector_sq(lat):
+    _, g = reference_lll_gram(lat)
+    bound = min(g[i][i] for i in range(len(g)))
+    return min(qv for qv, _ in _enumerate_gram(g, bound, _Budget(10 ** 6),
+                                               spanning=False))
+
+
+def test_short_vectors_match_fraction_gram_path():
+    rng = random.Random(73)
+    for _ in range(30):
+        lat = random_unimodular_lattice(rng, rng.randint(2, 5),
+                                        shears=rng.randint(3, 8),
+                                        dyadic_range=rng.randint(1, 4))
+        bound = F(rng.randint(1, 12), rng.randint(1, 4))
+        assert short_vectors(lat, bound) == reference_short_vectors(lat, bound)
+        sv = shortest_vector_sq(lat)
+        assert isinstance(sv, F)
+        assert sv == reference_shortest_vector_sq(lat)
+
+
+def test_enumerate_int_gram_matches_fraction_copy():
+    rng = random.Random(79)
+    for _ in range(30):
+        lat = random_unimodular_lattice(rng, rng.randint(2, 5),
+                                        shears=rng.randint(3, 8),
+                                        dyadic_range=rng.randint(1, 3))
+        a, den = lat.int_gram
+        u = lll_reduce_gram(a)
+        g_int = rl.mat_mul(rl.mat_mul(u, a), rl.transpose(u))
+        g_rat = tuple(tuple(F(x, den) for x in row) for row in g_int)
+        bound = F(rng.randint(1, 9), rng.randint(1, 3))
+        for spanning in (False, True):
+            bud_int, bud_rat = _Budget(10 ** 6), _Budget(10 ** 6)
+            got = _enumerate_gram(g_int, bound * den, bud_int, spanning)
+            want = _enumerate_gram(g_rat, bound, bud_rat, spanning)
+            assert [(qv / den, x) for qv, x in got] == want
+            assert bud_int.used == bud_rat.used

@@ -194,6 +194,13 @@ def test_int_inverse_unimodular():
                 m[i] = [x + c * y for x, y in zip(m[i], m[j])]
         inv = rl.int_inverse_unimodular(m)
         assert rl.mat_mul(m, inv) == rl.identity(n)
+    # determinant -1
+    m = ((0, 1, 0), (1, 0, 0), (2, 3, 1))
+    inv = rl.int_inverse_unimodular(m)
+    assert rl.mat_mul(m, inv) == rl.mat_mul(inv, m) == rl.identity(3)
+    for bad in (((1, 2), (2, 4)), ((1, 1), (-1, 1))):  # singular, det 2
+        with pytest.raises(ValueError):
+            rl.int_inverse_unimodular(bad)
 
 
 def test_rat_right_kernel():
