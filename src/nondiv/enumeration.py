@@ -29,7 +29,7 @@ from . import ratlin as rl
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from .lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
                       UnimodularLattice, conjugated_generators, covolume_sq,
-                      covolume_sq_rows, full_subspace, is_m_stable, lcm_pow,
+                      covolume_sq_rows, full_subspace, is_m_stable,
                       m_closure, subspace_from_rows)
 
 F = Fraction
@@ -610,26 +610,34 @@ def eligible_subspaces(lat: UnimodularLattice, sc: Scenario, covol_sq_cap,
 class DeltaResult:
     """Exact certificate for the restricted minimal covolume.
 
-    delta_sq_pow = (covol² of the witness)^{L/dim}, L = lcm(1..N); the reported
-    value is delta_float = delta_sq_pow^{1/(2L)}. complete=False marks an upper
-    bound obtained under an exhausted budget.
+    δ² = witness_covol_sq^{1/dim} for the witness W, dim = dim W; searches
+    compare such roots by cross powers (`_root_lt`). The reported root-free
+    form is derived: delta_sq_pow = witness_covol_sq^{L/dim} with
+    L = lcm(1..N) = lcm_pow, and delta_float = delta_sq_pow^{1/(2L)}.
+    complete=False marks an upper bound obtained under an exhausted budget.
     """
 
-    delta_sq_pow: Fraction
-    lcm_pow: int
-    delta_float: float
     witness: RationalSubspace
     witness_covol_sq: Fraction
     complete: bool
 
+    @cached_property
+    def lcm_pow(self) -> int:
+        return rl.lcm_upto(self.witness.ambient)
+
+    @cached_property
+    def delta_sq_pow(self) -> Fraction:
+        return self.witness_covol_sq ** (self.lcm_pow // self.witness.dim)
+
+    @cached_property
+    def delta_float(self) -> float:
+        return _float_root(self.delta_sq_pow, 2 * self.lcm_pow)
+
     def delta_sq_vs(self, value_sq: Fraction) -> int:
         """Compare δ² with an exact rational: -1, 0, or 1."""
-        rhs = F(value_sq) ** self.lcm_pow
-        if self.delta_sq_pow < rhs:
-            return -1
-        if self.delta_sq_pow > rhs:
-            return 1
-        return 0
+        lhs = self.witness_covol_sq
+        rhs = F(value_sq) ** self.witness.dim
+        return (lhs > rhs) - (lhs < rhs)
 
 
 def _float_root(x: Fraction, power: int) -> float:
@@ -638,17 +646,17 @@ def _float_root(x: Fraction, power: int) -> float:
     return exp((log(x.numerator) - log(x.denominator)) / power)
 
 
-def _best_candidate(lat, cands, big_l):
-    best_key = (F(1), lat.n, full_subspace(lat.n).rows)
-    best = (full_subspace(lat.n), F(1))
-    for w in cands:
-        c = covolume_sq(lat, w)
-        q = c ** (big_l // w.dim)
-        key = (q, w.dim, w.rows)
-        if key < best_key:
-            best_key = key
-            best = (w, c)
-    return best_key, best
+def _root_lt(a, b) -> bool:
+    """Whether a = (c, d, rows) precedes b: by c^{1/d}, then d, then rows.
+
+    The roots are compared by cross powers, c^{d'} against c'^{d}, so no
+    exponent exceeds N.
+    """
+    (c, d, rows), (c2, d2, rows2) = a, b
+    x, y = c ** d2, c2 ** d
+    if x != y:
+        return x < y
+    return (d, rows) < (d2, rows2)
 
 
 def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
@@ -658,31 +666,28 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
     Budget exhaustion degrades to an upper bound with complete=False.
 
     The covolume cap for the exhaustive search is seeded from the stable
-    closure of one LLL-short vector: any subspace beating a candidate with
-    value q must have covol² < q^{dim/L} ≤ q^{1/L}, so capping at a rational
-    upper bound of q^{1/L} loses nothing and tames badly squashed inputs.
+    closure of one LLL-short vector with covol² c_s and dim d_s: any W
+    that beats it has covol²(W) < (c_s^{1/d_s})^{dim W} ≤ c_s^{1/d_s}, so
+    capping at a rational upper bound of c_s^{1/d_s} loses nothing and tames
+    badly squashed inputs.
     """
-    big_l = lcm_pow(lat.n)
     u = lll_reduce_gram(lat.int_gram[0])
     seed = m_closure(lat, sc, [tuple(u[0])])
     cap = F(1)
     extra = []
     if not seed.is_full:
         extra.append(seed)
-        q_seed = covolume_sq(lat, seed) ** (big_l // seed.dim)
-        if q_seed < 1:
-            cap = rat_root_upper(q_seed, big_l)
+        c_seed = covolume_sq(lat, seed)
+        if c_seed < 1:
+            cap = rat_root_upper(c_seed, seed.dim)
     cands, complete = stable_subspaces_within(lat, sc, cap, budget=budget)
-    best_key, (witness, covol) = _best_candidate(lat, extra + cands, big_l)
-    q = best_key[0]
-    return DeltaResult(
-        delta_sq_pow=q,
-        lcm_pow=big_l,
-        delta_float=_float_root(q, 2 * big_l),
-        witness=witness,
-        witness_covol_sq=covol,
-        complete=complete,
-    )
+    witness = full_subspace(lat.n)
+    best = (F(1), lat.n, witness.rows)
+    for w in extra + cands:
+        key = (covolume_sq(lat, w), w.dim, w.rows)
+        if _root_lt(key, best):
+            witness, best = w, key
+    return DeltaResult(witness=witness, witness_covol_sq=best[0], complete=complete)
 
 
 @lru_cache(maxsize=64)
@@ -724,31 +729,20 @@ def oracle_delta_m(lat: UnimodularLattice, sc: Scenario,
     arrange by construction.
     """
     n = lat.n
-    big_l = lcm_pow(n)
     a_int, den = lat.int_gram
-    best_key = (F(1), n, full_subspace(n).rows)
-    best = (full_subspace(n), F(1))
+    witness = full_subspace(n)
+    best = (F(1), n, witness.rows)
     for k in range(1, n):
         # covol² = det(mat·a_int·matᵀ)/den^k: sort on the integer determinants
         items = sorted(
             (rl.int_det(rl.mat_mul(rl.mat_mul(mat, a_int), rl.transpose(mat))), mat)
             for mat in _hnf_candidates(n, k, hnf_entry_bound))
         for det, mat in items:
-            c = F(det, den ** k)
-            q = c ** (big_l // k)
-            if (q, k, mat) >= best_key:
+            key = (F(det, den ** k), k, mat)
+            if not _root_lt(key, best):
                 break
             sub = RationalSubspace(ambient=n, rows=mat)
             if is_m_stable(sub, lat, sc):
-                best_key = (q, k, mat)
-                best = (sub, c)
+                witness, best = sub, key
                 break
-    q = best_key[0]
-    return DeltaResult(
-        delta_sq_pow=q,
-        lcm_pow=big_l,
-        delta_float=_float_root(q, 2 * big_l),
-        witness=best[0],
-        witness_covol_sq=best[1],
-        complete=True,
-    )
+    return DeltaResult(witness=witness, witness_covol_sq=best[0], complete=True)

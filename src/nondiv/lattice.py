@@ -17,8 +17,6 @@ from typing import Sequence
 from . import ratlin as rl
 from .errors import NotUnimodular, ValidationError
 
-Rat = Fraction
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -139,12 +137,6 @@ class TorusElement:
         for s, d in zip(self.scalars, self.block_dims):
             out.extend([s] * d)
         return tuple(out)
-
-    def as_matrix(self) -> rl.RatRows:
-        diag = self.diagonal()
-        n = len(diag)
-        return tuple(tuple(diag[i] if i == j else Fraction(0) for j in range(n))
-                     for i in range(n))
 
     def inverse(self) -> "TorusElement":
         return TorusElement(tuple(1 / s for s in self.scalars), self.block_dims)
@@ -326,6 +318,8 @@ def _int_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[rl.IntRows, .
     A positive scalar multiple has the same images up to scale, so every
     span computed with it is the span computed with ĝ.
     """
+    if not sc.m_generators:
+        return ()  # no lookup: its cache key hashes all N² basis entries
     out = []
     for ghat in conjugated_generators(lat, sc):
         d = lcm(*(x.denominator for row in ghat for x in row))
@@ -418,12 +412,3 @@ def apply_torus(s: TorusElement, lat: UnimodularLattice) -> UnimodularLattice:
         raise ValidationError("scalars", "torus element dimension mismatch")
     new_basis = tuple(tuple(diag[i] * x for x in row) for i, row in enumerate(lat.basis))
     return UnimodularLattice(basis=rl.rat_matrix(new_basis))
-
-
-def lcm_pow(n: int) -> int:
-    return rl.lcm_upto(n)
-
-
-def q_pow(covol_sq: Fraction, dim: int, n: int) -> Fraction:
-    """Root-free comparison key (covol²)^{L/dim}; smaller means smaller covol^{1/dim}."""
-    return Fraction(covol_sq) ** (lcm_pow(n) // dim)

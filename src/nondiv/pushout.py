@@ -33,7 +33,7 @@ from .errors import (GrowthContractViolated, IncompleteSearch,
                      WholeSpace)
 from .exterior import contraction_constant
 from .lattice import (RationalSubspace, Scenario, TorusElement,
-                      UnimodularLattice, apply_torus, covolume_sq, lcm_pow)
+                      UnimodularLattice, apply_torus, covolume_sq)
 
 F = Fraction
 
@@ -285,14 +285,13 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
     if c <= 1:
         raise ValidationError("c1c2_sq", "must be > 1")
     n = lat.n
-    big_l = lcm_pow(n)
     bud = _as_budget(cfg.vector_budget if budget is None else budget)
     if eta0_sq is None:
         eta0_sq = (cfg.eta0_override ** 2 if cfg.eta0_override is not None
                    else c ** (-n))
     eta0_sq = F(eta0_sq)
     d = delta if delta is not None else delta_m(lat, sc, budget=bud)
-    if d.delta_sq_pow >= eta0_sq ** big_l:
+    if d.delta_sq_vs(eta0_sq) >= 0:
         return NOT_NEEDED
     if not d.complete:
         raise IncompleteSearch("cannot start a protection chain from an upper bound")
@@ -358,7 +357,7 @@ class PushoutStep:
     qpow_ratio: Fraction
 
 
-def _resolve_protection(lat, sc, cfg, d0, big_l):
+def _resolve_protection(lat, sc, cfg, d0):
     """Stabilize (guard, eta0, W∞, certificate); raises NotBelowEta0 if moot."""
     n = lat.n
     if d0.witness.is_full:
@@ -369,7 +368,7 @@ def _resolve_protection(lat, sc, cfg, d0, big_l):
     cert = expansion_element(lat, d0.witness, sc, cfg)
     if cfg.eta0_override is not None:
         eta0_sq = cfg.eta0_override ** 2
-        if d0.delta_sq_pow >= eta0_sq ** big_l:
+        if d0.delta_sq_vs(eta0_sq) >= 0:
             raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
         guard = dyadic_guard(eta0_sq, n)
         pres = protect(lat, sc, cfg, guard, eta0_sq=eta0_sq, delta=d0)
@@ -380,7 +379,7 @@ def _resolve_protection(lat, sc, cfg, d0, big_l):
         return pres, cert
     c_work = cert.c1c2_sq
     eta0_sq = c_work ** (-n)
-    if d0.delta_sq_pow >= eta0_sq ** big_l:
+    if d0.delta_sq_vs(eta0_sq) >= 0:
         # larger constants only lower the floor further
         raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
     for _ in range(8 * n):
@@ -392,19 +391,19 @@ def _resolve_protection(lat, sc, cfg, d0, big_l):
             return pres, cert
         c_work = cert.c1c2_sq
         eta0_sq = c_work ** (-n)
-        if d0.delta_sq_pow >= eta0_sq ** big_l:
+        if d0.delta_sq_vs(eta0_sq) >= 0:
             raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
     raise InternalInvariantViolation("working constants failed to stabilize")
 
 
-def _execute_step(lat, sc, cfg, d0, pres, cert, big_l):
+def _execute_step(lat, sc, cfg, d0, pres, cert):
     """Apply the certified torus element and re-verify the growth claim."""
     n = lat.n
     new_lat = apply_torus(cert.s, lat)
     d1 = delta_m(new_lat, sc, budget=cfg.vector_budget)
     if not d1.complete:
         raise IncompleteSearch("moved lattice's delta could not be certified")
-    factor = min(cert.achieved_c2_sq, F(4)) ** (big_l // n)
+    factor = min(cert.achieved_c2_sq, F(4)) ** (d0.lcm_pow // n)
     if d1.delta_sq_pow < factor * d0.delta_sq_pow:
         raise GrowthContractViolated(
             f"a posteriori q-ratio {d1.delta_sq_pow / d0.delta_sq_pow} "
@@ -442,13 +441,12 @@ def pushout_step(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig,
     is re-verified against the exact recomputed delta; GrowthContractViolated
     if a custom floor configuration defeats it.
     """
-    big_l = lcm_pow(lat.n)
     d0 = delta_before if delta_before is not None else delta_m(
         lat, sc, budget=cfg.vector_budget)
     if not d0.complete:
         raise IncompleteSearch("cannot certify a step from an incomplete delta")
-    pres, cert = _resolve_protection(lat, sc, cfg, d0, big_l)
-    return _execute_step(lat, sc, cfg, d0, pres, cert, big_l)
+    pres, cert = _resolve_protection(lat, sc, cfg, d0)
+    return _execute_step(lat, sc, cfg, d0, pres, cert)
 
 
 class Terminated(enum.Enum):
@@ -494,7 +492,6 @@ def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
     success with at least one step, the trace length is asserted against the
     exact pigeonhole bound from the smallest per-step growth factor.
     """
-    big_l = lcm_pow(lat.n)
     steps: list[PushoutStep] = []
     cur = lat
     d_cur = delta_m(cur, sc, budget=cfg.vector_budget)
@@ -506,7 +503,7 @@ def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
     else:
         while True:
             try:
-                pres, cert = _resolve_protection(cur, sc, cfg, d_cur, big_l)
+                pres, cert = _resolve_protection(cur, sc, cfg, d_cur)
             except NotBelowEta0 as e:
                 status = Terminated.REACHED_ETA0
                 eta0_final = e.eta0_sq
@@ -518,7 +515,7 @@ def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
                 status = Terminated.MAX_STEPS
                 break
             try:
-                new_lat, rec = _execute_step(cur, sc, cfg, d_cur, pres, cert, big_l)
+                new_lat, rec = _execute_step(cur, sc, cfg, d_cur, pres, cert)
             except IncompleteSearch:
                 status = Terminated.INCOMPLETE
                 break
@@ -540,7 +537,7 @@ def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
         eta0_max = max(eta0s)
         factor_min = min(rec.growth_qpow_factor for rec in steps)
         bound = _step_count_bound(steps[0].delta_before.delta_sq_pow, factor_min,
-                                  eta0_max ** big_l)
+                                  eta0_max ** d_init.lcm_pow)
         if len(steps) > bound:
             raise InternalInvariantViolation(
                 f"trace length {len(steps)} exceeded the growth bound {bound}")

@@ -5,6 +5,7 @@ to catch complexity blowups, not to benchmark.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,7 @@ from nondiv.cli import main
 from nondiv.enumeration import delta_m, eligible_subspaces, oracle_delta_m
 from nondiv.errors import UnexpandableSubspace
 from nondiv.exterior import PureWedge, apply_torus_to_wedge
-from nondiv.lattice import (ZERO_SUBSPACE, apply_torus, covolume_sq, lcm_pow,
+from nondiv.lattice import (ZERO_SUBSPACE, apply_torus, covolume_sq,
                             make_lattice, standard_lattice,
                             subspace_from_rows, subspace_intersect,
                             subspace_sum, trivial_scenario)
@@ -28,6 +29,11 @@ from conftest import random_unimodular_int
 F = Fraction
 SC4 = sl4_so21_scenario()
 SEED = 20260815
+
+
+def lcm_pow(n):
+    """L = lcm(1..n), the exponent of the reported delta_sq_pow form."""
+    return math.lcm(*range(1, n + 1))
 
 
 def _prod(xs):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -288,3 +289,28 @@ def test_drive_trivial_squash_family(capsys):
         s *= se.parse_rat(row["torus_scalars"][0], "s")
     b = [[se.parse_rat(x, "b") for x in col] for col in doc["final_basis_columns"]]
     assert b[0][0] == F(1, 64) * s
+
+
+# sha256 of the stdout of each run; certificate bytes must not change
+FIXTURE_DIGESTS = [
+    (("delta", "--scenario", "sl4_so21.json", "--lattice", "sl4_t_quarter.json"),
+     "ca98bb8d70c5f92638dddfef451d0ff32ce31e376f37dcad3e7f1679d443bbe9"),
+    (("drive", "--scenario", "sl4_so21.json", "--lattice", "sl4_t_eighth.json"),
+     "be15176e80b3bc382748950e658a53b87ead57f21f6742d42522e8f772bcdecd"),
+    (("drive", "--format", "csv", "--scenario", "sl4_so21.json",
+      "--lattice", "sl4_pushed_t_half.json"),
+     "b58fac1c1bbb356ee9480646d2cf1a8c1f9173dbcd8b08d2f73614ca89cc2f7e"),
+    (("drive", "--lattice", "squash_n2_k6.json"),
+     "2bd21d6c967b1b5cdb872c0acf2cc4da5b48e32e6d8ef4d36c2bdeb162083220"),
+    (("drive", "--lattice", "random_n3_seed20260815.json"),
+     "f703fb7b1d0cfada335476115dc83e5bed9810dc573b4dff7f3349682e568af8"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FIXTURE_DIGESTS,
+                         ids=[f"{a[0]}-{a[-1][:-5]}" for a, _ in FIXTURE_DIGESTS])
+def test_fixture_certificate_digests(capsys, argv, digest):
+    argv = [f"{FIX}/{a}" if a.endswith(".json") else a for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

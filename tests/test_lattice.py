@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,14 +10,15 @@ from nondiv.lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
                             TorusElement, apply_group, apply_torus,
                             conjugated_generators, covolume_sq,
                             covolume_sq_rows, full_subspace, is_m_stable,
-                            m_closure, make_lattice, make_scenario, q_pow,
+                            m_closure, make_lattice, make_scenario,
                             standard_lattice, subspace_from_rows,
                             subspace_intersect, subspace_sum,
                             trivial_scenario)
 from nondiv.samples import (sl4_so21_scenario, sl4_torus, sl4_torus_lattice,
                             so21_generators_3d, diagonal_lattice)
 
-from nondiv.enumeration import _hnf_candidates, stable_subspaces_within
+from nondiv.enumeration import (DeltaResult, _hnf_candidates, _root_lt,
+                                stable_subspaces_within)
 
 from conftest import (random_torus, random_unimodular_int,
                       random_unimodular_lattice, real_coordinate_subspace)
@@ -343,10 +345,51 @@ def test_subspace_validation():
     assert sub(2, [[0, 0]]) is ZERO_SUBSPACE
 
 
-def test_q_pow():
-    assert q_pow(F(1, 16), 1, 4) == F(1, 16) ** 12
-    assert q_pow(F(9), 2, 4) == F(9) ** 6
-    # smaller q_pow iff smaller covol^{1/dim}: (1/64)^{1/6} = 1/2 < (1/9)^{1/4}
-    assert q_pow(F(1, 64), 3, 4) < q_pow(F(1, 9), 2, 4)
-    # equal normalized covolume ties exactly
-    assert q_pow(F(1, 64), 3, 4) == q_pow(F(1, 16), 2, 4)
+def reference_key(covol_sq, dim, n):
+    """The former comparison key (covol²)^{L/dim} with L = lcm(1..N).
+
+    It orders subspaces as covol^{1/dim} does, with exponents up to L.
+    """
+    return F(covol_sq) ** (math.lcm(*range(1, n + 1)) // dim)
+
+
+def test_root_key():
+    r2, r3 = ((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    # (1/64)^{1/3} = 1/4 < (1/9)^{1/2} = 1/3
+    assert _root_lt((F(1, 64), 3, r3), (F(1, 9), 2, r2))
+    assert not _root_lt((F(1, 9), 2, r2), (F(1, 64), 3, r3))
+    assert reference_key(F(1, 64), 3, 4) < reference_key(F(1, 9), 2, 4)
+    # (1/64)^{1/3} = (1/16)^{1/2}: equal values, the smaller dimension wins
+    assert reference_key(F(1, 64), 3, 4) == reference_key(F(1, 16), 2, 4)
+    assert _root_lt((F(1, 16), 2, r2), (F(1, 64), 3, r3))
+    assert not _root_lt((F(1, 64), 3, r3), (F(1, 16), 2, r2))
+    # equal value and dimension: rows decide; a key never precedes itself
+    assert _root_lt((F(1, 16), 2, r2[::-1]), (F(1, 16), 2, r2))
+    assert not _root_lt((F(1, 16), 2, r2), (F(1, 16), 2, r2[::-1]))
+    assert not _root_lt((F(1, 16), 2, r2), (F(1, 16), 2, r2))
+
+    rng = random.Random(20261018)
+    rows = [((1, 0),), ((0, 1),), ((1, 1),)]
+    for n in range(2, 8):
+        keys = []
+        for _ in range(200):
+            d = rng.randint(1, n)
+            # perfect d-th powers make equal roots across dimensions common
+            base = F(rng.randint(1, 6), rng.randint(1, 6))
+            c = base ** d if rng.random() < 0.5 else F(rng.randint(1, 40), rng.randint(1, 40))
+            keys.append((c, d, rng.choice(rows)))
+        ref = [(reference_key(c, d, n), d, rows) for c, d, rows in keys]
+        for i in range(len(keys)):
+            j = (i + 1) % len(keys)
+            assert _root_lt(keys[i], keys[j]) == (ref[i] < ref[j])
+
+    # delta_sq_vs at N = 12 (L = 27720) against the L-power form
+    n, big_l = 12, 27720
+    for d, c in [(1, F(1, 4)), (5, F(1, 32)), (7, F(3, 7)), (11, F(2, 3)), (12, F(1))]:
+        res = DeltaResult(witness=sub(n, [[int(i == j) for j in range(n)] for i in range(d)]),
+                          witness_covol_sq=c, complete=True)
+        assert res.lcm_pow == big_l
+        assert res.delta_sq_pow == c ** (big_l // d)
+        for x in (F(1, 4), F(1, 2), F(2, 3), F(1), c ** 2, F(3, 7) ** 2):
+            q, rhs = res.delta_sq_pow, x ** big_l
+            assert res.delta_sq_vs(x) == (q > rhs) - (q < rhs)
