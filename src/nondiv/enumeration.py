@@ -60,25 +60,39 @@ def _as_budget(budget) -> _Budget:
     return _Budget(DEFAULT_VECTOR_BUDGET if budget is None else int(budget))
 
 
-def _gso(g):
-    """Gram-Schmidt data from a Gram matrix: (mu lower-triangular, d norms²)."""
+def _bareiss(g, k: int) -> int:
+    """k in-place fraction-free elimination steps on a positive definite
+    integer matrix g; returns the last pivot (1 when k = 0).
+
+    Every division is exact. After step p the trailing block is D_{p+1}
+    times the Schur complement of the leading block, D_i being the leading
+    i×i minor. Columns below the pivots are not touched again, so after
+    n steps the diagonal holds D_1..D_n and g[i][j], j < i, holds
+    λ_ij = D_{j+1}·μ_ij (Cohen, Alg. 2.6.7).
+    """
     n = len(g)
-    mu = [[F(0)] * n for _ in range(n)]
-    d = [F(0)] * n
-    for i in range(n):
-        for j in range(i):
-            s = g[i][j]
-            for t in range(j):
-                s -= mu[i][t] * mu[j][t] * d[t]
-            mu[i][j] = F(s) / d[j]
-        mu[i][i] = F(1)
-        s = g[i][i]
-        for t in range(i):
-            s -= mu[i][t] ** 2 * d[t]
-        d[i] = s
-        if d[i] <= 0:
+    prev = 1
+    for p in range(k):
+        piv = g[p][p]
+        if piv <= 0:
             raise InternalInvariantViolation("Gram matrix not positive definite")
-    return mu, d
+        prow = g[p]
+        for i in range(p + 1, n):
+            row = g[i]
+            gip = row[p]
+            for j in range(p + 1, n):
+                row[j] = (row[j] * piv - gip * prow[j]) // prev
+        prev = piv
+    return prev
+
+
+def _scaled_bareiss(a):
+    """(λ, D, den) for den·a, den the lcm of a's denominators: the matrix
+    after n `_bareiss` steps and its minors D = [D_0 = 1, D_1, ..., D_n]."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    lam = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    _bareiss(lam, len(lam))
+    return lam, [1] + [lam[i][i] for i in range(len(lam))], den
 
 
 def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
@@ -86,31 +100,16 @@ def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
 
     Integral LLL (Cohen, Alg. 2.6.7) on the Gram matrix scaled to integers by
     the lcm of its denominators; a positive scalar changes no μ and no Lovász
-    test. With D_i the leading principal minors (D_0 = 1) and
-    λ_ij = D_{j+1}·μ_ij, both computed once, every size-reduction step and
-    every swap is an O(n) exact integer update. The decisions are those of
-    the rational algorithm: row k is size-reduced against rows k-1, ..., 0
-    with μ rounded half up, then tested against the Lovász condition.
+    test. With D_i (D_0 = 1) and λ_ij = D_{j+1}·μ_ij from `_bareiss`, every
+    size-reduction step and every swap is an O(n) exact integer update. The
+    decisions are those of the rational algorithm: row k is size-reduced
+    against rows k-1, ..., 0 with μ rounded half up, then tested against the
+    Lovász condition.
     """
     n = len(a)
-    den = lcm(*(x.denominator for row in a for x in row))
-    g = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    lam, d, _ = _scaled_bareiss(a)
     delta = F(delta)
     p, q = delta.numerator, delta.denominator
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    # every division below is exact (Cohen 2.6.7, step 2)
-    for i in range(n):
-        for j in range(i + 1):
-            s = g[i][j]
-            for t in range(j):
-                s = (d[t + 1] * s - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = s
-            else:
-                d[i + 1] = s
-        if d[i + 1] <= 0:
-            raise InternalInvariantViolation("Gram matrix not positive definite")
     u = [list(r) for r in rl.identity(n)]
     k = 1
     while k < n:
@@ -143,28 +142,14 @@ def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
     return tuple(tuple(r) for r in u)
 
 
-def _sqrt_range(c: Fraction, rd: Fraction) -> tuple[int, int]:
-    """Integer t range with (t + c)² ≤ rd; may be empty (lo > hi)."""
-    if rd < 0:
-        return 0, -1
-    s = isqrt(rd.numerator // rd.denominator) + 2
-
-    def below_sqrt(y: Fraction) -> bool:
-        # y <= sqrt(rd), monotone in y, no square root taken
-        return y <= 0 or y * y <= rd
-
-    base = (-c).__floor__()
-    hi = base + s
-    while not below_sqrt(hi + c):
-        hi -= 1
-    lo = base - s
-    while not below_sqrt(-(lo + c)):
-        lo += 1
-    return lo, hi
-
-
 def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
     """All x ≠ 0 with x·g·xᵀ ≤ bound, canonical sign (highest nonzero positive).
+
+    Fincke-Pohst on integers, depth first, t ascending at every level: D_l
+    and λ_il come from `_bareiss` on den·g. With num = Σ_{i>l} λ_il·x_i,
+    x_l = t adds (D_{l+1}·t + num)²/(den·D_l·D_{l+1}) to x·g·xᵀ, so the range
+    of t needs only isqrt(⌊rem·den·D_l·D_{l+1}⌋). Outputs are (x·g·xᵀ as an
+    exact Fraction, x).
 
     spanning mode collapses multiples along the first basis direction (only
     x = (1,0,..,0) survives of the pure-axis family); used by subspace search
@@ -173,17 +158,23 @@ def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
     n = len(g)
     if bound <= 0:
         return []
-    mu, d = _gso(g)
+    lam, d, den = _scaled_bareiss(g)
+    scale = [den * d[l] * d[l + 1] for l in range(n)]
     out = []
     x = [0] * n
 
     def recurse(level: int, rem: Fraction, outer_zero: bool):
         budget.consume()
-        c = F(0)
+        dl, m = d[level + 1], scale[level]
+        num = 0
         for i in range(level + 1, n):
             if x[i]:
-                c += mu[i][level] * x[i]
-        lo, hi = _sqrt_range(c, rem / d[level])
+                num += lam[i][level] * x[i]
+        if rem < 0:
+            lo, hi = 0, -1
+        else:
+            s = isqrt(rem.numerator * m // rem.denominator)
+            lo, hi = -((s + num) // dl), (s - num) // dl
         if outer_zero:
             lo = max(lo, 0)
             if spanning and level == 0:
@@ -192,7 +183,8 @@ def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
             if level == 0 and outer_zero and t == 0:
                 continue
             x[level] = t
-            rem2 = rem - d[level] * (t + c) ** 2
+            y = dl * t + num
+            rem2 = rem - F(y * y, m)
             if level == 0:
                 budget.consume()
                 out.append((bound - rem2, tuple(x)))
@@ -200,7 +192,7 @@ def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
                 recurse(level - 1, rem2, outer_zero and t == 0)
         x[level] = 0
 
-    recurse(n - 1, bound, True)
+    recurse(n - 1, F(bound), True)
     del recurse  # the recursive closure is a reference cycle; free it now, not at a GC pass
     return out
 
@@ -295,9 +287,9 @@ class _Quotient:
 
     The quotient Gram (the Schur complement S of the Z block in v·A·vᵀ, v a
     basis completion of Z) is gram/scale exactly: `gram` is the integer
-    matrix D_k·den·S left by k fraction-free (Bareiss) elimination steps on
-    the integer Gram den·v·A·vᵀ, and scale = den·D_k, with den the common
-    denominator of A and D_k > 0 the leading k×k minor of den·v·A·vᵀ.
+    matrix D_k·den·S that `_bareiss(g, k)` leaves in the trailing block of
+    the integer Gram g = den·v·A·vᵀ, and scale = den·D_k, with den the
+    common denominator of A and D_k > 0 the leading k×k minor of g.
     Callers scale their bounds by `scale` instead of dividing the Gram.
     """
 
@@ -314,22 +306,8 @@ class _Quotient:
         self.lift_rows = v[k:]
         a, den = lat.int_gram
         g = [list(r) for r in rl.mat_mul(rl.mat_mul(v, a), rl.transpose(v))]
-        # Bareiss on the first k pivots; every division is exact and after
-        # step p the pivot g[p][p] is the leading (p+1)×(p+1) minor
-        prev = 1
-        for p in range(k):
-            piv = g[p][p]
-            if piv <= 0:
-                raise InternalInvariantViolation("Gram matrix not positive definite")
-            prow = g[p]
-            for i in range(p + 1, n):
-                row = g[i]
-                gip = row[p]
-                for j in range(p + 1, n):
-                    row[j] = (row[j] * piv - gip * prow[j]) // prev
-            prev = piv
+        self.scale = den * _bareiss(g, k)
         self.gram = tuple(tuple(row[k:]) for row in g[k:])
-        self.scale = den * prev
 
     @property
     def rank(self) -> int:

@@ -18,23 +18,6 @@ IntRows = tuple[tuple[int, ...], ...]
 RatRows = tuple[tuple[Fraction, ...], ...]
 
 
-def int_matrix(rows: Sequence[Sequence[int]]) -> IntRows:
-    """Validate and freeze an integer matrix (rectangular, int entries)."""
-    out = []
-    width = None
-    for i, row in enumerate(rows):
-        r = tuple(row)
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise ValidationError(f"rows[{i}]", "ragged matrix")
-        for j, x in enumerate(r):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValidationError(f"rows[{i}][{j}]", f"not an integer: {x!r}")
-        out.append(r)
-    return tuple(out)
-
-
 def rat_matrix(rows: Sequence[Sequence]) -> RatRows:
     """Validate and freeze a rational matrix; entries coerced to Fraction."""
     out = []

@@ -31,9 +31,14 @@ def rat_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(x) -> bool:
+    """An integer JSON value; JSON true/false load as bools and are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_rat(s, field: str) -> Fraction:
     try:
-        if isinstance(s, int):
+        if _is_int(s):
             return F(s)
         if isinstance(s, str):
             return F(s.strip())
@@ -65,7 +70,7 @@ def _parse_blocks(raw, n: int):
     spans = []
     for item in raw:
         if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, int) for x in item)):
+                or not all(_is_int(x) for x in item)):
             raise ValidationError("blocks", f"range {item!r} is not a pair of integers")
         spans.append(tuple(item))
     expected = 1
@@ -92,7 +97,7 @@ def _parse_matrix(raw, n: int, field: str):
 def load_scenario(path: str) -> tuple[Scenario, PushoutConfig]:
     doc = load_json(path)
     n = _require(doc, "dimension", "scenario")
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise ValidationError("dimension", f"expected an integer >= 2, got {n!r}")
     blocks = _parse_blocks(_require(doc, "blocks", "scenario"), n)
     gens_raw = doc.get("m_generators", [])
@@ -118,12 +123,12 @@ def load_scenario(path: str) -> tuple[Scenario, PushoutConfig]:
         kwargs["eta0_override"] = parse_rat(cfg_raw["eta0"], "config.eta0")
     if "max_steps" in cfg_raw:
         ms = cfg_raw["max_steps"]
-        if not isinstance(ms, int):
+        if not _is_int(ms):
             raise ValidationError("config.max_steps", "expected an integer")
         kwargs["max_steps"] = ms
     if "vector_budget" in cfg_raw:
         vb = cfg_raw["vector_budget"]
-        if not isinstance(vb, int):
+        if not _is_int(vb):
             raise ValidationError("config.vector_budget", "expected an integer")
         kwargs["vector_budget"] = vb
     cfg = PushoutConfig(**kwargs)
@@ -133,8 +138,8 @@ def load_scenario(path: str) -> tuple[Scenario, PushoutConfig]:
 def load_lattice(path: str) -> UnimodularLattice:
     doc = load_json(path)
     n = _require(doc, "dimension", "lattice")
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("dimension", f"expected a positive integer, got {n!r}")
+    if not _is_int(n) or n < 2:
+        raise ValidationError("dimension", f"expected an integer >= 2, got {n!r}")
     cols = _require(doc, "basis_columns", "lattice")
     if (not isinstance(cols, list) or len(cols) != n
             or any(not isinstance(c, list) or len(c) != n for c in cols)):

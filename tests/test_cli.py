@@ -247,6 +247,42 @@ def test_unknown_config_field(tmp_path, capsys):
     assert "config.etaO" in err
 
 
+LATTICE_N2 = {"dimension": 2, "basis_columns": [["1", "0"], ["0", "1"]],
+              "determinant": "1"}
+SCENARIO_N2 = {"dimension": 2, "blocks": [[1, 1], [2, 2]], "m_generators": []}
+
+
+# JSON true/false load as Python bools, which are ints; none is a number here
+@pytest.mark.parametrize("kind,doc,field", [
+    ("lattice", {**LATTICE_N2, "basis_columns": [[True, "0"], ["0", True]],
+                 "determinant": True}, "basis_columns[0][0]"),
+    ("lattice", {**LATTICE_N2, "determinant": True}, "determinant"),
+    ("lattice", {**LATTICE_N2, "dimension": True}, "dimension"),
+    ("lattice", {"dimension": 1, "basis_columns": [["1"]], "determinant": "1"},
+     "dimension"),
+    ("scenario", {**SCENARIO_N2, "dimension": True}, "dimension"),
+    ("scenario", {**SCENARIO_N2, "blocks": [[True, 1], [2, 2]]}, "blocks"),
+    ("scenario", {**SCENARIO_N2, "m_generators": [[[True, 0], [0, 1]]]},
+     "m_generators[0][0][0]"),
+    ("scenario", {**SCENARIO_N2, "config": {"max_steps": True}}, "config.max_steps"),
+    ("scenario", {**SCENARIO_N2, "config": {"vector_budget": False}},
+     "config.vector_budget"),
+    ("scenario", {**SCENARIO_N2, "config": {"eta0": True}}, "config.eta0"),
+], ids=["basis-bools", "determinant-bool", "lattice-dimension-bool",
+        "lattice-dimension-1", "scenario-dimension-bool", "blocks-bool",
+        "generator-bool", "max-steps-bool", "vector-budget-bool", "eta0-bool"])
+def test_file_field_rejected(tmp_path, capsys, kind, doc, field):
+    argv = ["drive"]
+    for k, d in {"scenario": SCENARIO_N2, "lattice": LATTICE_N2, kind: doc}.items():
+        p = tmp_path / f"{k}.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        argv += [f"--{k}", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
 def test_scenario_lattice_dimension_mismatch(capsys):
     code, _, err = run(capsys, "delta",
                        "--scenario", f"{FIX}/sl4_so21.json",

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 import nondiv
 from nondiv import enumeration
-from nondiv.enumeration import (_Budget, _enumerate_gram, _int_nthroot_floor,
+from nondiv.enumeration import (_bareiss, _Budget, _enumerate_gram, _int_nthroot_floor,
                                 _Quotient, delta_m, eligible_subspaces,
                                 lll_reduce_gram, oracle_delta_m,
                                 rat_root_upper, short_vectors,
@@ -290,7 +291,7 @@ def test_delta_deep_squash_performance():
 
 
 def reference_gso(g):
-    """Rational Gram-Schmidt data (mu, d) of a Fraction Gram matrix."""
+    """Rational Gram-Schmidt data (mu, d) of an int or Fraction Gram matrix."""
     n = len(g)
     mu = [[F(0)] * n for _ in range(n)]
     d = [F(0)] * n
@@ -299,7 +300,7 @@ def reference_gso(g):
             s = g[i][j]
             for t in range(j):
                 s -= mu[i][t] * mu[j][t] * d[t]
-            mu[i][j] = s / d[j]
+            mu[i][j] = F(s) / d[j]
         mu[i][i] = F(1)
         s = g[i][i]
         for t in range(i):
@@ -315,10 +316,7 @@ def reference_round_half(x):
 
 
 def reference_lll(a, delta=F(3, 4)):
-    """Rational LLL that rebuilds u·a·uᵀ and its GSO after every step.
-
-    Needs Fraction entries: an int Gram makes the GSO divide into floats.
-    """
+    """Rational LLL that rebuilds u·a·uᵀ and its GSO after every step."""
     n = len(a)
     u = [list(r) for r in rl.identity(n)]
 
@@ -513,9 +511,66 @@ def reference_lll_gram(lat):
     return u, rl.mat_mul(rl.mat_mul(u, lat.gram), rl.transpose(u))
 
 
+def reference_sqrt_range(c, rd):
+    """Integer t range with (t + c)² ≤ rd; may be empty (lo > hi)."""
+    if rd < 0:
+        return 0, -1
+    s = isqrt(rd.numerator // rd.denominator) + 2
+
+    def below_sqrt(y):
+        return y <= 0 or y * y <= rd
+
+    base = (-c).__floor__()
+    hi = base + s
+    while not below_sqrt(hi + c):
+        hi -= 1
+    lo = base - s
+    while not below_sqrt(-(lo + c)):
+        lo += 1
+    return lo, hi
+
+
+def reference_enumerate_gram(g, bound, budget, spanning):
+    """Fraction Fincke-Pohst on the rational GSO, the same visiting order and
+    budget points as _enumerate_gram; each level's t range from a square-root
+    walk."""
+    n = len(g)
+    if bound <= 0:
+        return []
+    mu, d = reference_gso(g)
+    out = []
+    x = [0] * n
+
+    def recurse(level, rem, outer_zero):
+        budget.consume()
+        c = F(0)
+        for i in range(level + 1, n):
+            if x[i]:
+                c += mu[i][level] * x[i]
+        lo, hi = reference_sqrt_range(c, rem / d[level])
+        if outer_zero:
+            lo = max(lo, 0)
+            if spanning and level == 0:
+                hi = min(hi, 1)
+        for t in range(lo, hi + 1):
+            if level == 0 and outer_zero and t == 0:
+                continue
+            x[level] = t
+            rem2 = rem - d[level] * (t + c) ** 2
+            if level == 0:
+                budget.consume()
+                out.append((bound - rem2, tuple(x)))
+            else:
+                recurse(level - 1, rem2, outer_zero and t == 0)
+        x[level] = 0
+
+    recurse(n - 1, bound, True)
+    return out
+
+
 def reference_short_vectors(lat, bound_sq):
     u, g = reference_lll_gram(lat)
-    raw = _enumerate_gram(g, F(bound_sq), _Budget(10 ** 6), spanning=False)
+    raw = reference_enumerate_gram(g, F(bound_sq), _Budget(10 ** 6), spanning=False)
     mapped = sorted(
         (qv, enumeration._canon_sign(tuple(
             sum(xs[i] * u[i][j] for i in range(len(u))) for j in range(lat.n))))
@@ -526,8 +581,8 @@ def reference_short_vectors(lat, bound_sq):
 def reference_shortest_vector_sq(lat):
     _, g = reference_lll_gram(lat)
     bound = min(g[i][i] for i in range(len(g)))
-    return min(qv for qv, _ in _enumerate_gram(g, bound, _Budget(10 ** 6),
-                                               spanning=False))
+    return min(qv for qv, _ in reference_enumerate_gram(g, bound, _Budget(10 ** 6),
+                                                        spanning=False))
 
 
 def test_short_vectors_match_fraction_gram_path():
@@ -560,3 +615,75 @@ def test_enumerate_int_gram_matches_fraction_copy():
             want = _enumerate_gram(g_rat, bound, bud_rat, spanning)
             assert [(qv / den, x) for qv, x in got] == want
             assert bud_int.used == bud_rat.used
+
+
+def run_enumerator(enum, g, bound, cap, spanning):
+    """(output or 'exceeded', budget.used) of one enumeration under cap."""
+    bud = _Budget(cap)
+    try:
+        return enum(g, bound, bud, spanning), bud.used
+    except BudgetExceeded:
+        return "exceeded", bud.used
+
+
+def random_pd_gram(rng, n, rational):
+    """b·bᵀ for a random nonsingular b with small int or Fraction entries."""
+    while True:
+        b = [[F(rng.randint(-4, 4), rng.randint(1, 3) if rational else 1)
+              for _ in range(n)] for _ in range(n)]
+        if rl.rat_det(b):
+            g = rl.mat_mul(b, rl.transpose(b))
+            return g if rational else tuple(tuple(int(x) for x in r) for r in g)
+
+
+def test_enumerate_matches_reference_enumerator():
+    rng = random.Random(83)
+    seen_exceeded = seen_complete = 0
+    for trial in range(240):
+        n = 1 + trial % 6
+        rational = trial % 2 == 0
+        g = random_pd_gram(rng, n, rational)
+        # unreduced Grams only where the node count stays small
+        if n > 3 or rng.random() < 0.5:
+            u = lll_reduce_gram(g)
+            g = rl.mat_mul(rl.mat_mul(u, g), rl.transpose(u))
+        # the norm of a lattice vector: the last isqrt lands on a square
+        v = [rng.randint(-1, 1) for _ in range(n)]
+        bound = sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+        if bound <= 0 or rng.random() < 0.3:
+            bound = min(g[i][i] for i in range(n)) * F(rng.randint(2, 6), rng.randint(1, 2))
+        for cap in (rng.randint(1, 200), 10 ** 6):
+            for spanning in (False, True):
+                got = run_enumerator(_enumerate_gram, g, bound, cap, spanning)
+                want = run_enumerator(reference_enumerate_gram, g, bound, cap, spanning)
+                assert got == want, (g, bound, cap, spanning)
+                if got[0] == "exceeded":
+                    seen_exceeded += 1
+                else:
+                    seen_complete += 1
+                    assert all(type(qv) is F for qv, _ in got[0])
+    assert seen_exceeded > 50 and seen_complete > 50
+
+
+def test_bareiss_matches_reference_gso():
+    rng = random.Random(89)
+    for trial in range(60):
+        n = 1 + trial % 6
+        g = random_pd_gram(rng, n, rational=False)
+        mu, d = reference_gso(g)
+        minors = [F(1)]
+        for di in d:
+            minors.append(minors[-1] * di)
+        for k in range(n + 1):
+            h = [list(r) for r in g]
+            assert _bareiss(h, k) == minors[k]
+        assert [h[i][i] for i in range(n)] == minors[1:]
+        for i in range(n):
+            for j in range(i):
+                assert h[i][j] == minors[j + 1] * mu[i][j]
+
+
+def test_bareiss_rejects_non_positive_definite():
+    for g in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[-1]], [[2, 0], [0, -3]]):
+        with pytest.raises(InternalInvariantViolation):
+            _bareiss([list(r) for r in g], len(g))
