@@ -13,6 +13,12 @@ When r = 1 the target line is M-stable, hence lies in a common rational
 eigenspace of the generators on the quotient; only those sublattices are
 enumerated, which keeps heavily squashed instances cheap.
 
+The argument uses only covol²(Y) of the target, so each target dimension k
+has its own cap (`_stable_search`). `delta_m` searches dimension k under
+cap^k; `stable_subspaces_within` keeps one cap for every dimension, because
+`protect` needs every stable superspace below its cap, whatever its
+dimension.
+
 Everything decision-bearing is exact; LLL here is only a preconditioner for
 the enumeration and never changes what is found.
 """
@@ -508,8 +514,17 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
     ran out, in which case the list is whatever was found before that.
     """
     cap_sq = F(cap_sq)
+    if cap_sq <= 0:
+        raise ValidationError("cap_sq", "must be positive")
+    return _stable_search(lat, sc, (cap_sq,) * lat.n, base, _as_budget(budget))
+
+
+def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
+                   base: RationalSubspace | None,
+                   bud: _Budget) -> tuple[list[RationalSubspace], bool]:
+    """`stable_subspaces_within` with covol² ≤ caps[k] in each dimension k;
+    the chain search for target dimension k runs under caps[k] alone."""
     n = lat.n
-    bud = _as_budget(budget)
     base_rows = base.rows if base is not None else ()
     found: dict = {}
     visited: set = set()
@@ -522,7 +537,7 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
 
     def emit(sub: RationalSubspace):
         if sub.rows not in found and not sub.is_full:
-            if covolume_sq(lat, sub) <= cap_sq:
+            if covolume_sq(lat, sub) <= caps[sub.dim]:
                 found[sub.rows] = sub
 
     def search(z_rows, k: int):
@@ -531,7 +546,7 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
             return
         visited.add(key)
         covz = covolume_sq_rows(lat, z_rows)
-        t_sq = cap_sq / covz
+        t_sq = caps[k] / covz
         quot = quotient_for(z_rows)
         r = k - len(z_rows)
         if r == 1:
@@ -644,10 +659,11 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
     Budget exhaustion degrades to an upper bound with complete=False.
 
     The covolume cap for the exhaustive search is seeded from the stable
-    closure of one LLL-short vector with covol² c_s and dim d_s: any W
-    that beats it has covol²(W) < (c_s^{1/d_s})^{dim W} ≤ c_s^{1/d_s}, so
-    capping at a rational upper bound of c_s^{1/d_s} loses nothing and tames
-    badly squashed inputs.
+    closure of one LLL-short vector with covol² c_s and dim d_s: cap is a
+    rational upper bound of c_s^{1/d_s} (1 when c_s ≥ 1), and a
+    k-dimensional W that beats or ties the seed has covol²(W) ≤ cap^k. So
+    dimension k is searched under cap^k ≤ cap; keeping ties keeps the
+    smaller-dimension tie-break, and badly squashed inputs stay cheap.
     """
     u = lll_reduce_gram(lat.int_gram[0])
     seed = m_closure(lat, sc, [tuple(u[0])])
@@ -658,7 +674,8 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
         c_seed = covolume_sq(lat, seed)
         if c_seed < 1:
             cap = rat_root_upper(c_seed, seed.dim)
-    cands, complete = stable_subspaces_within(lat, sc, cap, budget=budget)
+    caps = tuple(cap ** k for k in range(lat.n))
+    cands, complete = _stable_search(lat, sc, caps, None, _as_budget(budget))
     witness = full_subspace(lat.n)
     best = (F(1), lat.n, witness.rows)
     for w in extra + cands:

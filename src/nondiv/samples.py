@@ -9,6 +9,7 @@ bed for the whole push-out pipeline.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .lattice import (Scenario, TorusElement, UnimodularLattice, make_lattice,
@@ -67,3 +68,25 @@ def squash_lattice_2d(eps) -> UnimodularLattice:
     """diag(ε, 1/ε)·Z²."""
     eps = F(eps)
     return diagonal_lattice(eps, 1 / eps)
+
+
+def random_upper_triangular_lattices(n: int, count: int) -> list[UnimodularLattice]:
+    """The first `count` seeded random upper-triangular lattices of dimension n.
+
+    One `random.Random(n)` draws, per lattice: n-1 exponents e uniform in
+    -3..3 and a last one making their sum 0, the diagonal being 2^e; then,
+    row by row, each entry above the diagonal as a/b with a uniform in -4..4
+    and b uniform in {1, 2, 3}. The basis vectors are the columns.
+    """
+    rng = random.Random(n)
+    out = []
+    for _ in range(count):
+        exps = [rng.randint(-3, 3) for _ in range(n - 1)]
+        exps.append(-sum(exps))
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = F(2) ** exps[i]
+            for j in range(i + 1, n):
+                rows[i][j] = F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+        out.append(make_lattice(rows))
+    return out

@@ -41,6 +41,9 @@ def parse_rat(s, field: str) -> Fraction:
         if _is_int(s):
             return F(s)
         if isinstance(s, str):
+            # Fraction builds 10**exponent: "1e10000000" alone costs ~10 s, unbudgeted
+            if "e" in s.lower():
+                raise ValidationError(field, f"exponent notation is not accepted, got {s!r}")
             return F(s.strip())
     except (ValueError, ZeroDivisionError):
         pass

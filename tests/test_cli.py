@@ -268,9 +268,18 @@ SCENARIO_N2 = {"dimension": 2, "blocks": [[1, 1], [2, 2]], "m_generators": []}
     ("scenario", {**SCENARIO_N2, "config": {"vector_budget": False}},
      "config.vector_budget"),
     ("scenario", {**SCENARIO_N2, "config": {"eta0": True}}, "config.eta0"),
+    # exponents are rejected before Fraction expands them, even with a valid value
+    ("scenario", {**SCENARIO_N2, "config": {"eta0": "1e3000000"}}, "config.eta0"),
+    ("scenario", {**SCENARIO_N2, "config": {"lambda_multiplier": "2.5E-1"}},
+     "config.lambda_multiplier"),
+    ("lattice", {**LATTICE_N2, "basis_columns": [["1e0", "0"], ["0", "1"]]},
+     "basis_columns[0][0]"),
+    ("lattice", {**LATTICE_N2, "determinant": "1E+0"}, "determinant"),
 ], ids=["basis-bools", "determinant-bool", "lattice-dimension-bool",
         "lattice-dimension-1", "scenario-dimension-bool", "blocks-bool",
-        "generator-bool", "max-steps-bool", "vector-budget-bool", "eta0-bool"])
+        "generator-bool", "max-steps-bool", "vector-budget-bool", "eta0-bool",
+        "eta0-exponent", "multiplier-exponent", "basis-exponent",
+        "determinant-exponent"])
 def test_file_field_rejected(tmp_path, capsys, kind, doc, field):
     argv = ["drive"]
     for k, d in {"scenario": SCENARIO_N2, "lattice": LATTICE_N2, kind: doc}.items():
@@ -281,6 +290,13 @@ def test_file_field_rejected(tmp_path, capsys, kind, doc, field):
     assert code == 2
     assert out == ""
     assert field in err
+
+
+def test_parse_rat_accepts_plain_forms():
+    assert se.parse_rat(5, "x") == 5
+    assert se.parse_rat(" -3/4 ", "x") == F(-3, 4)
+    assert se.parse_rat("0.25", "x") == F(1, 4)
+    assert se.parse_rat("-.5", "x") == F(-1, 2)
 
 
 def test_scenario_lattice_dimension_mismatch(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -6,16 +7,19 @@ import pytest
 
 import nondiv
 from nondiv import enumeration
-from nondiv.enumeration import (_bareiss, _Budget, _enumerate_gram, _int_nthroot_floor,
-                                _Quotient, delta_m, eligible_subspaces,
+from nondiv.enumeration import (_as_budget, _bareiss, _Budget, _enumerate_gram,
+                                _int_nthroot_floor, _Quotient, _root_lt,
+                                _stable_search, delta_m, eligible_subspaces,
                                 lll_reduce_gram, oracle_delta_m,
                                 rat_root_upper, short_vectors,
                                 shortest_vector_sq, stable_subspaces_within)
-from nondiv.errors import BudgetExceeded, InternalInvariantViolation
-from nondiv.lattice import (apply_group, make_lattice, standard_lattice,
+from nondiv.errors import BudgetExceeded, InternalInvariantViolation, ValidationError
+from nondiv.lattice import (apply_group, covolume_sq, full_subspace, m_closure,
+                            make_lattice, make_scenario, standard_lattice,
                             subspace_from_rows, trivial_scenario)
-from nondiv.samples import (diagonal_lattice, sl4_so21_scenario, sl4_torus,
-                            sl4_torus_lattice, squash_lattice_2d)
+from nondiv.samples import (diagonal_lattice, random_upper_triangular_lattices,
+                            sl4_so21_scenario, sl4_torus, sl4_torus_lattice,
+                            squash_lattice_2d)
 from nondiv import ratlin as rl
 
 from conftest import (random_unimodular_int, random_unimodular_lattice,
@@ -687,3 +691,125 @@ def test_bareiss_rejects_non_positive_definite():
     for g in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[-1]], [[2, 0], [0, -3]]):
         with pytest.raises(InternalInvariantViolation):
             _bareiss([list(r) for r in g], len(g))
+
+
+def constant_cap_delta(lat, sc):
+    """delta_m's seed and cap, minimized over the constant-cap family of
+    `stable_subspaces_within` instead of the per-dimension search: returns
+    ((covol², dim, rows) of the minimum, cap, family)."""
+    u = lll_reduce_gram(lat.int_gram[0])
+    seed = m_closure(lat, sc, [tuple(u[0])])
+    cap = F(1)
+    cands = []
+    if not seed.is_full:
+        cands.append(seed)
+        c_seed = covolume_sq(lat, seed)
+        if c_seed < 1:
+            cap = rat_root_upper(c_seed, seed.dim)
+    family, complete = stable_subspaces_within(lat, sc, cap)
+    assert complete
+    best = (F(1), lat.n, full_subspace(lat.n).rows)
+    for w in cands + family:
+        key = (covolume_sq(lat, w), w.dim, w.rows)
+        if _root_lt(key, best):
+            best = key
+    return best, cap, family
+
+
+# the unipotent scenario of test_lattice.py::test_stable_family_non_semisimple
+UNIPOTENT = make_scenario(3, [[0, 2], [2, 3]], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]])
+
+
+def per_dimension_cap_inputs():
+    rng = random.Random(101)
+    for n in range(2, 7):
+        for _ in range(8 if n < 6 else 3):
+            lat = random_unimodular_lattice(rng, n, shears=n + 2, dyadic_range=2)
+            yield lat, trivial_scenario(n)
+    for n in (2, 3, 4):
+        for lat in random_upper_triangular_lattices(n, 6):
+            yield lat, trivial_scenario(n)
+    sl4 = sl4_so21_scenario()
+    for t in (F(2), F(1, 2), F(4), F(1, 4), F(3, 2), F(2, 3)):
+        yield rebase(sl4_torus_lattice(t), random_unimodular_int(rng, 4, shears=4, c=1)), sl4
+    for _ in range(10):
+        yield random_unimodular_lattice(rng, 3, shears=3, dyadic_range=2), UNIPOTENT
+
+
+def test_delta_matches_constant_cap_search():
+    # a k-dimensional W that beats or ties the seed has covol²(W) <= cap^k, so
+    # searching dimension k under cap^k finds the constant-cap minimum
+    seen_dims = set()
+    cut = 0
+    for lat, sc in per_dimension_cap_inputs():
+        d = delta_m(lat, sc)
+        best, cap, family = constant_cap_delta(lat, sc)
+        assert d.complete
+        assert (d.witness_covol_sq, d.witness.dim, d.witness.rows) == best
+        caps = tuple(cap ** k for k in range(lat.n))
+        per_dim, complete = _stable_search(lat, sc, caps, None, _as_budget(None))
+        assert complete
+        assert per_dim == [w for w in family if covolume_sq(lat, w) <= cap ** w.dim]
+        seen_dims.update(w.dim for w in per_dim)
+        cut += len(family) - len(per_dim)
+    # the per-dimension caps are exercised beyond dimension 1 and do cut
+    assert {1, 2, 3} <= seen_dims and cut > 0
+
+
+def test_per_dimension_caps_filter_constant_family():
+    # for any caps, the search keeps exactly the constant-cap family's members
+    # with covol² <= caps[dim]; closures that jump dimensions need a group
+    rng = random.Random(7)
+    inputs = [(apply_group(random_unimodular_int(rng, 4, shears=2, c=1),
+                           sl4_torus_lattice(t)), sl4_so21_scenario())
+              for t in (F(2), F(1, 2), F(3, 2), F(2, 3))]
+    inputs += [(random_unimodular_lattice(rng, 3, shears=3, dyadic_range=2), UNIPOTENT)
+               for _ in range(12)]
+    for lat, sc in inputs:
+        family, complete = stable_subspaces_within(lat, sc, F(2))
+        assert complete
+        covols = sorted({covolume_sq(lat, w) for w in family})
+        for _ in range(4 if covols else 0):
+            caps = (None,) + tuple(rng.choice(covols) for _ in range(lat.n - 1))
+            per_dim, complete = _stable_search(lat, sc, caps, None, _as_budget(None))
+            assert complete
+            assert per_dim == [w for w in family if covolume_sq(lat, w) <= caps[w.dim]]
+
+
+def test_random_upper_triangular_lattices():
+    log2 = lambda x: x.numerator.bit_length() - x.denominator.bit_length()
+    lats = random_upper_triangular_lattices(5, 12)
+    assert lats[:3] == random_upper_triangular_lattices(5, 3)
+    for lat in lats:
+        b = lat.basis
+        diag = [b[i][i] for i in range(5)]
+        assert all(F(2) ** log2(x) == x for x in diag)
+        assert all(-3 <= log2(x) <= 3 for x in diag[:4])
+        assert all(b[i][j] == 0 for i in range(5) for j in range(i))
+        assert all(b[i][j].denominator in (1, 2, 3) and abs(b[i][j].numerator) <= 4
+                   for i in range(5) for j in range(i + 1, 5))
+
+
+def test_delta_upper_triangular_n5_completes():
+    # under one cap for every dimension this input exhausted the default
+    # budget (about 3 minutes) and returned the same witness with complete=False
+    lat = random_upper_triangular_lattices(5, 12)[11]
+    d = delta_m(lat, trivial_scenario(5))
+    assert d.complete
+    assert d.witness.rows == ((1, 0, 0, 0, 0),)
+    assert d.witness_covol_sq == F(1, 64)
+
+
+def test_delta_upper_triangular_n7_fast():
+    # about 0.02 s each; under one cap for every dimension N = 7 took minutes
+    sc = trivial_scenario(7)
+    start = time.perf_counter()
+    for lat in random_upper_triangular_lattices(7, 5):
+        assert delta_m(lat, sc).complete
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("cap", [0, -1, F(-1, 2)])
+def test_stable_subspaces_within_rejects_non_positive_cap(cap):
+    with pytest.raises(ValidationError, match="cap_sq"):
+        stable_subspaces_within(standard_lattice(2), trivial_scenario(2), cap)
