@@ -29,14 +29,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, gcd, isqrt, lcm, log
+from math import exp, gcd, isqrt, log
 
 from . import ratlin as rl
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from .lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
-                      UnimodularLattice, conjugated_generators, covolume_sq,
-                      covolume_sq_rows, full_subspace, is_m_stable,
-                      m_closure, subspace_from_rows)
+                      UnimodularLattice, covolume_sq, covolume_sq_rows,
+                      full_subspace, int_generators, is_m_stable, m_closure,
+                      subspace_from_rows)
 
 F = Fraction
 
@@ -63,7 +63,9 @@ class _Budget:
 def _as_budget(budget) -> _Budget:
     if isinstance(budget, _Budget):
         return budget
-    return _Budget(DEFAULT_VECTOR_BUDGET if budget is None else int(budget))
+    if budget is None:
+        return _Budget(DEFAULT_VECTOR_BUDGET)
+    return _Budget(rl.exact_int(budget, "vector_budget"))
 
 
 def _bareiss(g, k: int) -> int:
@@ -95,8 +97,8 @@ def _bareiss(g, k: int) -> int:
 def _scaled_bareiss(a):
     """(λ, D, den) for den·a, den the lcm of a's denominators: the matrix
     after n `_bareiss` steps and its minors D = [D_0 = 1, D_1, ..., D_n]."""
-    den = lcm(*(x.denominator for row in a for x in row))
-    lam = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    scaled, den = rl.scale_to_int(a)
+    lam = [list(row) for row in scaled]
     _bareiss(lam, len(lam))
     return lam, [1] + [lam[i][i] for i in range(len(lam))], den
 
@@ -217,7 +219,7 @@ def short_vectors(lat: UnimodularLattice, bound_sq, budget=None) -> list[tuple[i
     Returned as integer coordinate rows, sorted by squared length then
     lexicographically.
     """
-    bound_sq = F(bound_sq)
+    bound_sq = rl.exact_rational(bound_sq, "bound_sq")
     if bound_sq <= 0:
         raise ValidationError("bound_sq", "must be positive")
     bud = _as_budget(budget)
@@ -321,19 +323,23 @@ class _Quotient:
 
     @cached_property
     def rep_matrices(self):
-        """Row-action matrices of the generators on quotient coordinates."""
+        """(m, d) per generator: its row action on quotient coordinates is m/d.
+
+        m is the trailing block of v·ĝ_intᵀ·v⁻¹, all integer; the leading
+        k rows must vanish off the Z block, since Z is M-stable.
+        """
         reps = []
         v = self.full_basis
         vinv = rl.int_inverse_unimodular(v)
         k = self.k
-        for ghat in conjugated_generators(self.lat, self.sc):
+        for ghat, d in int_generators(self.lat, self.sc):
             m = rl.mat_mul(rl.mat_mul(v, rl.transpose(ghat)), vinv)
             for i in range(k):
                 for j in range(k, len(v)):
                     if m[i][j] != 0:
                         raise InternalInvariantViolation(
                             "quotient base subspace is not stable")
-            reps.append(tuple(tuple(row[k:]) for row in m[k:]))
+            reps.append((tuple(tuple(row[k:]) for row in m[k:]), d))
         return tuple(reps)
 
     @cached_property
@@ -430,36 +436,45 @@ def rational_roots(coeffs) -> list[Fraction]:
     return sorted(set(roots))
 
 
-def _eigenspace_rows(m, alpha: Fraction):
-    """Rows z with z·m = alpha·z."""
-    n = len(m)
-    shifted = tuple(tuple(m[i][j] - (alpha if i == j else 0) for j in range(n))
-                    for i in range(n))
-    return rl.rat_right_kernel(rl.transpose(shifted))
+@lru_cache(maxsize=64)
+def _generator_eigenvalues(g) -> tuple[Fraction, ...]:
+    """Sorted nonzero rational eigenvalues of a generator matrix of M.
+
+    Z is M-stable, so on a quotient Λ/Λ_Z every generator acts
+    block-triangularly and the quotient's characteristic polynomial divides
+    that of B⁻¹·g·B, which is g's. These are thus the candidate eigenvalues
+    on every quotient, factored once per generator instead of once per
+    quotient.
+    """
+    return tuple(r for r in rational_roots(char_poly(g)) if r != 0)
 
 
-def _span_intersection(e1, e2):
-    """Basis rows of span(e1) ∩ span(e2) over Q."""
-    n1 = rl.rat_right_kernel(e1)
-    n2 = rl.rat_right_kernel(e2)
-    constraints = list(n1) + list(n2)
-    if not constraints:
-        return e1 if len(e1) <= len(e2) else e2
-    return rl.rat_right_kernel(constraints)
+def common_eigenspace_bases(reps, eigenvalues, dim: int):
+    """Saturated HNF bases of the nonzero intersections ∩_g ker(ĝ - α_g·id)
+    on Z^dim, over all rational choices α_g.
 
-
-def common_eigenspace_bases(mats, dim: int):
-    """Nonzero intersections ∩_g ker(g - α_g·id) over all rational α choices."""
-    spaces = [tuple(tuple(F(1 if i == j else 0) for j in range(dim)) for i in range(dim))]
-    for m in mats:
-        roots = [r for r in rational_roots(char_poly(m)) if r != 0]
+    reps holds (m, d) per generator, acting on rows as m/d; eigenvalues
+    holds each generator's candidate roots, ascending. A candidate with an
+    empty kernel is not an eigenvalue on this quotient and is skipped. For
+    α = p/q the eigenspace is the integer kernel of (q·m - d·p·I)ᵀ, and an
+    intersection is the integer kernel of the stacked orthogonal
+    complements; integer kernels are saturated, and each is returned in HNF.
+    """
+    spaces = [rl.identity(dim)]
+    for (m, d), roots in zip(reps, eigenvalues):
+        comps = [rl.right_kernel_int(e) for e in spaces]
         refined = []
         for alpha in roots:
-            eig = _eigenspace_rows(m, alpha)
+            p, q = alpha.numerator, alpha.denominator
+            shifted = [[q * x for x in row] for row in m]
+            for i in range(dim):
+                shifted[i][i] -= d * p
+            eig = rl.right_kernel_int(rl.transpose(shifted))
             if not eig:
                 continue
-            for e in spaces:
-                inter = _span_intersection(e, eig)
+            comp = rl.right_kernel_int(eig) if any(comps) else ()
+            for c in comps:
+                inter = rl.right_kernel_int(c + comp) if c else eig
                 if inter:
                     refined.append(inter)
         spaces = refined
@@ -474,14 +489,12 @@ def _stable_quotient_lines(quot: _Quotient, t_sq: Fraction, budget: _Budget):
     if not quot.sc.m_generators:
         spaces = [rl.identity(m)]
     else:
-        spaces = common_eigenspace_bases(quot.rep_matrices, m)
+        spaces = common_eigenspace_bases(
+            quot.rep_matrices,
+            [_generator_eigenvalues(g) for g in quot.sc.m_generators], m)
     t_scaled = t_sq * quot.scale
     seen = set()
-    for e in spaces:
-        ints, _ = rl.row_scale_to_int(rl.rat_matrix(e))
-        s_e = rl.saturate(ints)
-        if not s_e:
-            continue
+    for s_e in spaces:
         if len(s_e) == 1:
             y = _canon_sign(s_e[0])
             norm = 0
@@ -513,7 +526,7 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
     Returns (sorted list, complete flag); complete is False when the budget
     ran out, in which case the list is whatever was found before that.
     """
-    cap_sq = F(cap_sq)
+    cap_sq = rl.exact_rational(cap_sq, "cap_sq")
     if cap_sq <= 0:
         raise ValidationError("cap_sq", "must be positive")
     return _stable_search(lat, sc, (cap_sq,) * lat.n, base, _as_budget(budget))
@@ -589,7 +602,7 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
 def eligible_subspaces(lat: UnimodularLattice, sc: Scenario, covol_sq_cap,
                        budget=None) -> list[RationalSubspace]:
     """All eligible proper nonzero subspaces with covol² ≤ cap, canonical order."""
-    cap = F(covol_sq_cap)
+    cap = rl.exact_rational(covol_sq_cap, "covol_sq_cap")
     if cap <= 0:
         raise ValidationError("covol_sq_cap", "must be positive")
     subs, complete = stable_subspaces_within(lat, sc, cap, budget=budget)

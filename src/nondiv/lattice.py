@@ -11,7 +11,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from . import ratlin as rl
@@ -178,14 +178,20 @@ class UnimodularLattice:
         return rl.mat_mul(bt, self.basis)
 
     @cached_property
+    def int_basis(self) -> tuple[rl.IntRows, int]:
+        """(b·basis, b) with b the common denominator of the basis entries."""
+        return rl.scale_to_int(self.basis)
+
+    @cached_property
     def int_gram(self) -> tuple[rl.IntRows, int]:
-        """(d·gram, d) with d the common denominator; integer Gram for fast dets."""
-        d = 1
-        for row in self.gram:
-            for x in row:
-                d = lcm(d, x.denominator)
-        scaled = tuple(tuple(int(x * d) for x in row) for row in self.gram)
-        return scaled, d
+        """(d·gram, d) with d the common denominator; integer Gram for fast dets.
+
+        From integer products: gram = b_intᵀ·b_int/b², reduced to lowest terms.
+        """
+        b_int, b = self.int_basis
+        g = rl.mat_mul(rl.transpose(b_int), b_int)
+        h = gcd(b * b, *(x for row in g for x in row))
+        return tuple(tuple(x // h for x in row) for row in g), b * b // h
 
     def real_rows(self, int_rows: Sequence[Sequence[int]]) -> rl.RatRows:
         """Real coordinates (as rows) of integer coordinate rows."""
@@ -238,6 +244,14 @@ class RationalSubspace:
         if sat != self.rows:
             raise ValidationError("rows", "not a saturated HNF basis")
 
+    @classmethod
+    def _trusted(cls, ambient: int, rows: rl.IntRows) -> "RationalSubspace":
+        """Skip validation: rows must already be a saturated HNF basis."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient", ambient)
+        object.__setattr__(sub, "rows", rows)
+        return sub
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -255,11 +269,11 @@ def subspace_from_rows(ambient: int, rows: Sequence[Sequence[int]]):
     sat = rl.saturate([tuple(r) for r in rows])
     if not sat:
         return ZERO_SUBSPACE
-    return RationalSubspace(ambient=ambient, rows=sat)
+    return RationalSubspace._trusted(ambient, sat)
 
 
 def full_subspace(n: int) -> RationalSubspace:
-    return RationalSubspace(ambient=n, rows=rl.identity(n))
+    return RationalSubspace._trusted(n, rl.identity(n))
 
 
 def covolume_sq(lat: UnimodularLattice, w) -> Fraction:
@@ -304,28 +318,41 @@ def subspace_intersect(w1: RationalSubspace, w2: RationalSubspace):
     return subspace_from_rows(w1.ambient, vecs)
 
 
+def int_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[tuple[rl.IntRows, int], ...]:
+    """(ĝ_int, d) per generator g of M, with B⁻¹·g·B = ĝ_int/d exactly and d
+    the lcm of the denominators of B⁻¹·g·B.
+
+    A positive scalar multiple has the same images up to scale, so every span
+    computed with ĝ_int is the span computed with ĝ. Computed once per
+    lattice object from one inverse and integer products, and held on the
+    instance next to the last scenario it served: a lookup compares the
+    scenario by identity and hashes no Fraction.
+    """
+    if not sc.m_generators:
+        return ()
+    held = lat.__dict__.get("_held_int_generators")
+    if held is not None and held[0] is sc:
+        return held[1]
+    # B = b_int/b and B⁻¹ = binv/c, so B⁻¹·g·B = binv·g_int·b_int/(c·e·b)
+    b_int, b = lat.int_basis
+    binv, c = rl.scale_to_int(rl.rat_inverse(lat.basis))
+    out = []
+    for g in sc.m_generators:
+        g_int, e = rl.scale_to_int(g)
+        p = rl.mat_mul(rl.mat_mul(binv, g_int), b_int)
+        den = c * e * b
+        h = gcd(den, *(x for row in p for x in row))
+        out.append((tuple(tuple(x // h for x in row) for row in p), den // h))
+    out = tuple(out)
+    object.__setattr__(lat, "_held_int_generators", (sc, out))
+    return out
+
+
 @lru_cache(maxsize=512)
 def conjugated_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[rl.RatRows, ...]:
     """Generators of M in lattice coordinates: B⁻¹·g·B per generator g."""
-    binv = rl.rat_inverse(lat.basis)
-    return tuple(rl.rat_matrix(rl.mat_mul(rl.mat_mul(binv, g), lat.basis))
-                 for g in sc.m_generators)
-
-
-def _int_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[rl.IntRows, ...]:
-    """Each ĝ = B⁻¹·g·B scaled to an integer matrix by the lcm of its denominators.
-
-    A positive scalar multiple has the same images up to scale, so every
-    span computed with it is the span computed with ĝ.
-    """
-    if not sc.m_generators:
-        return ()  # no lookup: its cache key hashes all N² basis entries
-    out = []
-    for ghat in conjugated_generators(lat, sc):
-        d = lcm(*(x.denominator for row in ghat for x in row))
-        out.append(tuple(tuple(x.numerator * (d // x.denominator) for x in row)
-                         for row in ghat))
-    return tuple(out)
+    return tuple(tuple(tuple(Fraction(x, d) for x in row) for row in g)
+                 for g, d in int_generators(lat, sc))
 
 
 def _reduce(echelon: list[tuple[int, tuple[int, ...]]], v: Sequence[int]) -> list[int]:
@@ -366,7 +393,7 @@ def is_m_stable(w, lat: UnimodularLattice, sc: Scenario) -> bool:
     if w is ZERO_SUBSPACE:
         return True
     echelon = [(next(j for j, x in enumerate(r) if x), r) for r in w.rows]
-    for gen in _int_generators(lat, sc):
+    for gen, _ in int_generators(lat, sc):
         # row coordinates transform by x ↦ x·ĝᵀ, i.e. entrywise rows of ĝ dot x
         for x in w.rows:
             if any(_reduce(echelon, rl.mat_vec(gen, x))):
@@ -385,7 +412,7 @@ def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]
     or the rank reaches N. The result is the saturated HNF of the basis,
     which is canonical for the span.
     """
-    gens = _int_generators(lat, sc)
+    gens = [g for g, _ in int_generators(lat, sc)]
     echelon: list = []
     work = [row for row in (_insert(echelon, r) for r in rows) if row]
     while work and len(echelon) < lat.n:

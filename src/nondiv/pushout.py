@@ -48,13 +48,18 @@ class PushoutConfig:
     vector_budget: int = DEFAULT_VECTOR_BUDGET
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_multiplier", F(self.lambda_multiplier))
+        exact = {"lambda_multiplier": rl.exact_rational(self.lambda_multiplier,
+                                                        "lambda_multiplier"),
+                 "max_steps": rl.exact_int(self.max_steps, "max_steps"),
+                 "vector_budget": rl.exact_int(self.vector_budget, "vector_budget")}
+        if self.eta0_override is not None:
+            exact["eta0_override"] = rl.exact_rational(self.eta0_override, "eta0")
+        for name, value in exact.items():
+            object.__setattr__(self, name, value)
         if self.lambda_multiplier <= 1:
             raise ValidationError("lambda_multiplier", "must be > 1")
-        if self.eta0_override is not None:
-            object.__setattr__(self, "eta0_override", F(self.eta0_override))
-            if not 0 < self.eta0_override < 1:
-                raise ValidationError("eta0", "must lie strictly between 0 and 1")
+        if self.eta0_override is not None and not 0 < self.eta0_override < 1:
+            raise ValidationError("eta0", "must lie strictly between 0 and 1")
         if self.max_steps < 0:
             raise ValidationError("max_steps", "must be >= 0")
         if self.vector_budget < 1:
@@ -281,7 +286,7 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
     itself an eligible strict superspace with covolume no larger than the
     joint one, and conversely any cheap superspace violates in its own name.
     """
-    c = F(c1c2_sq)
+    c = rl.exact_rational(c1c2_sq, "c1c2_sq")
     if c <= 1:
         raise ValidationError("c1c2_sq", "must be > 1")
     n = lat.n
@@ -289,7 +294,7 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
     if eta0_sq is None:
         eta0_sq = (cfg.eta0_override ** 2 if cfg.eta0_override is not None
                    else c ** (-n))
-    eta0_sq = F(eta0_sq)
+    eta0_sq = rl.exact_rational(eta0_sq, "eta0_sq")
     d = delta if delta is not None else delta_m(lat, sc, budget=bud)
     if d.delta_sq_vs(eta0_sq) >= 0:
         return NOT_NEEDED
@@ -328,7 +333,7 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
 
 def dyadic_guard(eta0_sq: Fraction, n: int, grid_bits: int = 8) -> Fraction:
     """Largest c = t/2^grid_bits > 1 with c^n ≤ 1/eta0_sq."""
-    eta0_sq = F(eta0_sq)
+    eta0_sq = rl.exact_rational(eta0_sq, "eta0_sq")
     if not 0 < eta0_sq < 1:
         raise ValidationError("eta0", "squared floor must lie in (0, 1)")
     denom = 1 << grid_bits

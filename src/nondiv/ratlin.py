@@ -36,6 +36,25 @@ def rat_matrix(rows: Sequence[Sequence]) -> RatRows:
     return tuple(out)
 
 
+def exact_rational(x, field: str) -> Fraction:
+    """x as a Fraction; only ints and Fractions are accepted.
+
+    bool, float and str are rejected, so True, 1.9 or "x" never reach a
+    computation as 1, a rounded float or an untyped error.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValidationError(field, f"expected an int or Fraction, got {type(x).__name__}")
+    return Fraction(x)
+
+
+def exact_int(x, field: str) -> int:
+    """x as an int; ints and integral Fractions are accepted (see exact_rational)."""
+    q = exact_rational(x, field)
+    if q.denominator != 1:
+        raise ValidationError(field, f"expected an integer, got {q}")
+    return q.numerator
+
+
 @lru_cache(maxsize=None)
 def identity(n: int) -> IntRows:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -186,6 +205,12 @@ def int_det(m: Sequence[Sequence[int]]) -> int:
             arow[k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
+
+
+def scale_to_int(m: Sequence[Sequence]) -> tuple[IntRows, int]:
+    """(d·m, d) for a rational or integer matrix, d the lcm of its denominators."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
 
 
 def row_scale_to_int(rows: Sequence[Sequence[Fraction]]) -> tuple[IntRows, tuple[int, ...]]:

@@ -1,0 +1,255 @@
+"""The integer eigen-line search against the Fraction path it replaced.
+
+`reference_common_eigenspace_bases` is the earlier search: per-quotient
+characteristic polynomials and `rat_right_kernel` intersections on the
+Fraction conjugation B⁻¹·g·B. `_stable_quotient_lines` saturated each of its
+spaces, so the integer search must return exactly those saturated spans, in
+the same order, on every quotient a search builds.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from nondiv import enumeration
+from nondiv import ratlin as rl
+from nondiv.enumeration import (_generator_eigenvalues, _Quotient, char_poly,
+                                common_eigenspace_bases, delta_m,
+                                rational_roots, stable_subspaces_within)
+from nondiv.lattice import (conjugated_generators, int_generators,
+                            make_lattice, make_scenario, trivial_scenario)
+from nondiv.pushout import PushoutConfig, drive
+from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
+
+from conftest import random_unimodular_int, random_unimodular_lattice
+
+F = Fraction
+
+UNIPOTENT = make_scenario(3, [[0, 2], [2, 3]], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]])
+
+
+# -- the Fraction path --------------------------------------------------------
+
+def reference_conjugated_generators(lat, sc):
+    binv = rl.rat_inverse(lat.basis)
+    return tuple(rl.rat_matrix(rl.mat_mul(rl.mat_mul(binv, g), lat.basis))
+                 for g in sc.m_generators)
+
+
+def reference_int_generators(lat, sc):
+    """Each B⁻¹·g·B scaled by the lcm of its denominators."""
+    out = []
+    for ghat in reference_conjugated_generators(lat, sc):
+        d = lcm(*(x.denominator for row in ghat for x in row))
+        out.append(tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                         for row in ghat))
+    return tuple(out)
+
+
+def reference_rep_matrices(quot):
+    v, k = quot.full_basis, quot.k
+    vinv = rl.int_inverse_unimodular(v)
+    reps = []
+    for ghat in reference_conjugated_generators(quot.lat, quot.sc):
+        m = rl.mat_mul(rl.mat_mul(v, rl.transpose(ghat)), vinv)
+        reps.append(tuple(tuple(row[k:]) for row in m[k:]))
+    return tuple(reps)
+
+
+def reference_eigenspace_rows(m, alpha):
+    n = len(m)
+    shifted = tuple(tuple(m[i][j] - (alpha if i == j else 0) for j in range(n))
+                    for i in range(n))
+    return rl.rat_right_kernel(rl.transpose(shifted))
+
+
+def reference_span_intersection(e1, e2):
+    constraints = list(rl.rat_right_kernel(e1)) + list(rl.rat_right_kernel(e2))
+    if not constraints:
+        return e1 if len(e1) <= len(e2) else e2
+    return rl.rat_right_kernel(constraints)
+
+
+def reference_common_eigenspace_bases(mats, dim):
+    spaces = [tuple(tuple(F(1 if i == j else 0) for j in range(dim)) for i in range(dim))]
+    for m in mats:
+        roots = [r for r in rational_roots(char_poly(m)) if r != 0]
+        refined = []
+        for alpha in roots:
+            eig = reference_eigenspace_rows(m, alpha)
+            if not eig:
+                continue
+            for e in spaces:
+                inter = reference_span_intersection(e, eig)
+                if inter:
+                    refined.append(inter)
+        spaces = refined
+        if not spaces:
+            break
+    return spaces
+
+
+def reference_spaces(quot):
+    """The saturated spans `_stable_quotient_lines` searched, in order."""
+    spaces = reference_common_eigenspace_bases(reference_rep_matrices(quot), quot.rank)
+    return [rl.saturate(rl.row_scale_to_int(rl.rat_matrix(e))[0]) for e in spaces]
+
+
+def integer_spaces(quot):
+    eigenvalues = [_generator_eigenvalues(g) for g in quot.sc.m_generators]
+    return common_eigenspace_bases(quot.rep_matrices, eigenvalues, quot.rank)
+
+
+# -- inputs ---------------------------------------------------------------------
+
+def recorded_quotients(monkeypatch, run):
+    """Every quotient `run()` builds."""
+    made = []
+
+    class Recording(_Quotient):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_Quotient", Recording)
+        run()
+    return made
+
+
+def rebased(lat, rng, det_sign):
+    """lat on the basis B·u, u unimodular with det u = det_sign."""
+    u = [list(r) for r in random_unimodular_int(rng, lat.n, shears=4, c=1)]
+    if det_sign < 0:
+        u[0] = [-x for x in u[0]]
+    return make_lattice(rl.mat_mul(lat.basis, [[F(x) for x in r] for r in u]))
+
+
+def planted_scenario(rng, jordan: bool):
+    """Blocks [0,2) and [2,4); each generator block is P·T·P⁻¹ with T upper
+    triangular, rational diagonal of product one, and P integer unimodular.
+    With jordan, one block is a single Jordan block."""
+    gens = []
+    for _ in range(rng.choice((1, 2))):
+        a, b = F(rng.choice((2, 3, -2)), rng.choice((1, 2))), F(rng.choice((1, 3)), 2)
+        diag = [a, 1 / a, b, 1 / b] if not jordan else [a, a, b, 1 / (a * a * b)]
+        if rng.random() < 0.3:
+            diag = [F(1)] * 4  # a unipotent generator
+        g = [[F(0)] * 4 for _ in range(4)]
+        for lo in (0, 2):
+            t = [[diag[lo], F(rng.randint(-1, 1) if not jordan else 1)],
+                 [F(0), diag[lo + 1]]]
+            p = random_unimodular_int(rng, 2, shears=3, c=2)
+            blk = rl.mat_mul(rl.mat_mul(p, t), rl.int_inverse_unimodular(p))
+            for i in range(2):
+                for j in range(2):
+                    g[lo + i][lo + j] = blk[i][j]
+        gens.append(g)
+    return make_scenario(4, [[0, 2], [2, 4]], gens)
+
+
+def assert_search_matches_reference(quots):
+    assert any(q.k > 0 for q in quots)
+    for q in quots:
+        got = integer_spaces(q)
+        assert got == reference_spaces(q), (q.lat.basis, q.full_basis[:q.k])
+        for (m, d), ref, g in zip(q.rep_matrices, reference_rep_matrices(q),
+                                  q.sc.m_generators):
+            assert tuple(tuple(F(x, d) for x in row) for row in m) == ref
+            roots = {r for r in rational_roots(char_poly(ref)) if r != 0}
+            assert roots <= set(_generator_eigenvalues(g))
+
+
+# -- equivalence ------------------------------------------------------------------
+
+def test_eigen_search_matches_reference_sl4(monkeypatch):
+    rng = random.Random(83)
+    sc = sl4_so21_scenario()
+    quots = []
+    cfg = PushoutConfig(eta0_override=F(1, 4))
+    for t in (F(2), F(4), F(1, 2), F(1, 4), F(1, 8)):
+        for sign in (1, -1):
+            lat = rebased(sl4_torus_lattice(t), rng, sign)
+            assert lat.det_sign == sign
+            quots += recorded_quotients(monkeypatch, lambda: delta_m(lat, sc))
+            quots += recorded_quotients(
+                monkeypatch, lambda: stable_subspaces_within(lat, sc, F(4)))
+            if t < 1:
+                quots += recorded_quotients(monkeypatch, lambda: drive(lat, sc, cfg))
+    assert_search_matches_reference(quots)
+    # some quotients keep an eigen-line, on others every candidate is skipped
+    assert any(integer_spaces(q) for q in quots)
+    assert any(not integer_spaces(q) for q in quots)
+
+
+def test_eigen_search_matches_reference_unipotent(monkeypatch):
+    rng = random.Random(5)
+    quots = []
+    for _ in range(8):
+        lat = random_unimodular_lattice(rng, 3, shears=3, dyadic_range=2)
+        quots += recorded_quotients(
+            monkeypatch, lambda: stable_subspaces_within(lat, UNIPOTENT, F(2)))
+    assert_search_matches_reference(quots)
+
+
+@pytest.mark.parametrize("jordan", [False, True])
+def test_eigen_search_matches_reference_planted(monkeypatch, jordan):
+    rng = random.Random(89 + jordan)
+    quots = []
+    for _ in range(6):
+        sc = planted_scenario(rng, jordan)
+        lat = random_unimodular_lattice(rng, 4, shears=5, dyadic_range=2)
+        quots += recorded_quotients(
+            monkeypatch, lambda: stable_subspaces_within(lat, sc, F(2)))
+    assert_search_matches_reference(quots)
+
+
+def test_generator_eigenvalues_are_sorted_nonzero_roots():
+    g = planted_scenario(random.Random(97), jordan=False).m_generators[0]
+    roots = _generator_eigenvalues(g)
+    assert list(roots) == sorted(set(roots)) and 0 not in roots
+    assert set(roots) == {r for r in rational_roots(char_poly(g)) if r != 0}
+
+
+def test_int_generators_match_reference():
+    rng = random.Random(101)
+    sc = sl4_so21_scenario()
+    diagonals = [(F(1, 2), F(2, 3), F(3, 5), F(5)),
+                 (F(5, 2), F(1, 3), F(6, 5), F(1)),
+                 (F(1, 5), F(5, 3), F(3, 2), F(2))]
+    for diag in diagonals:
+        base = make_lattice([[diag[i] if i == j else 0 for j in range(4)]
+                             for i in range(4)])
+        for sign in (1, -1):
+            for scenario in (sc, planted_scenario(rng, jordan=sign < 0)):
+                lat = rebased(base, rng, sign)
+                assert lat.det_sign == sign
+                got = int_generators(lat, scenario)
+                assert tuple(g for g, _ in got) == reference_int_generators(lat, scenario)
+                assert conjugated_generators(lat, scenario) == \
+                    reference_conjugated_generators(lat, scenario)
+                assert int_generators(lat, scenario) is got  # held on the instance
+    assert int_generators(base, trivial_scenario(4)) == ()
+
+
+# -- regression guard -------------------------------------------------------------
+
+def test_drive_factors_each_generator_once(monkeypatch):
+    """Characteristic polynomials are computed per generator, never per quotient."""
+    sc = sl4_so21_scenario()
+    seen = Counter()
+    real = enumeration.char_poly
+
+    def counting(m):
+        seen[m] += 1
+        return real(m)
+
+    _generator_eigenvalues.cache_clear()
+    monkeypatch.setattr(enumeration, "char_poly", counting)
+    cert = drive(sl4_torus_lattice(F(1, 8)), sc, PushoutConfig(eta0_override=F(1, 4)))
+    assert cert.steps
+    assert seen and set(seen) <= set(sc.m_generators)
+    assert max(seen.values()) == 1

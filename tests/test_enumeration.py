@@ -813,3 +813,31 @@ def test_delta_upper_triangular_n7_fast():
 def test_stable_subspaces_within_rejects_non_positive_cap(cap):
     with pytest.raises(ValidationError, match="cap_sq"):
         stable_subspaces_within(standard_lattice(2), trivial_scenario(2), cap)
+
+
+@pytest.mark.parametrize("budget", [True, False, 1.9, "x", F(19, 10)])
+def test_delta_rejects_inexact_budget(budget):
+    with pytest.raises(ValidationError) as err:
+        delta_m(standard_lattice(2), trivial_scenario(2), budget=budget)
+    assert err.value.field == "vector_budget"
+
+
+def test_delta_accepts_int_and_fraction_budget():
+    lat, sc = sl4_torus_lattice(F(2)), sl4_so21_scenario()
+    want = delta_m(lat, sc)
+    assert delta_m(lat, sc, budget=10 ** 4) == want
+    assert delta_m(lat, sc, budget=F(10 ** 4)) == want
+
+
+@pytest.mark.parametrize("bound", [1.5, None, True, "2"])
+def test_short_vectors_rejects_inexact_bound(bound):
+    with pytest.raises(ValidationError) as err:
+        short_vectors(standard_lattice(2), bound)
+    assert err.value.field == "bound_sq"
+
+
+@pytest.mark.parametrize("cap", [1.5, None, True, "1"])
+def test_stable_subspaces_within_rejects_inexact_cap(cap):
+    with pytest.raises(ValidationError) as err:
+        stable_subspaces_within(standard_lattice(2), trivial_scenario(2), cap)
+    assert err.value.field == "cap_sq"

@@ -345,6 +345,32 @@ def test_subspace_validation():
     assert sub(2, [[0, 0]]) is ZERO_SUBSPACE
 
 
+def test_trusted_subspaces_equal_validated(rng):
+    # subspace_from_rows saturates once and skips the validating re-saturation
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        w = subspace_from_rows(n, rows)
+        if w is ZERO_SUBSPACE:
+            continue
+        validated = RationalSubspace(ambient=n, rows=rl.saturate(rows))
+        assert w == validated and hash(w) == hash(validated)
+        assert w.rows == validated.rows and w.dim == validated.dim
+    assert full_subspace(3) == RationalSubspace(ambient=3, rows=rl.identity(3))
+
+
+@pytest.mark.parametrize("rows", [
+    ((2, 0, 0),),                    # not saturated
+    ((1, 0, 0), (0, 2, 0)),          # not saturated
+    ((0, 1, 0), (1, 0, 0)),          # saturated, not in HNF
+    ((1, 3, 0), (0, 2, 1)),          # pivot row entry above a pivot not reduced
+    ((-1, 0, 0),),                   # negative pivot
+])
+def test_subspace_constructor_rejects_non_canonical_rows(rows):
+    with pytest.raises(ValidationError, match="saturated HNF"):
+        RationalSubspace(ambient=3, rows=rows)
+
+
 def reference_key(covol_sq, dim, n):
     """The former comparison key (covol²)^{L/dim} with L = lcm(1..N).
 
@@ -393,3 +419,14 @@ def test_root_key():
         for x in (F(1, 4), F(1, 2), F(2, 3), F(1), c ** 2, F(3, 7) ** 2):
             q, rhs = res.delta_sq_pow, x ** big_l
             assert res.delta_sq_vs(x) == (q > rhs) - (q < rhs)
+
+
+def test_int_gram_matches_fraction_gram(rng):
+    lats = [random_unimodular_lattice(rng, rng.randint(2, 5), shears=6,
+                                      dyadic_range=rng.randint(1, 5)) for _ in range(20)]
+    base = diagonal_lattice(F(3, 5), F(5, 2), F(2, 3))
+    for _ in range(10):
+        u = random_unimodular_int(rng, 3, shears=6, c=2)
+        lats.append(make_lattice(rl.mat_mul(base.basis, [[F(x) for x in r] for r in u])))
+    for lat in lats:
+        assert lat.int_gram == rl.scale_to_int(lat.gram)

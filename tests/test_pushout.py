@@ -36,6 +36,42 @@ def test_config_validation():
         PushoutConfig(max_steps=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vector_budget", True), ("vector_budget", 1.5), ("vector_budget", "10"),
+    ("vector_budget", F(3, 2)),
+    ("max_steps", False), ("max_steps", 2.0), ("max_steps", "2"),
+    ("lambda_multiplier", 2.5), ("lambda_multiplier", True), ("lambda_multiplier", "2"),
+    ("eta0_override", 0.25), ("eta0_override", "1/4"), ("eta0_override", True),
+])
+def test_config_rejects_inexact_numbers(field, value):
+    names = {"eta0_override": "eta0"}
+    with pytest.raises(ValidationError) as err:
+        PushoutConfig(**{field: value})
+    assert err.value.field == names.get(field, field)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: protect(Z4, SC4, CFG_QUARTER, 1.5), "c1c2_sq"),
+    (lambda: protect(Z4, SC4, CFG_QUARTER, F(2), eta0_sq=0.0625), "eta0_sq"),
+    (lambda: dyadic_guard(0.0625, 4), "eta0_sq"),
+    (lambda: dyadic_guard("1/16", 4), "eta0_sq"),
+])
+def test_pushout_rejects_inexact_numbers(call, field):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert err.value.field == field
+
+
+def test_config_accepts_ints_and_fractions():
+    cfg = PushoutConfig(lambda_multiplier=3, eta0_override=F(1, 4),
+                        max_steps=F(5), vector_budget=F(10 ** 4))
+    assert cfg.lambda_multiplier == F(3) and isinstance(cfg.lambda_multiplier, F)
+    assert cfg.max_steps == 5 and type(cfg.max_steps) is int
+    assert cfg.vector_budget == 10 ** 4 and type(cfg.vector_budget) is int
+    assert cfg == PushoutConfig(lambda_multiplier=F(3), eta0_override=F(1, 4),
+                                max_steps=5, vector_budget=10 ** 4)
+
+
 def test_select_index_set_examples():
     assert select_index_set(Z4, V1, SC4) == (0,)
     assert select_index_set(Z4, V2, SC4) == (1,)
