@@ -267,13 +267,14 @@ def _int_nthroot_floor(m: int, r: int) -> int:
     return t
 
 
-def rat_root_upper(x: Fraction, r: int, bits: int = 8) -> Fraction:
+def rat_root_upper(x: Fraction, r: int) -> Fraction:
     """A rational ≥ x^{1/r} on a dyadic grid (slack only loosens search bounds)."""
     x = F(x)
     if x <= 0:
         raise ValueError("positive input required")
     if r == 1:
         return x
+    bits = 8
     if x < 1:
         # widen the grid so tiny roots keep ~2^-bits relative slack
         bits += max(0, (x.denominator.bit_length() - x.numerator.bit_length()) // r + 1)
@@ -307,9 +308,9 @@ class _Quotient:
         self.k = k = len(z_rows)
         n = lat.n
         if k == 0:
-            self.full_basis = rl.identity(n)
+            self.full_basis = self.full_basis_inv = rl.identity(n)
         else:
-            self.full_basis = complete_to_basis(z_rows, n)
+            self.full_basis, self.full_basis_inv = complete_to_basis(z_rows, n)
         v = self.full_basis
         self.lift_rows = v[k:]
         a, den = lat.int_gram
@@ -329,8 +330,7 @@ class _Quotient:
         k rows must vanish off the Z block, since Z is M-stable.
         """
         reps = []
-        v = self.full_basis
-        vinv = rl.int_inverse_unimodular(v)
+        v, vinv = self.full_basis, self.full_basis_inv
         k = self.k
         for ghat, d in int_generators(self.lat, self.sc):
             m = rl.mat_mul(rl.mat_mul(v, rl.transpose(ghat)), vinv)
@@ -356,10 +356,11 @@ class _Quotient:
                      for j in range(self.lat.n))
 
 
-def complete_to_basis(sat_rows, n: int) -> rl.IntRows:
-    """Extend a saturated k-row basis to a unimodular n×n matrix.
+def complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
+    """Extend a saturated k-row basis to a unimodular n×n matrix v; (v, v⁻¹).
 
-    The first k rows of the result span the same sublattice as sat_rows.
+    The first k rows of v span the same sublattice as sat_rows. v is
+    (w⁻¹)ᵀ for the HNF transform w of sat_rowsᵀ, so v⁻¹ = wᵀ.
     """
     k = len(sat_rows)
     ht = rl.transpose(sat_rows)
@@ -372,7 +373,7 @@ def complete_to_basis(sat_rows, n: int) -> rl.IntRows:
     hs, _ = rl.hnf(sat_rows)
     if hv[:k] != hs[:k]:
         raise InternalInvariantViolation("basis completion changed the sublattice")
-    return v
+    return v, rl.transpose(w)
 
 
 def char_poly(m) -> list[Fraction]:
@@ -456,27 +457,23 @@ def common_eigenspace_bases(reps, eigenvalues, dim: int):
     reps holds (m, d) per generator, acting on rows as m/d; eigenvalues
     holds each generator's candidate roots, ascending. A candidate with an
     empty kernel is not an eigenvalue on this quotient and is skipped. For
-    α = p/q the eigenspace is the integer kernel of (q·m - d·p·I)ᵀ, and an
-    intersection is the integer kernel of the stacked orthogonal
-    complements; integer kernels are saturated, and each is returned in HNF.
+    α = p/q and a space with saturated basis e, the rows y = c·e with
+    y·(q·m - d·p·I) = 0 have c in the integer kernel of (e·(q·m - d·p·I))ᵀ;
+    that kernel is saturated, so c·e is too, and its HNF is returned. Spaces
+    are refined α by α, each α over every space in order.
     """
     spaces = [rl.identity(dim)]
     for (m, d), roots in zip(reps, eigenvalues):
-        comps = [rl.right_kernel_int(e) for e in spaces]
         refined = []
         for alpha in roots:
             p, q = alpha.numerator, alpha.denominator
             shifted = [[q * x for x in row] for row in m]
             for i in range(dim):
                 shifted[i][i] -= d * p
-            eig = rl.right_kernel_int(rl.transpose(shifted))
-            if not eig:
-                continue
-            comp = rl.right_kernel_int(eig) if any(comps) else ()
-            for c in comps:
-                inter = rl.right_kernel_int(c + comp) if c else eig
-                if inter:
-                    refined.append(inter)
+            for e in spaces:
+                c = rl.right_kernel_int(rl.transpose(rl.mat_mul(e, shifted)))
+                if c:
+                    refined.append(rl.hnf(rl.mat_mul(c, e))[0])
         spaces = refined
         if not spaces:
             break

@@ -2,7 +2,8 @@
 
 A torus element acts diagonally on ∧^k with eigenvalues equal to k-fold
 products of coordinate scalars, so extreme scaling factors are products of
-the k smallest / largest available scalars. Everything stays rational;
+the k smallest / largest available scalars; the worst contraction over all
+degrees is the product of the scalars below 1. Everything stays rational;
 comparisons against concrete wedges are made in squared form.
 """
 
@@ -56,10 +57,14 @@ def wedge_scaling_range(s: TorusElement, k: int) -> tuple[Fraction, Fraction]:
 
 
 def contraction_constant(s: TorusElement) -> Fraction:
-    """C₁(s): for every pure wedge v of any degree, ‖s·v‖ ≥ ‖v‖/C₁(s)."""
-    n = len(s.diagonal())
-    worst = Fraction(1)
-    for k in range(1, n + 1):
-        lo, _ = wedge_scaling_range(s, k)
-        worst = max(worst, 1 / lo)
-    return worst
+    """C₁(s): for every pure wedge v of any degree, ‖s·v‖ ≥ ‖v‖/C₁(s).
+
+    The worst degree-k factor is the product of the k smallest scalars, and
+    the smallest such prefix product is the product of the scalars below 1
+    (det s = 1 keeps it ≤ 1), so C₁(s) = ∏_{x<1} 1/x.
+    """
+    out = Fraction(1)
+    for x in s.diagonal():
+        if x < 1:
+            out /= x
+    return out

@@ -194,7 +194,7 @@ class UnimodularLattice:
         return tuple(tuple(x // h for x in row) for row in g), b * b // h
 
     def real_rows(self, int_rows: Sequence[Sequence[int]]) -> rl.RatRows:
-        """Real coordinates (as rows) of integer coordinate rows."""
+        """Real coordinates of integer coordinate rows, x·b_intᵀ/b; the tests' reference."""
         bt = rl.transpose(self.basis)
         return tuple(tuple(sum(Fraction(x) * bt[i][j] for i, x in enumerate(row))
                            for j in range(self.n)) for row in int_rows)
@@ -261,7 +261,7 @@ class RationalSubspace:
         return self.dim == self.ambient
 
     def contains(self, other: "RationalSubspace") -> bool:
-        return all(rl.span_contains(self.rows, r) for r in other.rows)
+        return rl.saturate(self.rows + other.rows) == self.rows
 
 
 def subspace_from_rows(ambient: int, rows: Sequence[Sequence[int]]):

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from . import ratlin as rl
 from .enumeration import (DEFAULT_VECTOR_BUDGET, DeltaResult, _as_budget,
-                          _int_nthroot_floor, delta_m, rational_roots,
-                          stable_subspaces_within)
+                          _int_nthroot_floor, char_poly, delta_m,
+                          rational_roots, stable_subspaces_within)
 from .errors import (GrowthContractViolated, IncompleteSearch,
                      InternalInvariantViolation, NotBelowEta0,
                      ProtectionFailed, UnexpandableSubspace, ValidationError,
@@ -84,26 +84,27 @@ def select_index_set(lat: UnimodularLattice, w: RationalSubspace,
     nonzero projection to block i, add i and pass to the kernel of that
     projection. The result makes the projection of W to the I-coordinates
     injective, which is asserted exactly.
+
+    Every decision is about spans, so the chain runs on the integer rows
+    w.rows·b_intᵀ (b times the real rows, `lat.int_basis`) with integer
+    kernels.
     """
-    real = lat.real_rows(w.rows)
-    cur = [tuple(row) for row in real]
+    cur = rows = rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0]))
     picked = []
     for i, (a, b) in enumerate(sc.blocks):
         if not cur:
             break
         proj = [row[a:b] for row in cur]
-        if all(x == 0 for p in proj for x in p):
+        if not any(any(p) for p in proj):
             continue
         picked.append(i)
-        coeffs = rl.rat_right_kernel(rl.transpose(proj))
-        cur = [tuple(sum(cf[j] * cur[j][t] for j in range(len(cur)))
-                     for t in range(lat.n)) for cf in coeffs]
-        cur = [row for row in cur if any(row)]
+        coeffs = rl.right_kernel_int(rl.transpose(proj))
+        cur = [row for row in rl.mat_mul(coeffs, cur) if any(row)]
     if cur:
         raise InternalInvariantViolation("projection kernel chain did not reach zero")
     i_cols = [c for i in picked for c in range(*sc.blocks[i])]
-    proj_w = [tuple(row[c] for c in i_cols) for row in real]
-    if rl.rat_rank(proj_w) != w.dim:
+    proj_w = [tuple(row[c] for c in i_cols) for row in rows]
+    if rl.right_kernel_int(rl.transpose(proj_w)):
         raise InternalInvariantViolation("index-set projection is not injective on W")
     return tuple(picked)
 
@@ -129,38 +130,14 @@ def _is_psd(m) -> bool:
     return True
 
 
-def _det_poly(g_i, g_c) -> list[Fraction]:
-    """Coefficients of det(x·g_i - g_c) by exact interpolation."""
-    k = len(g_i)
-    xs = list(range(k + 1))
-    ys = []
-    for t in xs:
-        m = tuple(tuple(t * g_i[r][c] - g_c[r][c] for c in range(k)) for r in range(k))
-        ys.append(rl.rat_det(m))
-    # Lagrange interpolation, accumulated as coefficient lists
-    coeffs = [F(0)] * (k + 1)
-    for idx, x0 in enumerate(xs):
-        term = [F(1)]
-        denom = F(1)
-        for j, xj in enumerate(xs):
-            if j == idx:
-                continue
-            term = [F(0)] + term
-            for d in range(len(term) - 1):
-                term[d] -= xj * term[d + 1]
-            denom *= x0 - xj
-        scale = ys[idx] / denom
-        for d, c in enumerate(term):
-            coeffs[d] += scale * c
-    return coeffs
-
-
-def _sigma_sq_upper(g_i, g_c, rounds: int = 16) -> Fraction:
+def _sigma_sq_upper(g_i, g_c) -> Fraction:
     """Certified rational upper bound for max_x (x·g_c·x)/(x·g_i·x), g_i PD.
 
     Equals the exact largest generalized eigenvalue whenever that value is
-    rational (bisection bracket plus rational-root snap); otherwise a dyadic
-    overshoot, which only strengthens downstream certificates.
+    rational (16 bisection rounds, then a rational-root snap); otherwise a
+    dyadic overshoot, which only strengthens downstream certificates. The
+    generalized eigenvalues, the roots of det(x·g_i - g_c), are those of
+    the characteristic polynomial of g_i⁻¹·g_c.
     """
     if all(x == 0 for row in g_c for x in row):
         return F(0)
@@ -174,13 +151,13 @@ def _sigma_sq_upper(g_i, g_c, rounds: int = 16) -> Fraction:
     while not ok(hi):
         hi *= 2
     lo = F(0)
-    for _ in range(rounds):
+    for _ in range(16):
         mid = (lo + hi) / 2
         if ok(mid):
             hi = mid
         else:
             lo = mid
-    for r in rational_roots(_det_poly(g_i, g_c)):
+    for r in rational_roots(char_poly(rl.mat_mul(rl.rat_inverse(g_i), g_c))):
         if lo < r <= hi and ok(r):
             return r
     return hi
@@ -224,6 +201,9 @@ def expansion_element(lat: UnimodularLattice, w: RationalSubspace, sc: Scenario,
     the largest squared singular value of that map. λ = ρ^{N-d_I} for the
     smallest power of two ρ with λ ≥ lambda_multiplier·C_W²; s scales
     I-blocks by λ and the rest by ρ^{-d_I}, keeping determinant one exactly.
+
+    Both Grams of the map are taken on the integer rows w.rows·b_intᵀ, b
+    times the real rows; σ² is a ratio of the two, so b² cancels.
     """
     if w.is_full:
         raise WholeSpace("expansion needs a proper subspace")
@@ -235,9 +215,9 @@ def expansion_element(lat: UnimodularLattice, w: RationalSubspace, sc: Scenario,
         raise UnexpandableSubspace(
             "index set touches every block; no determinant-one direction expands W")
     o_cols = [c for c in range(n) if c not in set(i_cols)]
-    real = lat.real_rows(w.rows)
-    a = [tuple(row[c] for c in i_cols) for row in real]
-    b = [tuple(row[c] for c in o_cols) for row in real]
+    rows = rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0]))
+    a = [tuple(row[c] for c in i_cols) for row in rows]
+    b = [tuple(row[c] for c in o_cols) for row in rows]
     g_i = rl.mat_mul(a, rl.transpose(a))
     g_c = rl.mat_mul(b, rl.transpose(b))
     c_w_sq = 1 + _sigma_sq_upper(g_i, g_c)
@@ -387,11 +367,15 @@ def _resolve_protection(lat, sc, cfg, d0):
     if d0.delta_sq_vs(eta0_sq) >= 0:
         # larger constants only lower the floor further
         raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
+    w = d0.witness
     for _ in range(8 * n):
         pres = protect(lat, sc, cfg, c_work, eta0_sq=eta0_sq, delta=d0)
         if pres is NOT_NEEDED:
             raise InternalInvariantViolation("floor check diverged between layers")
-        cert = expansion_element(lat, pres.w_infinity, sc, cfg)
+        if pres.w_infinity != w:
+            # an unchanged W∞ keeps its certificate, which then returns below
+            w = pres.w_infinity
+            cert = expansion_element(lat, w, sc, cfg)
         if cert.c1c2_sq <= c_work:
             return pres, cert
         c_work = cert.c1c2_sq
@@ -474,15 +458,14 @@ class PushoutCertificate:
     step_bound: int | None
 
 
-def _step_count_bound(q0: Fraction, factor_min: Fraction, target: Fraction,
-                      hard_cap: int = 10 ** 6) -> int:
+def _step_count_bound(q0: Fraction, factor_min: Fraction, target: Fraction) -> int:
     """Smallest b with factor_min^b·q0 ≥ target (exact iteration)."""
     b = 0
     q = q0
     while q < target:
         q *= factor_min
         b += 1
-        if b > hard_cap:
+        if b > 10 ** 6:
             raise InternalInvariantViolation("step bound iteration diverged")
     return b
 

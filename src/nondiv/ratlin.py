@@ -3,6 +3,11 @@
 Matrices are immutable tuples of row tuples; integer matrices hold ints,
 rational ones hold Fractions. No floating point enters this module: every
 value computed here can sit on a branch decision.
+
+Spans, kernels and ranks are computed on integers (`hnf`, `right_kernel_int`,
+`saturate`). The Fraction RREF family (`_rref`, `rat_rank`,
+`rat_right_kernel`, `span_contains`) has no caller in the program; it is
+kept as the tests' reference for the integer paths.
 """
 
 from __future__ import annotations

@@ -106,3 +106,25 @@ def test_range_extremes_match_brute_force():
 def test_pure_wedge_rejects_dependent():
     with pytest.raises(DependentVectors):
         PureWedge(spanning_vectors=((F(1), F(2)), (F(2), F(4))))
+
+
+def reference_contraction_constant(s):
+    """The per-degree form: max(1, max_k 1/(product of the k smallest scalars))."""
+    worst = F(1)
+    for k in range(1, len(s.diagonal()) + 1):
+        lo, _ = wedge_scaling_range(s, k)
+        worst = max(worst, 1 / lo)
+    return worst
+
+
+def test_contraction_constant_matches_per_degree_form():
+    rng = random.Random(61)
+    shapes = [(1, 1), (2, 1), (1, 3), (2, 2), (1, 1, 1), (1, 2, 1), (3, 1, 2),
+              (1, 1, 1, 1), (2, 1, 1, 2), (1, 1, 1, 1, 1)]
+    values = set()
+    for _ in range(300):
+        s = random_torus(rng, rng.choice(shapes))
+        got = contraction_constant(s)
+        assert got == reference_contraction_constant(s), s
+        values.add(got)
+    assert F(1) in values and len(values) > 20

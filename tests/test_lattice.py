@@ -430,3 +430,28 @@ def test_int_gram_matches_fraction_gram(rng):
         lats.append(make_lattice(rl.mat_mul(base.basis, [[F(x) for x in r] for r in u])))
     for lat in lats:
         assert lat.int_gram == rl.scale_to_int(lat.gram)
+
+
+def reference_contains(w, other):
+    """The Fraction form: every row of other lies in the Q-span of w's rows."""
+    return all(rl.span_contains(w.rows, r) for r in other.rows)
+
+
+def test_contains_matches_span_form():
+    rng = random.Random(67)
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        subs = []
+        while len(subs) < 2:
+            s = sub(n, [[rng.randint(-3, 3) for _ in range(n)]
+                        for _ in range(rng.randint(1, n))])
+            if s is not ZERO_SUBSPACE:
+                subs.append(s)
+        w, x = subs
+        for a, b in ((w, w), (w, subspace_sum(w, x)), (subspace_sum(w, x), w),
+                     (w, x), (x, w)):
+            got = a.contains(b)
+            assert got == reference_contains(a, b), (a.rows, b.rows)
+            kinds.add("equal" if a == b else "contained" if got else "not contained")
+    assert kinds == {"equal", "contained", "not contained"}

@@ -1,18 +1,23 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from nondiv.enumeration import delta_m
+from nondiv import pushout
+from nondiv import ratlin as rl
+from nondiv.cli import main
+from nondiv.enumeration import delta_m, rational_roots
 from nondiv.errors import (IncompleteSearch, NotBelowEta0, ProtectionFailed,
                            UnexpandableSubspace, ValidationError, WholeSpace)
 from nondiv.exterior import PureWedge, apply_torus_to_wedge
 from nondiv.lattice import (apply_group, covolume_sq, make_lattice,
                             standard_lattice, subspace_from_rows,
                             trivial_scenario)
-from nondiv.pushout import (NOT_NEEDED, PushoutConfig, Terminated,
-                            drive, dyadic_guard, expansion_element, protect,
-                            pushout_step, select_index_set)
+from nondiv.pushout import (NOT_NEEDED, PushoutConfig, Terminated, _is_psd,
+                            _sigma_sq_upper, drive, dyadic_guard,
+                            expansion_element, protect, pushout_step,
+                            select_index_set)
 from nondiv.samples import (diagonal_lattice, sl4_so21_scenario,
                             sl4_torus_lattice, squash_lattice_2d)
 
@@ -374,3 +379,161 @@ def test_drive_deep_n3():
     assert cert.terminated is Terminated.REACHED_ETA0
     assert len(cert.steps) <= cert.step_bound
     assert cert.final_delta.delta_sq_pow >= cert.eta0_sq ** 6
+
+
+# -- the Fraction real-coordinate path the integer one replaced ------------------
+
+def reference_select_index_set(lat, w, sc):
+    """Kernel chain on the Fraction real rows, with the RREF kernel and rank."""
+    real = lat.real_rows(w.rows)
+    cur = [tuple(row) for row in real]
+    picked = []
+    for i, (a, b) in enumerate(sc.blocks):
+        if not cur:
+            break
+        proj = [row[a:b] for row in cur]
+        if all(x == 0 for p in proj for x in p):
+            continue
+        picked.append(i)
+        coeffs = rl.rat_right_kernel(rl.transpose(proj))
+        cur = [tuple(sum(cf[j] * cur[j][t] for j in range(len(cur)))
+                     for t in range(lat.n)) for cf in coeffs]
+        cur = [row for row in cur if any(row)]
+    assert not cur
+    i_cols = [c for i in picked for c in range(*sc.blocks[i])]
+    assert rl.rat_rank([tuple(row[c] for c in i_cols) for row in real]) == w.dim
+    return tuple(picked)
+
+
+def reference_det_poly(g_i, g_c):
+    """Coefficients of det(x·g_i - g_c) by exact Lagrange interpolation."""
+    k = len(g_i)
+    xs = list(range(k + 1))
+    ys = []
+    for t in xs:
+        m = tuple(tuple(t * g_i[r][c] - g_c[r][c] for c in range(k)) for r in range(k))
+        ys.append(rl.rat_det(m))
+    coeffs = [F(0)] * (k + 1)
+    for idx, x0 in enumerate(xs):
+        term = [F(1)]
+        denom = F(1)
+        for j, xj in enumerate(xs):
+            if j == idx:
+                continue
+            term = [F(0)] + term
+            for d in range(len(term) - 1):
+                term[d] -= xj * term[d + 1]
+            denom *= x0 - xj
+        scale = ys[idx] / denom
+        for d, c in enumerate(term):
+            coeffs[d] += scale * c
+    return coeffs
+
+
+def reference_sigma_sq_upper(g_i, g_c):
+    """Bisection, then a snap to a rational root of the interpolated det(x·g_i - g_c)."""
+    if all(x == 0 for row in g_c for x in row):
+        return F(0)
+    k = len(g_i)
+
+    def ok(x):
+        return _is_psd(tuple(tuple(x * g_i[r][c] - g_c[r][c] for c in range(k))
+                             for r in range(k)))
+
+    hi = F(1)
+    while not ok(hi):
+        hi *= 2
+    lo = F(0)
+    for _ in range(16):
+        mid = (lo + hi) / 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    for r in rational_roots(reference_det_poly(g_i, g_c)):
+        if lo < r <= hi and ok(r):
+            return r
+    return hi
+
+
+def real_grams(lat, w, sc, picked):
+    """g_i and g_c of expansion_element, on the Fraction real rows."""
+    i_cols = [c for i in picked for c in range(*sc.blocks[i])]
+    o_cols = [c for c in range(lat.n) if c not in i_cols]
+    real = lat.real_rows(w.rows)
+    a = [tuple(row[c] for c in i_cols) for row in real]
+    b = [tuple(row[c] for c in o_cols) for row in real]
+    return rl.mat_mul(a, rl.transpose(a)), rl.mat_mul(b, rl.transpose(b))
+
+
+def test_sigma_sq_upper_matches_interpolation_route():
+    rng = random.Random(71)
+    snapped = bracketed = 0
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        p = [[F(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
+        if rl.rat_det(p) == 0:
+            continue
+        g_i = rl.mat_mul(p, rl.transpose(p))
+        if rng.random() < 0.5:
+            # generalized eigenvalues are the planted diagonal: λ_max is rational
+            dg = [F(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(k)]
+            g_c = rl.mat_mul(rl.mat_mul(p, [[dg[i] if i == j else 0 for j in range(k)]
+                                            for i in range(k)]), rl.transpose(p))
+        else:
+            c = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 3))]
+            g_c = rl.mat_mul(rl.transpose(c), c)
+        got = _sigma_sq_upper(g_i, g_c)
+        assert got == reference_sigma_sq_upper(g_i, g_c), (g_i, g_c)
+        singular = rl.rat_det([[got * x - y for x, y in zip(ri, rc)]
+                               for ri, rc in zip(g_i, g_c)]) == 0
+        snapped += singular
+        bracketed += not singular
+    assert snapped > 20 and bracketed > 10
+
+
+def rebase(lat, rng):
+    u = random_unimodular_int(rng, lat.n, shears=5, c=1)
+    return make_lattice(rl.mat_mul(lat.basis, [[F(x) for x in r] for r in u]))
+
+
+def test_select_index_set_matches_real_rows_route():
+    rng = random.Random(73)
+    cases = [(rebase(sl4_torus_lattice(t), rng), SC4)
+             for t in (F(2), F(4), F(1, 2), F(1, 4), F(1, 8)) for _ in range(2)]
+    cases += [(rebase(diagonal_lattice(F(1, 4), F(2, 3), F(6)), rng), trivial_scenario(3)),
+              (standard_lattice(3), trivial_scenario(3)),
+              (rebase(diagonal_lattice(F(1, 2), F(3), F(1, 3), F(2)), rng),
+               trivial_scenario(4)),
+              (standard_lattice(4), trivial_scenario(4))]
+    cfg = PushoutConfig()
+    picked_sets = set()
+    for lat, sc in cases:
+        for _ in range(12):
+            w = random_proper_subspace(rng, lat)
+            picked = select_index_set(lat, w, sc)
+            assert picked == reference_select_index_set(lat, w, sc), (lat.basis, w.rows)
+            picked_sets.add(picked)
+            try:
+                cert = expansion_element(lat, w, sc, cfg)
+            except UnexpandableSubspace:
+                continue
+            assert cert.c_w_sq == 1 + reference_sigma_sq_upper(*real_grams(lat, w, sc, picked))
+    assert len(picked_sets) > 5
+
+
+# -- certificate reuse -------------------------------------------------------------
+
+def test_drive_reuses_certificate_of_unchanged_w_infinity(monkeypatch, capsys):
+    """The self-calibrating loop certifies each (lattice, W∞) once."""
+    calls = []
+    real = pushout.expansion_element
+
+    def counting(lat, w, sc, cfg):
+        calls.append((lat.basis, w.rows))
+        return real(lat, w, sc, cfg)
+
+    monkeypatch.setattr(pushout, "expansion_element", counting)
+    assert main(["drive", "--lattice", "fixtures/squash_n2_k6.json"]) == 0
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    assert steps and len(calls) == len(set(calls)) == len(steps) + 1
