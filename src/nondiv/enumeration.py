@@ -34,8 +34,8 @@ from math import exp, gcd, isqrt, log
 from . import ratlin as rl
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from .lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
-                      UnimodularLattice, covolume_sq, covolume_sq_rows,
-                      full_subspace, int_generators, is_m_stable, m_closure,
+                      UnimodularLattice, _frame, covolume_sq,
+                      covolume_sq_rows, full_subspace, is_m_stable, m_closure,
                       subspace_from_rows)
 
 F = Fraction
@@ -300,17 +300,23 @@ class _Quotient:
     the integer Gram g = den·v·A·vᵀ, and scale = den·D_k, with den the
     common denominator of A and D_k > 0 the leading k×k minor of g.
     Callers scale their bounds by `scale` instead of dividing the Gram.
+
+    The completion (v, v⁻¹) depends on Z alone, so it is held in the frame
+    of (lat, sc) and shared along the torus orbit; the Gram is per lattice.
     """
 
     def __init__(self, lat: UnimodularLattice, sc: Scenario, z_rows):
         self.lat = lat
         self.sc = sc
+        self.frame = _frame(lat, sc)
+        self.z_rows = z_rows
         self.k = k = len(z_rows)
         n = lat.n
-        if k == 0:
-            self.full_basis = self.full_basis_inv = rl.identity(n)
-        else:
-            self.full_basis, self.full_basis_inv = complete_to_basis(z_rows, n)
+        bases = self.frame.bases
+        if z_rows not in bases:
+            bases[z_rows] = (complete_to_basis(z_rows, n) if k
+                             else (rl.identity(n), rl.identity(n)))
+        self.full_basis, self.full_basis_inv = bases[z_rows]
         v = self.full_basis
         self.lift_rows = v[k:]
         a, den = lat.int_gram
@@ -332,7 +338,7 @@ class _Quotient:
         reps = []
         v, vinv = self.full_basis, self.full_basis_inv
         k = self.k
-        for ghat, d in int_generators(self.lat, self.sc):
+        for ghat, d in self.frame.gens:
             m = rl.mat_mul(rl.mat_mul(v, rl.transpose(ghat)), vinv)
             for i in range(k):
                 for j in range(k, len(v)):
@@ -481,14 +487,21 @@ def common_eigenspace_bases(reps, eigenvalues, dim: int):
 
 
 def _stable_quotient_lines(quot: _Quotient, t_sq: Fraction, budget: _Budget):
-    """Primitive quotient vectors spanning M-stable lines with norm² ≤ t_sq."""
+    """Primitive quotient vectors spanning M-stable lines with norm² ≤ t_sq.
+
+    The eigen-line spaces depend on Z and the action alone; the frame holds
+    them, so each Z is searched once along the torus orbit.
+    """
     m = quot.rank
     if not quot.sc.m_generators:
         spaces = [rl.identity(m)]
     else:
-        spaces = common_eigenspace_bases(
-            quot.rep_matrices,
-            [_generator_eigenvalues(g) for g in quot.sc.m_generators], m)
+        held = quot.frame.eigenspaces
+        if quot.z_rows not in held:
+            held[quot.z_rows] = common_eigenspace_bases(
+                quot.rep_matrices,
+                [_generator_eigenvalues(g) for g in quot.sc.m_generators], m)
+        spaces = held[quot.z_rows]
     t_scaled = t_sq * quot.scale
     seen = set()
     for s_e in spaces:

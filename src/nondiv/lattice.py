@@ -3,6 +3,16 @@
 Subspaces are stored as saturated HNF integer matrices in LATTICE coordinates
 (rows are coordinates of a Z-basis of Λ∩W with respect to the lattice basis).
 Group actions transport them for free; the real-coordinate span is derived.
+
+The M-structure of a lattice under a scenario lives in one private frame
+(`_Frame`): the integer action B⁻¹·g·B, the closures of `m_closure` and what
+`enumeration` derives from a stable subspace alone. A block-scalar torus
+element s on the scenario's own blocks commutes with every generator, which
+is block-diagonal, so (sB)⁻¹·g·(sB) = B⁻¹·g·B: on sΛ every M-stable subspace
+keeps its lattice coordinates and only the Gram changes. `apply_torus` thus
+hands the frame on to sΛ when s has the scenario's block dimensions, and a
+push-out drive builds its M-structure once per torus orbit. `apply_group`
+never hands a frame on.
 """
 
 from __future__ import annotations
@@ -261,6 +271,8 @@ class RationalSubspace:
         return self.dim == self.ambient
 
     def contains(self, other: "RationalSubspace") -> bool:
+        if other.ambient != self.ambient:
+            raise ValidationError("ambient", "mismatched ambient dimensions")
         return rl.saturate(self.rows + other.rows) == self.rows
 
 
@@ -280,6 +292,9 @@ def covolume_sq(lat: UnimodularLattice, w) -> Fraction:
     """‖Λ_W‖²: Gram determinant of the real basis of Λ∩W. Zero subspace gives 1."""
     if w is ZERO_SUBSPACE:
         return Fraction(1)
+    if w.ambient != lat.n:
+        raise ValidationError(
+            "ambient", f"subspace is {w.ambient}-dimensional, lattice is {lat.n}")
     return covolume_sq_rows(lat, w.rows)
 
 
@@ -318,34 +333,67 @@ def subspace_intersect(w1: RationalSubspace, w2: RationalSubspace):
     return subspace_from_rows(w1.ambient, vecs)
 
 
+class _Frame:
+    """The M-structure of one lattice under one scenario, shared along its
+    torus orbit.
+
+    gens is (ĝ_int, d) per generator g of M, with B⁻¹·g·B = ĝ_int/d exactly
+    and d the lcm of the denominators of B⁻¹·g·B, from one inverse and
+    integer products. closures memoizes `m_closure` on its exact input
+    rows; bases and eigenspaces hold, per stable subspace Z (its saturated
+    rows), the basis completion and the eigen-line spaces of `enumeration`'s
+    quotients. Each entry is a pure function of gens and its key, so it
+    holds for every lattice that shares gens.
+    """
+
+    __slots__ = ("sc", "gens", "closures", "bases", "eigenspaces")
+
+    def __init__(self, lat: UnimodularLattice, sc: Scenario):
+        if sc.n != lat.n:
+            raise ValidationError(
+                "dimension", f"scenario is {sc.n}-dimensional, lattice is {lat.n}")
+        self.sc = sc
+        self.closures: dict = {}
+        self.bases: dict = {}
+        self.eigenspaces: dict = {}
+        if not sc.m_generators:
+            self.gens = ()
+            return
+        # B = b_int/b and B⁻¹ = binv/c, so B⁻¹·g·B = binv·g_int·b_int/(c·e·b)
+        b_int, b = lat.int_basis
+        binv, c = rl.scale_to_int(rl.rat_inverse(lat.basis))
+        out = []
+        for g in sc.m_generators:
+            g_int, e = rl.scale_to_int(g)
+            p = rl.mat_mul(rl.mat_mul(binv, g_int), b_int)
+            den = c * e * b
+            h = gcd(den, *(x for row in p for x in row))
+            out.append((tuple(tuple(x // h for x in row) for row in p), den // h))
+        self.gens = tuple(out)
+
+
+def _frame(lat: UnimodularLattice, sc: Scenario) -> _Frame:
+    """The frame of lat under sc; held on the instance next to the last
+    scenario it served, so a lookup compares the scenario by identity and
+    hashes no Fraction."""
+    held = lat.__dict__.get("_m_frame")
+    if held is None or held.sc is not sc:
+        held = _Frame(lat, sc)
+        object.__setattr__(lat, "_m_frame", held)
+    return held
+
+
 def int_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[tuple[rl.IntRows, int], ...]:
     """(ĝ_int, d) per generator g of M, with B⁻¹·g·B = ĝ_int/d exactly and d
     the lcm of the denominators of B⁻¹·g·B.
 
     A positive scalar multiple has the same images up to scale, so every span
-    computed with ĝ_int is the span computed with ĝ. Computed once per
-    lattice object from one inverse and integer products, and held on the
-    instance next to the last scenario it served: a lookup compares the
-    scenario by identity and hashes no Fraction.
+    computed with ĝ_int is the span computed with ĝ. Computed once per frame:
+    sΛ shares Λ's frame when `apply_torus` hands it on, since s commutes with
+    M and so (sB)⁻¹·g·(sB) = B⁻¹·g·B. Raises ValidationError when sc and lat
+    differ in dimension.
     """
-    if not sc.m_generators:
-        return ()
-    held = lat.__dict__.get("_held_int_generators")
-    if held is not None and held[0] is sc:
-        return held[1]
-    # B = b_int/b and B⁻¹ = binv/c, so B⁻¹·g·B = binv·g_int·b_int/(c·e·b)
-    b_int, b = lat.int_basis
-    binv, c = rl.scale_to_int(rl.rat_inverse(lat.basis))
-    out = []
-    for g in sc.m_generators:
-        g_int, e = rl.scale_to_int(g)
-        p = rl.mat_mul(rl.mat_mul(binv, g_int), b_int)
-        den = c * e * b
-        h = gcd(den, *(x for row in p for x in row))
-        out.append((tuple(tuple(x // h for x in row) for row in p), den // h))
-    out = tuple(out)
-    object.__setattr__(lat, "_held_int_generators", (sc, out))
-    return out
+    return _frame(lat, sc).gens
 
 
 @lru_cache(maxsize=512)
@@ -410,22 +458,34 @@ def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]
     integer-scaled generators, reduced the same way. The span is closed once
     the worklist is empty (the images of a basis span the image of the span)
     or the rank reaches N. The result is the saturated HNF of the basis,
-    which is canonical for the span.
+    which is canonical for the span. It depends only on the rows and the
+    action, so the frame memoizes it on the exact input rows.
     """
-    gens = [g for g, _ in int_generators(lat, sc)]
+    frame = _frame(lat, sc)
+    key = tuple(map(tuple, rows))
+    if any(len(r) != lat.n for r in key):
+        raise ValidationError("rows", f"row length must equal the dimension {lat.n}")
+    held = frame.closures.get(key)
+    if held is not None:
+        return held
+    gens = [g for g, _ in frame.gens]
     echelon: list = []
-    work = [row for row in (_insert(echelon, r) for r in rows) if row]
+    work = [row for row in (_insert(echelon, r) for r in key) if row]
     while work and len(echelon) < lat.n:
         x = work.pop()
         for gen in gens:
             row = _insert(echelon, rl.mat_vec(gen, x))
             if row:
                 work.append(row)
-    return subspace_from_rows(lat.n, [row for _, row in echelon])
+    out = frame.closures[key] = subspace_from_rows(lat.n, [row for _, row in echelon])
+    return out
 
 
 def apply_group(g: Sequence[Sequence], lat: UnimodularLattice) -> UnimodularLattice:
-    """g·Λ; integer subspace coordinates are unchanged by transport."""
+    """g·Λ; integer subspace coordinates are unchanged by transport.
+
+    g need not commute with M, so g·Λ starts without a frame.
+    """
     gm = rl.rat_matrix(g)
     d = rl.rat_det(gm)
     if d not in (1, -1):
@@ -434,8 +494,20 @@ def apply_group(g: Sequence[Sequence], lat: UnimodularLattice) -> UnimodularLatt
 
 
 def apply_torus(s: TorusElement, lat: UnimodularLattice) -> UnimodularLattice:
+    """s·Λ, handed Λ's frame when s has the block dimensions of its scenario.
+
+    Blocks are contiguous and ascending, so equal block dimensions mean s is
+    scalar on each block of the scenario; `Scenario` checks that every
+    generator is block-diagonal, so s commutes with M and the frame's
+    action, closures and quotient data hold for sΛ unchanged. Any other s
+    leaves sΛ to build its own frame.
+    """
     diag = s.diagonal()
     if len(diag) != lat.n:
         raise ValidationError("scalars", "torus element dimension mismatch")
     new_basis = tuple(tuple(diag[i] * x for x in row) for i, row in enumerate(lat.basis))
-    return UnimodularLattice(basis=rl.rat_matrix(new_basis))
+    out = UnimodularLattice(basis=rl.rat_matrix(new_basis))
+    frame = lat.__dict__.get("_m_frame")
+    if frame is not None and frame.sc.block_dims == s.block_dims:
+        object.__setattr__(out, "_m_frame", frame)
+    return out

@@ -33,7 +33,7 @@ from .errors import (GrowthContractViolated, IncompleteSearch,
                      WholeSpace)
 from .exterior import contraction_constant
 from .lattice import (RationalSubspace, Scenario, TorusElement,
-                      UnimodularLattice, apply_torus, covolume_sq)
+                      UnimodularLattice, _frame, apply_torus, covolume_sq)
 
 F = Fraction
 
@@ -207,6 +207,7 @@ def expansion_element(lat: UnimodularLattice, w: RationalSubspace, sc: Scenario,
     """
     if w.is_full:
         raise WholeSpace("expansion needs a proper subspace")
+    _frame(lat, sc)  # rejects a scenario of another dimension
     n = lat.n
     picked = select_index_set(lat, w, sc)
     i_cols = [c for i in picked for c in range(*sc.blocks[i])]

@@ -253,3 +253,48 @@ def test_drive_factors_each_generator_once(monkeypatch):
     assert cert.steps
     assert seen and set(seen) <= set(sc.m_generators)
     assert max(seen.values()) == 1
+
+
+def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
+    """Along a drive the torus moves share one frame: the basis is inverted
+    once for the generator action, and each stable subspace Z is completed
+    to a basis and searched for eigen-lines once."""
+    sc = sl4_so21_scenario()
+    completions, searches, inversions = Counter(), Counter(), []
+    current, line_searches = [], []
+    real_complete = enumeration.complete_to_basis
+    real_search = enumeration.common_eigenspace_bases
+    real_lines = enumeration._stable_quotient_lines
+    real_inverse = rl.rat_inverse
+
+    def complete(rows, n):
+        completions[rows] += 1
+        return real_complete(rows, n)
+
+    def lines(quot, t_sq, budget):
+        current.append(quot.full_basis[:quot.k])
+        line_searches.append(current[-1])
+        try:
+            yield from real_lines(quot, t_sq, budget)
+        finally:
+            current.pop()
+
+    def search(reps, eigenvalues, dim):
+        searches[current[-1]] += 1
+        return real_search(reps, eigenvalues, dim)
+
+    def inverse(m):
+        inversions.append(len(m))
+        return real_inverse(m)
+
+    monkeypatch.setattr(enumeration, "complete_to_basis", complete)
+    monkeypatch.setattr(enumeration, "_stable_quotient_lines", lines)
+    monkeypatch.setattr(enumeration, "common_eigenspace_bases", search)
+    monkeypatch.setattr(rl, "rat_inverse", inverse)
+    cert = drive(sl4_torus_lattice(F(1, 8)), sc, PushoutConfig(eta0_override=F(1, 4)))
+    assert len(cert.steps) == 3
+    assert completions and max(completions.values()) == 1
+    assert searches and max(searches.values()) == 1
+    assert len(line_searches) > len(searches)  # repeated subspaces hit the frame
+    # the push-out's other inverses are of Grams on a proper W, never 4x4
+    assert inversions.count(4) == 1

@@ -7,21 +7,23 @@ import pytest
 from nondiv import ratlin as rl
 from nondiv.errors import NotUnimodular, ValidationError
 from nondiv.lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
-                            TorusElement, apply_group, apply_torus,
+                            TorusElement, _frame, apply_group, apply_torus,
                             conjugated_generators, covolume_sq,
-                            covolume_sq_rows, full_subspace, is_m_stable,
-                            m_closure, make_lattice, make_scenario,
-                            standard_lattice, subspace_from_rows,
-                            subspace_intersect, subspace_sum,
-                            trivial_scenario)
+                            covolume_sq_rows, full_subspace, int_generators,
+                            is_m_stable, m_closure, make_lattice,
+                            make_scenario, standard_lattice,
+                            subspace_from_rows, subspace_intersect,
+                            subspace_sum, trivial_scenario)
 from nondiv.samples import (sl4_so21_scenario, sl4_torus, sl4_torus_lattice,
                             so21_generators_3d, diagonal_lattice)
 
 from nondiv.enumeration import (DeltaResult, _hnf_candidates, _root_lt,
-                                stable_subspaces_within)
+                                delta_m, stable_subspaces_within)
+from nondiv.pushout import PushoutConfig, drive, expansion_element
 
 from conftest import (random_torus, random_unimodular_int,
                       random_unimodular_lattice, real_coordinate_subspace)
+from test_eigenlines import UNIPOTENT, planted_scenario
 
 F = Fraction
 
@@ -201,7 +203,7 @@ def test_stable_family_non_semisimple():
     # a unipotent generator: a vector inside a larger closure can have a strictly
     # smaller closure of its own, so no enumerated vector may be skipped on the
     # grounds that an earlier closure already contains it
-    sc = make_scenario(3, [[0, 2], [2, 3]], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]])
+    sc = UNIPOTENT
     rng = random.Random(5)
     cap = F(2)
     for _ in range(12):
@@ -213,6 +215,22 @@ def test_stable_family_non_semisimple():
                 if covolume_sq_rows(lat, mat) <= cap
                 and is_m_stable(RationalSubspace(ambient=3, rows=mat), lat, sc)}
         assert got == want
+
+
+def test_memoized_closures_equal_fresh_ones():
+    # the searches of Λ and of a torus move sΛ fill one shared closure memo;
+    # each entry must be the closure a frameless copy computes afresh
+    rng = random.Random(5)
+    for _ in range(8):
+        lat = random_unimodular_lattice(rng, 3, shears=3, dyadic_range=2)
+        stable_subspaces_within(lat, UNIPOTENT, F(2))
+        moved = apply_torus(random_torus(rng, UNIPOTENT.block_dims), lat)
+        stable_subspaces_within(moved, UNIPOTENT, F(2))
+        memo = _frame(moved, UNIPOTENT).closures
+        assert memo and memo is _frame(lat, UNIPOTENT).closures
+        for rows, closure in memo.items():
+            assert m_closure(moved, UNIPOTENT, rows) is closure
+            assert m_closure(make_lattice(moved.basis), UNIPOTENT, rows) == closure
 
 
 def test_is_m_stable_matches_span_test(rng):
@@ -245,6 +263,95 @@ def test_apply_group():
     assert lat.basis == ((F(2), F(0)), (F(0), F(1, 2)))
     with pytest.raises(NotUnimodular):
         apply_group([[2, 0], [0, 1]], z2)
+
+
+def fresh_action(lat, sc):
+    """The generator action on a frameless lattice with lat's basis."""
+    return int_generators(make_lattice(lat.basis), sc)
+
+
+def test_torus_hands_the_frame_on(rng):
+    scenarios = [sl4_so21_scenario()] + [
+        planted_scenario(random.Random(89 + i), jordan=i % 2 == 1) for i in range(4)]
+    for sc in scenarios:
+        for _ in range(3):
+            lat = random_unimodular_lattice(rng, 4)
+            action = int_generators(lat, sc)
+            moved = lat
+            for _ in range(2):
+                moved = apply_torus(random_torus(rng, sc.block_dims), moved)
+                assert int_generators(moved, sc) is action
+                assert fresh_action(moved, sc) == action
+
+
+def test_torus_off_the_scenario_blocks_builds_its_own_frame(rng):
+    # unit blocks on the SO(2,1) block [1, 4): s need not commute with M
+    sc = sl4_so21_scenario()
+    unit = TorusElement((F(1, 2), F(2), F(1), F(1)), (1, 1, 1, 1))
+    changed = 0
+    for s in [unit] + [random_torus(rng, (1, 1, 1, 1)) for _ in range(5)]:
+        lat = random_unimodular_lattice(rng, 4)
+        action = int_generators(lat, sc)
+        moved = apply_torus(s, lat)
+        got = int_generators(moved, sc)
+        assert got is not action
+        assert got == fresh_action(moved, sc)
+        changed += got != action
+    assert changed  # the unmoved action would have been wrong
+
+
+def test_apply_group_builds_its_own_frame():
+    sc = sl4_so21_scenario()
+    lat = sl4_torus_lattice(F(2))
+    action = int_generators(lat, sc)
+    for g in (rl.identity(4), sc.m_generators[0],
+              [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [F(1, 2), 0, 0, 1]]):
+        moved = apply_group(g, lat)
+        got = int_generators(moved, sc)
+        assert got is not action
+        assert got == fresh_action(moved, sc)
+
+
+def test_alternating_scenarios_get_their_own_action(rng):
+    lat = random_unimodular_lattice(rng, 4)
+    scenarios = (sl4_so21_scenario(), planted_scenario(random.Random(90), jordan=True),
+                 trivial_scenario(4))
+    rows = [(1, 1, 0, 0)]
+    want = [(fresh_action(lat, sc), m_closure(make_lattice(lat.basis), sc, rows))
+            for sc in scenarios]
+    assert len({action for action, _ in want}) == 3
+    for _ in range(2):
+        for sc, (action, closure) in zip(scenarios, want):
+            assert int_generators(lat, sc) == action
+            assert m_closure(lat, sc, rows) == closure
+
+
+L3 = make_lattice([[2, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]])
+SHEAR3 = make_scenario(3, [[0, 3]], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]])
+
+
+@pytest.mark.parametrize("call, field, message", [
+    (lambda: delta_m(sl4_torus_lattice(F(1, 4)), SHEAR3),
+     "dimension", "scenario is 3-dimensional, lattice is 4"),
+    (lambda: delta_m(L3, sl4_so21_scenario()),
+     "dimension", "scenario is 4-dimensional, lattice is 3"),
+    (lambda: covolume_sq(L3, sub(4, [(1, 0, 0, 1)])),
+     "ambient", "subspace is 4-dimensional, lattice is 3"),
+    (lambda: sub(3, [(1, 0, 0)]).contains(sub(4, [(1, 0, 0, 0)])),
+     "ambient", "mismatched ambient dimensions"),
+    (lambda: m_closure(L3, trivial_scenario(3), [(1, 0, 0, 5)]),
+     "rows", "row length must equal the dimension 3"),
+    (lambda: drive(L3, trivial_scenario(4), PushoutConfig()),
+     "dimension", "scenario is 4-dimensional, lattice is 3"),
+    (lambda: expansion_element(sl4_torus_lattice(F(1, 4)), sub(4, [(1, 0, 0, 0)]),
+                               make_scenario(3, [[0, 1], [1, 3]], []), PushoutConfig()),
+     "dimension", "scenario is 3-dimensional, lattice is 4"),
+], ids=["delta-scenario", "delta-lattice", "covolume", "contains", "closure",
+        "drive", "expansion"])
+def test_dimension_mismatch_is_rejected(call, field, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert (err.value.field, err.value.message) == (field, message)
 
 
 def test_torus_round_trip(rng):

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from nondiv import pushout
+from nondiv import lattice, pushout
 from nondiv import ratlin as rl
+from nondiv import serialize as se
 from nondiv.cli import main
 from nondiv.enumeration import delta_m, rational_roots
 from nondiv.errors import (IncompleteSearch, NotBelowEta0, ProtectionFailed,
                            UnexpandableSubspace, ValidationError, WholeSpace)
 from nondiv.exterior import PureWedge, apply_torus_to_wedge
-from nondiv.lattice import (apply_group, covolume_sq, make_lattice,
-                            standard_lattice, subspace_from_rows,
-                            trivial_scenario)
+from nondiv.lattice import (UnimodularLattice, apply_group, covolume_sq,
+                            int_generators, make_lattice, standard_lattice,
+                            subspace_from_rows, trivial_scenario)
 from nondiv.pushout import (NOT_NEEDED, PushoutConfig, Terminated, _is_psd,
                             _sigma_sq_upper, drive, dyadic_guard,
                             expansion_element, protect, pushout_step,
@@ -537,3 +538,36 @@ def test_drive_reuses_certificate_of_unchanged_w_infinity(monkeypatch, capsys):
     assert main(["drive", "--lattice", "fixtures/squash_n2_k6.json"]) == 0
     steps = json.loads(capsys.readouterr().out)["steps"]
     assert steps and len(calls) == len(set(calls)) == len(steps) + 1
+
+
+# -- frame hand-off ------------------------------------------------------------------
+
+FRAME_DRIVES = {
+    "sl4-t-eighth": lambda: (sl4_torus_lattice(F(1, 8)), SC4, CFG_QUARTER),
+    "sl4-t-4": lambda: (sl4_torus_lattice(F(4)), SC4, PushoutConfig(eta0_override=F(1, 2))),
+    "squash-n2-k6": lambda: (se.load_lattice("fixtures/squash_n2_k6.json"),
+                             trivial_scenario(2), PushoutConfig()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_DRIVES))
+def test_frame_hand_off_keeps_certificate_bytes(monkeypatch, name):
+    """A drive whose torus moves hand the frame on certifies the same bytes
+    as one whose moved lattices each build their own."""
+    lat, sc, cfg = FRAME_DRIVES[name]()
+    cert = drive(lat, sc, cfg)
+    assert cert.steps
+    assert int_generators(cert.final_lattice, sc) is int_generators(lat, sc)
+    real = lattice.apply_torus
+
+    def frameless(s, lat):
+        return real(s, UnimodularLattice(basis=lat.basis))
+
+    monkeypatch.setattr(lattice, "apply_torus", frameless)
+    monkeypatch.setattr(pushout, "apply_torus", frameless)
+    lat, sc, cfg = FRAME_DRIVES[name]()
+    plain = drive(lat, sc, cfg)
+    if sc.m_generators:
+        assert int_generators(plain.final_lattice, sc) is not int_generators(lat, sc)
+    assert se.dumps_json(se.certificate_to_dict(plain)) == \
+        se.dumps_json(se.certificate_to_dict(cert))
