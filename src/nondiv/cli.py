@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -165,7 +166,10 @@ def cmd_shortvec(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and every `parse_args` fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="nondiv",
         description="Restricted minimal covolume certificates and push-out drives "

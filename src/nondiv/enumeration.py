@@ -19,6 +19,12 @@ cap^k; `stable_subspaces_within` keeps one cap for every dimension, because
 `protect` needs every stable superspace below its cap, whatever its
 dimension.
 
+Each quotient Λ/Λ_Z is built once per lattice and shared by `delta_m` and
+every `protect` search on it, with its LLL reduction, its eigen-line spaces
+and covol²(Z), which its Gram elimination yields. The search returns each
+subspace with its covol²: a line's comes from the quotient Gram, so only
+closures are measured.
+
 Everything decision-bearing is exact; LLL here is only a preconditioner for
 the enumeration and never changes what is found.
 """
@@ -33,10 +39,9 @@ from math import exp, gcd, isqrt, log
 
 from . import ratlin as rl
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
-from .lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
-                      UnimodularLattice, _frame, covolume_sq,
-                      covolume_sq_rows, full_subspace, is_m_stable, m_closure,
-                      subspace_from_rows)
+from .lattice import (RationalSubspace, Scenario, UnimodularLattice, _frame,
+                      _quotient_memo, covolume_sq, full_subspace, is_m_stable,
+                      m_closure)
 
 F = Fraction
 
@@ -298,20 +303,22 @@ class _Quotient:
     basis completion of Z) is gram/scale exactly: `gram` is the integer
     matrix D_k·den·S that `_bareiss(g, k)` leaves in the trailing block of
     the integer Gram g = den·v·A·vᵀ, and scale = den·D_k, with den the
-    common denominator of A and D_k > 0 the leading k×k minor of g.
-    Callers scale their bounds by `scale` instead of dividing the Gram.
+    common denominator of A and D_k > 0 the leading k×k minor of g. Callers
+    scale their bounds by `scale` instead of dividing the Gram. D_k is also
+    den^k·covol²(Z), so covol_sq = D_k/den^k comes with the Gram.
 
     The completion (v, v⁻¹) depends on Z alone, so it is held in the frame
-    of (lat, sc) and shared along the torus orbit; the Gram is per lattice.
+    of (lat, sc) and shared along the torus orbit; the Gram is per lattice,
+    and `_quotient` memoizes the quotient on the lattice. A quotient keeps
+    no reference to its lattice, so dropping the lattice frees its memo.
     """
 
     def __init__(self, lat: UnimodularLattice, sc: Scenario, z_rows):
-        self.lat = lat
+        self.n = n = lat.n
         self.sc = sc
         self.frame = _frame(lat, sc)
         self.z_rows = z_rows
         self.k = k = len(z_rows)
-        n = lat.n
         bases = self.frame.bases
         if z_rows not in bases:
             bases[z_rows] = (complete_to_basis(z_rows, n) if k
@@ -321,12 +328,14 @@ class _Quotient:
         self.lift_rows = v[k:]
         a, den = lat.int_gram
         g = [list(r) for r in rl.mat_mul(rl.mat_mul(v, a), rl.transpose(v))]
-        self.scale = den * _bareiss(g, k)
+        d_k = _bareiss(g, k)
+        self.scale = den * d_k
+        self.covol_sq = F(d_k, den ** k)
         self.gram = tuple(tuple(row[k:]) for row in g[k:])
 
     @property
     def rank(self) -> int:
-        return self.lat.n - self.k
+        return self.n - self.k
 
     @cached_property
     def rep_matrices(self):
@@ -357,9 +366,55 @@ class _Quotient:
         u = lll_reduce_gram(self.gram)
         return u, rl.mat_mul(rl.mat_mul(u, self.gram), rl.transpose(u))
 
+    @cached_property
+    def eigen_lines(self):
+        """(comp, g) per space in which `_stable_quotient_lines` searches.
+
+        comp is a basis of the space in quotient coordinates and g its Gram
+        on that basis, integer over `scale`: a line keeps its canonical
+        generator and 1×1 Gram, a larger space its LLL-reduced basis. The
+        whole quotient (the trivial group's one space) is `reduced`. The
+        spaces depend on Z and the action alone, so the frame holds them
+        along the torus orbit.
+        """
+        m = self.rank
+        if not self.sc.m_generators:
+            spaces = [rl.identity(m)]
+        else:
+            held = self.frame.eigenspaces
+            if self.z_rows not in held:
+                held[self.z_rows] = common_eigenspace_bases(
+                    self.rep_matrices,
+                    [_generator_eigenvalues(g) for g in self.sc.m_generators], m)
+            spaces = held[self.z_rows]
+        out = []
+        for s_e in spaces:
+            if len(s_e) == 1:
+                y = _canon_sign(s_e[0])
+                norm = sum(yi * sum(self.gram[i][j] * yj for j, yj in enumerate(y))
+                           for i, yi in enumerate(y) if yi)
+                out.append(((y,), ((norm,),)))
+            elif len(s_e) == m:
+                out.append(self.reduced)
+            else:
+                gram_e = rl.mat_mul(rl.mat_mul(s_e, self.gram), rl.transpose(s_e))
+                u = lll_reduce_gram(gram_e)
+                out.append((rl.mat_mul(u, s_e),
+                            rl.mat_mul(rl.mat_mul(u, gram_e), rl.transpose(u))))
+        return tuple(out)
+
     def lift(self, y) -> tuple[int, ...]:
         return tuple(sum(y[i] * self.lift_rows[i][j] for i in range(len(y)))
-                     for j in range(self.lat.n))
+                     for j in range(self.n))
+
+
+def _quotient(lat: UnimodularLattice, sc: Scenario, z_rows) -> _Quotient:
+    """Λ/Λ_Z from lat's memo: every search on lat shares one quotient per Z."""
+    memo = _quotient_memo(lat, sc)
+    quot = memo.get(z_rows)
+    if quot is None:
+        quot = memo[z_rows] = _Quotient(lat, sc, z_rows)
+    return quot
 
 
 def complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
@@ -487,45 +542,25 @@ def common_eigenspace_bases(reps, eigenvalues, dim: int):
 
 
 def _stable_quotient_lines(quot: _Quotient, t_sq: Fraction, budget: _Budget):
-    """Primitive quotient vectors spanning M-stable lines with norm² ≤ t_sq.
-
-    The eigen-line spaces depend on Z and the action alone; the frame holds
-    them, so each Z is searched once along the torus orbit.
-    """
-    m = quot.rank
-    if not quot.sc.m_generators:
-        spaces = [rl.identity(m)]
-    else:
-        held = quot.frame.eigenspaces
-        if quot.z_rows not in held:
-            held[quot.z_rows] = common_eigenspace_bases(
-                quot.rep_matrices,
-                [_generator_eigenvalues(g) for g in quot.sc.m_generators], m)
-        spaces = held[quot.z_rows]
+    """(y, y·gram·yᵀ) for the primitive quotient vectors y spanning M-stable
+    lines with norm² y·gram·yᵀ/scale ≤ t_sq."""
     t_scaled = t_sq * quot.scale
     seen = set()
-    for s_e in spaces:
-        if len(s_e) == 1:
-            y = _canon_sign(s_e[0])
-            norm = 0
-            for i, yi in enumerate(y):
-                if yi:
-                    norm += yi * sum(quot.gram[i][j] * yj for j, yj in enumerate(y))
+    for comp, g in quot.eigen_lines:
+        if len(comp) == 1:
+            y, norm = comp[0], g[0][0]
             if norm <= t_scaled and y not in seen:
                 seen.add(y)
-                yield y
+                yield y, norm
             continue
-        gram_e = rl.mat_mul(rl.mat_mul(s_e, quot.gram), rl.transpose(s_e))
-        u = lll_reduce_gram(gram_e)
-        g = rl.mat_mul(rl.mat_mul(u, gram_e), rl.transpose(u))
-        comp = rl.mat_mul(u, s_e)
-        for _, w in _enumerate_gram(g, t_scaled, budget, spanning=True):
+        for norm, w in _enumerate_gram(g, t_scaled, budget, spanning=True):
             y = tuple(sum(w[i] * comp[i][j] for i in range(len(w)))
-                      for j in range(m))
-            y = _canon_sign(rl.primitive_part(y))
+                      for j in range(quot.rank))
+            c = gcd(*y)
+            y = _canon_sign(tuple(x // c for x in y))
             if y not in seen:
                 seen.add(y)
-                yield y
+                yield y, norm / (c * c)
 
 
 def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
@@ -539,45 +574,51 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
     cap_sq = rl.exact_rational(cap_sq, "cap_sq")
     if cap_sq <= 0:
         raise ValidationError("cap_sq", "must be positive")
-    return _stable_search(lat, sc, (cap_sq,) * lat.n, base, _as_budget(budget))
+    found, complete = _stable_search(lat, sc, (cap_sq,) * lat.n, base,
+                                     _as_budget(budget))
+    return [sub for sub, _ in found], complete
 
 
 def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
-                   base: RationalSubspace | None,
-                   bud: _Budget) -> tuple[list[RationalSubspace], bool]:
-    """`stable_subspaces_within` with covol² ≤ caps[k] in each dimension k;
-    the chain search for target dimension k runs under caps[k] alone."""
+                   base: RationalSubspace | None, bud: _Budget
+                   ) -> tuple[list[tuple[RationalSubspace, Fraction]], bool]:
+    """`stable_subspaces_within` with covol² ≤ caps[k] in each dimension k,
+    as (subspace, covol²) pairs; the chain search for target dimension k
+    runs under caps[k] alone.
+
+    Quotients come from lat's memo, so they are shared with every other
+    search on lat. A line Y = Z ⊕ lift(y) has covol²(Y) = covol²(Z)·
+    (y·gram·yᵀ)/scale (a Schur complement), so only closures are measured.
+    """
     n = lat.n
     base_rows = base.rows if base is not None else ()
     found: dict = {}
     visited: set = set()
-    quot_cache: dict = {}
 
-    def quotient_for(z_rows) -> _Quotient:
-        if z_rows not in quot_cache:
-            quot_cache[z_rows] = _Quotient(lat, sc, z_rows)
-        return quot_cache[z_rows]
-
-    def emit(sub: RationalSubspace):
-        if sub.rows not in found and not sub.is_full:
-            if covolume_sq(lat, sub) <= caps[sub.dim]:
-                found[sub.rows] = sub
+    def emit(sub: RationalSubspace, covol: Fraction | None):
+        if sub.rows not in found:
+            if covol is None:
+                covol = covolume_sq(lat, sub)
+            if covol <= caps[sub.dim]:
+                found[sub.rows] = (sub, covol)
 
     def search(z_rows, k: int):
         key = (z_rows, k)
         if key in visited:
             return
         visited.add(key)
-        covz = covolume_sq_rows(lat, z_rows)
-        t_sq = caps[k] / covz
-        quot = quotient_for(z_rows)
+        quot = _quotient(lat, sc, z_rows)
+        t_sq = caps[k] / quot.covol_sq
         r = k - len(z_rows)
         if r == 1:
-            for y in _stable_quotient_lines(quot, t_sq, bud):
-                sub = subspace_from_rows(n, list(z_rows) + [quot.lift(y)])
-                if sub is ZERO_SUBSPACE or sub.dim != k:
+            for y, norm in _stable_quotient_lines(quot, t_sq, bud):
+                # Z saturated and y primitive in Λ/Λ_Z: Λ_Z + Z·lift(y) is
+                # saturated, so its HNF is the line's canonical basis
+                rows = rl.hnf(z_rows + (quot.lift(y),))[0]
+                if not any(rows[-1]):
                     raise InternalInvariantViolation("line lift lost a dimension")
-                emit(sub)
+                emit(RationalSubspace._trusted(n, rows),
+                     quot.covol_sq * norm / quot.scale)
             return
         bound = _hermite_sq_bound(r) * rat_root_upper(t_sq, r)
         u, g = quot.reduced
@@ -591,7 +632,7 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
             if d > k:
                 continue
             if d == k:
-                emit(cl)
+                emit(cl, None)
             elif d > len(z_rows):
                 search(cl.rows, k)
 
@@ -601,9 +642,9 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
             search(base_rows, k)
     except BudgetExceeded:
         complete = False
-    del search  # as in _enumerate_gram: frees the quotients without waiting for the GC
-    out = sorted(found.values(), key=lambda s: (s.dim, s.rows))
-    for s in out:
+    del search  # the recursive closure is a reference cycle; free it now
+    out = sorted(found.values(), key=lambda p: (p[0].dim, p[0].rows))
+    for s, _ in out:
         if not is_m_stable(s, lat, sc):
             raise InternalInvariantViolation("closure produced an unstable subspace")
     return out, complete
@@ -688,21 +729,21 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
     dimension k is searched under cap^k ≤ cap; keeping ties keeps the
     smaller-dimension tie-break, and badly squashed inputs stay cheap.
     """
-    u = lll_reduce_gram(lat.int_gram[0])
+    u = _quotient(lat, sc, ()).reduced[0]
     seed = m_closure(lat, sc, [tuple(u[0])])
     cap = F(1)
     extra = []
     if not seed.is_full:
-        extra.append(seed)
         c_seed = covolume_sq(lat, seed)
+        extra.append((seed, c_seed))
         if c_seed < 1:
             cap = rat_root_upper(c_seed, seed.dim)
     caps = tuple(cap ** k for k in range(lat.n))
     cands, complete = _stable_search(lat, sc, caps, None, _as_budget(budget))
     witness = full_subspace(lat.n)
     best = (F(1), lat.n, witness.rows)
-    for w in extra + cands:
-        key = (covolume_sq(lat, w), w.dim, w.rows)
+    for w, c in extra + cands:
+        key = (c, w.dim, w.rows)
         if _root_lt(key, best):
             witness, best = w, key
     return DeltaResult(witness=witness, witness_covol_sq=best[0], complete=complete)

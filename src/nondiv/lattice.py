@@ -173,6 +173,15 @@ class UnimodularLattice:
             raise NotUnimodular(f"|det| must be 1, got {d}")
         object.__setattr__(self, "_det_sign", 1 if d == 1 else -1)
 
+    @classmethod
+    def _trusted(cls, basis: rl.RatRows, det_sign: int) -> "UnimodularLattice":
+        """Skip validation: basis must be a square Fraction matrix of
+        determinant det_sign."""
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "basis", basis)
+        object.__setattr__(lat, "_det_sign", det_sign)
+        return lat
+
     @property
     def n(self) -> int:
         return len(self.basis)
@@ -379,8 +388,26 @@ def _frame(lat: UnimodularLattice, sc: Scenario) -> _Frame:
     held = lat.__dict__.get("_m_frame")
     if held is None or held.sc is not sc:
         held = _Frame(lat, sc)
-        object.__setattr__(lat, "_m_frame", held)
+        _hold_frame(lat, held)
     return held
+
+
+def _hold_frame(lat: UnimodularLattice, frame: _Frame) -> None:
+    """Give lat the frame and an empty quotient memo.
+
+    The memo (`_quotients`) holds `enumeration`'s quotients Λ/Λ_Z of lat
+    under the frame's scenario, keyed by Z's rows. A quotient's Gram is a
+    property of lat, so the memo is never handed on, and a new frame (a
+    scenario switch) empties it.
+    """
+    object.__setattr__(lat, "_m_frame", frame)
+    object.__setattr__(lat, "_quotients", {})
+
+
+def _quotient_memo(lat: UnimodularLattice, sc: Scenario) -> dict:
+    """lat's memo of quotients under sc (see `_hold_frame`)."""
+    _frame(lat, sc)
+    return lat.__dict__["_quotients"]
 
 
 def int_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[tuple[rl.IntRows, int], ...]:
@@ -501,13 +528,16 @@ def apply_torus(s: TorusElement, lat: UnimodularLattice) -> UnimodularLattice:
     generator is block-diagonal, so s commutes with M and the frame's
     action, closures and quotient data hold for sΛ unchanged. Any other s
     leaves sΛ to build its own frame.
+
+    `TorusElement` checks det s = 1, so det(sB) = det B and sΛ is built
+    without recomputing a determinant.
     """
     diag = s.diagonal()
     if len(diag) != lat.n:
         raise ValidationError("scalars", "torus element dimension mismatch")
     new_basis = tuple(tuple(diag[i] * x for x in row) for i, row in enumerate(lat.basis))
-    out = UnimodularLattice(basis=rl.rat_matrix(new_basis))
+    out = UnimodularLattice._trusted(rl.rat_matrix(new_basis), lat.det_sign)
     frame = lat.__dict__.get("_m_frame")
     if frame is not None and frame.sc.block_dims == s.block_dims:
-        object.__setattr__(out, "_m_frame", frame)
+        _hold_frame(out, frame)
     return out

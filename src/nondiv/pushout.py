@@ -25,15 +25,15 @@ from fractions import Fraction
 
 from . import ratlin as rl
 from .enumeration import (DEFAULT_VECTOR_BUDGET, DeltaResult, _as_budget,
-                          _int_nthroot_floor, char_poly, delta_m,
-                          rational_roots, stable_subspaces_within)
+                          _int_nthroot_floor, _stable_search, char_poly,
+                          delta_m, rational_roots)
 from .errors import (GrowthContractViolated, IncompleteSearch,
                      InternalInvariantViolation, NotBelowEta0,
                      ProtectionFailed, UnexpandableSubspace, ValidationError,
                      WholeSpace)
 from .exterior import contraction_constant
 from .lattice import (RationalSubspace, Scenario, TorusElement,
-                      UnimodularLattice, _frame, apply_torus, covolume_sq)
+                      UnimodularLattice, _frame, apply_torus)
 
 F = Fraction
 
@@ -282,7 +282,7 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
     if not d.complete:
         raise IncompleteSearch("cannot start a protection chain from an upper bound")
     chain = [d.witness]
-    covols = [covolume_sq(lat, d.witness)]
+    covols = [d.witness_covol_sq]
     while True:
         x = chain[-1]
         cap = c * covols[-1]
@@ -291,11 +291,10 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
             # this out whenever eta0_sq <= c^(-N)
             raise ProtectionFailed(
                 "guard cap exceeded covolume 1; floor and guard are inconsistent")
-        supers, complete = stable_subspaces_within(lat, sc, cap, base=x, budget=bud)
+        supers, complete = _stable_search(lat, sc, (cap,) * n, x, bud)
         if not complete:
             raise IncompleteSearch("budget exhausted while certifying the guard")
-        viol = [(cv, y.dim, y.rows, y) for y in supers
-                if (cv := covolume_sq(lat, y)) < cap]
+        viol = [(cv, y.dim, y.rows, y) for y, cv in supers if cv < cap]
         if not viol:
             break
         viol.sort(key=lambda t: t[:3])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nondiv import serialize as se
-from nondiv.cli import main
+from nondiv.cli import build_parser, main
 
 F = Fraction
 
@@ -366,3 +366,25 @@ def test_fixture_certificate_digests(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_parser_is_built_once_and_runs_do_not_share_arguments(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    csv_path = tmp_path / "traj.csv"
+    sl4 = ("--scenario", f"{FIX}/sl4_so21.json", "--lattice", f"{FIX}/sl4_pushed_t_half.json")
+    code, out, _ = run(capsys, "drive", *sl4, "--eta0", "1/16", "--format", "csv",
+                       "--output", str(csv_path))
+    assert code == 0 and out == ""
+    written = csv_path.read_bytes()
+    assert written.startswith(b"step,")
+    # neither --eta0 nor --format nor --output carries over to the next runs
+    code, out, _ = run(capsys, "drive", *sl4, "--max-steps", "0")
+    assert code == 4
+    assert json.loads(out)["terminated"] == "MaxSteps"
+    code, out, _ = run(capsys, "delta", *sl4)
+    assert code == 0
+    assert json.loads(out)["witness_hnf"] == [[1, 0, 0, 0]]
+    code, out, _ = run(capsys, "drive", *sl4, "--eta0", "1/16")
+    assert code == 0
+    assert json.loads(out)["eta0_sq"] == "1/256"
+    assert csv_path.read_bytes() == written

@@ -112,6 +112,7 @@ def recorded_quotients(monkeypatch, run):
     class Recording(_Quotient):
         def __init__(self, *args):
             super().__init__(*args)
+            self.lat = args[0]  # for the reference; a quotient keeps no lattice
             made.append(self)
 
     with monkeypatch.context() as m:

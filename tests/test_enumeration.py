@@ -14,8 +14,9 @@ from nondiv.enumeration import (_as_budget, _bareiss, _Budget, _enumerate_gram,
                                 rat_root_upper, short_vectors,
                                 shortest_vector_sq, stable_subspaces_within)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation, ValidationError
-from nondiv.lattice import (apply_group, covolume_sq, full_subspace, m_closure,
-                            make_lattice, make_scenario, standard_lattice,
+from nondiv.lattice import (_quotient_memo, apply_group, covolume_sq,
+                            full_subspace, m_closure, make_lattice,
+                            make_scenario, standard_lattice,
                             subspace_from_rows, trivial_scenario)
 from nondiv.samples import (diagonal_lattice, random_upper_triangular_lattices,
                             sl4_so21_scenario, sl4_torus, sl4_torus_lattice,
@@ -456,13 +457,16 @@ def search_quotients(monkeypatch, lat, sc, cap):
     class Recording(_Quotient):
         def __init__(self, *args):
             super().__init__(*args)
+            self.lat = args[0]  # for the reference; a quotient keeps no lattice
             made.append(self)
 
     with monkeypatch.context() as m:
         m.setattr(enumeration, "_Quotient", Recording)
         subs, complete = stable_subspaces_within(lat, sc, cap)
     assert complete and subs
-    return made + [_Quotient(lat, sc, y.rows) for y in subs]
+    for y in subs:
+        Recording(lat, sc, y.rows)
+    return made
 
 
 def assert_quotients_match_reference(quots):
@@ -747,8 +751,10 @@ def test_delta_matches_constant_cap_search():
         assert d.complete
         assert (d.witness_covol_sq, d.witness.dim, d.witness.rows) == best
         caps = tuple(cap ** k for k in range(lat.n))
-        per_dim, complete = _stable_search(lat, sc, caps, None, _as_budget(None))
+        pairs, complete = _stable_search(lat, sc, caps, None, _as_budget(None))
         assert complete
+        assert all(c == covolume_sq(lat, w) for w, c in pairs)
+        per_dim = [w for w, _ in pairs]
         assert per_dim == [w for w in family if covolume_sq(lat, w) <= cap ** w.dim]
         seen_dims.update(w.dim for w in per_dim)
         cut += len(family) - len(per_dim)
@@ -771,8 +777,10 @@ def test_per_dimension_caps_filter_constant_family():
         covols = sorted({covolume_sq(lat, w) for w in family})
         for _ in range(4 if covols else 0):
             caps = (None,) + tuple(rng.choice(covols) for _ in range(lat.n - 1))
-            per_dim, complete = _stable_search(lat, sc, caps, None, _as_budget(None))
+            pairs, complete = _stable_search(lat, sc, caps, None, _as_budget(None))
             assert complete
+            assert all(c == covolume_sq(lat, w) for w, c in pairs)
+            per_dim = [w for w, _ in pairs]
             assert per_dim == [w for w in family if covolume_sq(lat, w) <= caps[w.dim]]
 
 
@@ -841,3 +849,107 @@ def test_stable_subspaces_within_rejects_inexact_cap(cap):
     with pytest.raises(ValidationError) as err:
         stable_subspaces_within(standard_lattice(2), trivial_scenario(2), cap)
     assert err.value.field == "cap_sq"
+
+
+# -- per-lattice quotients ------------------------------------------------------
+
+def reference_eigen_lines(q):
+    """(comp, g) per eigen-line space, each space reduced on its own."""
+    if q.sc.m_generators:
+        spaces = enumeration.common_eigenspace_bases(
+            q.rep_matrices,
+            [enumeration._generator_eigenvalues(g) for g in q.sc.m_generators], q.rank)
+    else:
+        spaces = [rl.identity(q.rank)]
+    out = []
+    for s_e in spaces:
+        if len(s_e) == 1:
+            y = enumeration._canon_sign(s_e[0])
+            out.append(((y,), rl.mat_mul(rl.mat_mul([y], q.gram), rl.transpose([y]))))
+            continue
+        gram_e = rl.mat_mul(rl.mat_mul(s_e, q.gram), rl.transpose(s_e))
+        u = lll_reduce_gram(gram_e)
+        out.append((rl.mat_mul(u, s_e), rl.mat_mul(rl.mat_mul(u, gram_e), rl.transpose(u))))
+    return tuple(out)
+
+
+def memo_inputs():
+    rng = random.Random(211)
+    sl4 = sl4_so21_scenario()
+    for t in (F(2), F(1, 2), F(4), F(1, 4)):
+        yield rebase(sl4_torus_lattice(t), random_unimodular_int(rng, 4, shears=4, c=1)), sl4
+    for _ in range(6):
+        yield random_unimodular_lattice(rng, 3, shears=3, dyadic_range=2), UNIPOTENT
+    for n in range(2, 6):
+        for _ in range(3):
+            yield random_unimodular_lattice(rng, n, shears=n + 2, dyadic_range=2), \
+                trivial_scenario(n)
+
+
+def test_memoized_quotients_equal_fresh_ones():
+    k_seen, spaces_seen = set(), set()
+    for lat, sc in memo_inputs():
+        d = delta_m(lat, sc)
+        stable_subspaces_within(lat, sc, F(1))
+        if not d.witness.is_full and d.witness.dim < lat.n - 1:
+            stable_subspaces_within(lat, sc, F(1), base=d.witness)
+        memo = _quotient_memo(lat, sc)
+        assert () in memo
+        for z_rows, q in memo.items():
+            fresh = _Quotient(make_lattice(lat.basis), sc, z_rows)
+            assert (q.gram, q.scale, q.covol_sq) == (fresh.gram, fresh.scale, fresh.covol_sq)
+            assert q.covol_sq == (covolume_sq(lat, subspace_from_rows(lat.n, z_rows))
+                                  if z_rows else 1)
+            assert q.reduced == fresh.reduced
+            assert q.eigen_lines == fresh.eigen_lines == reference_eigen_lines(fresh)
+            k_seen.add(q.k)
+            spaces_seen.update(len(comp) for comp, _ in q.eigen_lines)
+    assert {0, 1, 2} <= k_seen and {1, 2} <= spaces_seen
+
+
+def test_alternating_scenarios_get_their_own_quotients():
+    rng = random.Random(223)
+    lat = rebase(sl4_torus_lattice(F(2)), random_unimodular_int(rng, 4, shears=4, c=1))
+    scenarios = (sl4_so21_scenario(), trivial_scenario(4))
+    want = [delta_m(make_lattice(lat.basis), sc) for sc in scenarios]
+    assert want[0] != want[1]
+    for _ in range(2):
+        for sc, d in zip(scenarios, want):
+            assert delta_m(lat, sc) == d
+            memo = _quotient_memo(lat, sc)
+            assert memo and all(q.sc is sc for q in memo.values())
+
+
+def test_search_covolumes_equal_covolume_sq():
+    # after delta_m the searches above each found subspace read lat's memo
+    checked = 0
+    for lat, sc in memo_inputs():
+        cap = F(1)
+        delta_m(lat, sc)
+        pairs, complete = _stable_search(lat, sc, (cap,) * lat.n, None, _as_budget(None))
+        assert complete
+        for i, (w, c) in enumerate(pairs):
+            assert c == covolume_sq(lat, w)
+            checked += 1
+            if i < 3 and w.dim < lat.n - 1:
+                above, complete = _stable_search(lat, sc, (cap,) * lat.n, w,
+                                                 _as_budget(None))
+                assert complete
+                assert all(c == covolume_sq(lat, y) for y, c in above)
+                checked += len(above)
+    assert checked > 1000
+
+
+def test_line_lift_hnf_equals_saturation():
+    # Z saturated and y primitive in Λ/Λ_Z: the HNF of Z + lift(y) is saturated
+    rng = random.Random(227)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        k = rng.randint(0, n - 1)
+        z = rl.saturate([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)])
+        quot = _Quotient(standard_lattice(n), trivial_scenario(n), z)
+        y = ()
+        while not any(y):
+            y = rl.primitive_part([rng.randint(-4, 4) for _ in range(n - len(z))])
+        rows = rl.hnf(z + (quot.lift(y),))[0]
+        assert rows == subspace_from_rows(n, list(z) + [quot.lift(y)]).rows

@@ -364,6 +364,26 @@ def test_torus_round_trip(rng):
         assert back == lat
 
 
+def test_torus_lattice_equals_validated_one(rng):
+    # apply_torus skips the determinant; det s = 1 keeps det_sign
+    seen = set()
+    for _ in range(40):
+        dims = rng.choice([(1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 1, 1)])
+        n = sum(dims)
+        lat = random_unimodular_lattice(rng, n)
+        if rng.random() < 0.5:
+            lat = make_lattice([[-x for x in lat.basis[0]]] + list(lat.basis[1:]))
+        s = random_torus(rng, dims)
+        moved = apply_torus(s, lat)
+        diag = s.diagonal()
+        ref = make_lattice([[diag[i] * x for x in row] for i, row in enumerate(lat.basis)])
+        assert (moved.basis, moved.det_sign, moved.int_gram) == \
+            (ref.basis, ref.det_sign, ref.int_gram)
+        assert moved == ref
+        seen.add(moved.det_sign)
+    assert seen == {1, -1}
+
+
 def test_torus_equivariance_on_block_subspaces(rng):
     # for W inside real coordinate blocks, covol² scales by ∏ s_i^{2·dim(W∩V_i)};
     # the transported subspace keeps its integer coordinates

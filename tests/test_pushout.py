@@ -1,10 +1,11 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from nondiv import lattice, pushout
+from nondiv import enumeration, lattice, pushout
 from nondiv import ratlin as rl
 from nondiv import serialize as se
 from nondiv.cli import main
@@ -571,3 +572,49 @@ def test_frame_hand_off_keeps_certificate_bytes(monkeypatch, name):
         assert int_generators(plain.final_lattice, sc) is not int_generators(lat, sc)
     assert se.dumps_json(se.certificate_to_dict(plain)) == \
         se.dumps_json(se.certificate_to_dict(cert))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_drive_builds_each_quotient_once(monkeypatch, capsys, tmp_path, n):
+    """delta_m and every protect search on one lattice share its quotients,
+    and protect takes every covolume from the searches."""
+    built, lattices, in_protect, measured = Counter(), [], [], []
+
+    class Recording(enumeration._Quotient):
+        def __init__(self, lat, sc, z_rows):
+            super().__init__(lat, sc, z_rows)
+            lattices.append(lat)  # held, so no id is reused
+            built[id(lat), z_rows] += 1
+
+    real_protect, real_covolume = pushout.protect, lattice.covolume_sq
+
+    def protecting(*args, **kwargs):
+        in_protect.append(True)
+        try:
+            return real_protect(*args, **kwargs)
+        finally:
+            in_protect.pop()
+
+    def covolume(lat, w):
+        if in_protect:
+            measured.append(w)
+        return real_covolume(lat, w)
+
+    monkeypatch.setattr(enumeration, "_Quotient", Recording)
+    monkeypatch.setattr(pushout, "protect", protecting)
+    for mod in (lattice, enumeration, pushout, se):
+        if getattr(mod, "covolume_sq", None) is real_covolume:
+            monkeypatch.setattr(mod, "covolume_sq", covolume)
+    path = "fixtures/squash_n2_k6.json"
+    if n == 3:
+        # N = 3 is where protect searches above its witness
+        path = tmp_path / "squash_n3.json"
+        u = random_unimodular_int(random.Random(3), 3, shears=4, c=1)
+        squash = diagonal_lattice(F(1, 2 ** 26), F(2), F(2 ** 25))
+        path.write_text(se.dumps_json(se.lattice_to_dict(
+            make_lattice(rl.mat_mul(squash.basis, u)))), encoding="utf-8")
+    assert main(["drive", "--lattice", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"]
+    assert built and max(built.values()) == 1
+    assert len(set(map(id, lattices))) > 1
+    assert measured == []
