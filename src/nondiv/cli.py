@@ -7,8 +7,9 @@ Subcommands:
   shortvec  enumerate lattice vectors below a squared-length bound
 
 Exit codes: 0 success (oracle: agreement), 1 oracle disagreement, 2 invalid
-input, 3 enumeration budget exhausted (partial output still emitted),
-4 drive stopped at the step cap, 5 drive could not certify a search complete.
+input (an unwritable --output included), 3 enumeration budget exhausted
+(partial output still emitted), 4 drive stopped at the step cap, 5 drive
+could not certify a search complete.
 """
 
 from __future__ import annotations
@@ -73,11 +74,15 @@ def _resolve_budget(args, cfg: PushoutConfig) -> int:
 
 
 def _emit(text: str, path) -> None:
-    if path:
+    """Write text to path, or to stdout; an unwritable path is invalid input."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ValidationError("--output", f"cannot write {path}: {e.strerror or e}")
 
 
 def _require_json(args) -> None:

@@ -35,7 +35,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, gcd, isqrt, log
+from math import exp, gcd, isqrt, lcm, log
+from operator import mul
 
 from . import ratlin as rl
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
@@ -161,8 +162,10 @@ def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
     Fincke-Pohst on integers, depth first, t ascending at every level: D_l
     and λ_il come from `_bareiss` on den·g. With num = Σ_{i>l} λ_il·x_i,
     x_l = t adds (D_{l+1}·t + num)²/(den·D_l·D_{l+1}) to x·g·xᵀ, so the range
-    of t needs only isqrt(⌊rem·den·D_l·D_{l+1}⌋). Outputs are (x·g·xᵀ as an
-    exact Fraction, x).
+    of t needs only isqrt(⌊rem·den·D_l·D_{l+1}⌋). The remaining bound rem is
+    one int over Q = lcm(bound's denominator, every den·D_l·D_{l+1}), so a
+    node does integer work only; outputs are (x·g·xᵀ as an exact Fraction,
+    x).
 
     spanning mode collapses multiples along the first basis direction (only
     x = (1,0,..,0) survives of the pure-axis family); used by subspace search
@@ -172,13 +175,18 @@ def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
     if bound <= 0:
         return []
     lam, d, den = _scaled_bareiss(g)
+    bound = F(bound)
     scale = [den * d[l] * d[l + 1] for l in range(n)]
+    q = lcm(bound.denominator, *scale)
+    # x_l = t takes (D_{l+1}·t + num)²·step[l] off rem·Q
+    step = [q // m for m in scale]
+    total = bound.numerator * (q // bound.denominator)
     out = []
     x = [0] * n
 
-    def recurse(level: int, rem: Fraction, outer_zero: bool):
+    def recurse(level: int, rem: int, outer_zero: bool):
         budget.consume()
-        dl, m = d[level + 1], scale[level]
+        dl, c = d[level + 1], step[level]
         num = 0
         for i in range(level + 1, n):
             if x[i]:
@@ -186,7 +194,7 @@ def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
         if rem < 0:
             lo, hi = 0, -1
         else:
-            s = isqrt(rem.numerator * m // rem.denominator)
+            s = isqrt(rem // c)
             lo, hi = -((s + num) // dl), (s - num) // dl
         if outer_zero:
             lo = max(lo, 0)
@@ -197,15 +205,15 @@ def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
                 continue
             x[level] = t
             y = dl * t + num
-            rem2 = rem - F(y * y, m)
+            rem2 = rem - y * y * c
             if level == 0:
                 budget.consume()
-                out.append((bound - rem2, tuple(x)))
+                out.append((F(total - rem2, q), tuple(x)))
             else:
                 recurse(level - 1, rem2, outer_zero and t == 0)
         x[level] = 0
 
-    recurse(n - 1, F(bound), True)
+    recurse(n - 1, total, True)
     del recurse  # the recursive closure is a reference cycle; free it now, not at a GC pass
     return out
 
@@ -325,9 +333,11 @@ class _Quotient:
                              else (rl.identity(n), rl.identity(n)))
         self.full_basis, self.full_basis_inv = bases[z_rows]
         v = self.full_basis
-        self.lift_rows = v[k:]
+        self.lift_cols = rl.transpose(v[k:])
         a, den = lat.int_gram
-        g = [list(r) for r in rl.mat_mul(rl.mat_mul(v, a), rl.transpose(v))]
+        if k:  # Z = 0 completes with v = I, so its Gram is lat's own
+            a = rl.mat_mul(rl.mat_mul(v, a), rl.transpose(v))
+        g = [list(r) for r in a]
         d_k = _bareiss(g, k)
         self.scale = den * d_k
         self.covol_sq = F(d_k, den ** k)
@@ -404,8 +414,7 @@ class _Quotient:
         return tuple(out)
 
     def lift(self, y) -> tuple[int, ...]:
-        return tuple(sum(y[i] * self.lift_rows[i][j] for i in range(len(y)))
-                     for j in range(self.n))
+        return tuple(sum(map(mul, y, col)) for col in self.lift_cols)
 
 
 def _quotient(lat: UnimodularLattice, sc: Scenario, z_rows) -> _Quotient:
@@ -430,9 +439,7 @@ def complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
     if abs(rl.int_det(corner)) != 1:
         raise InternalInvariantViolation("rows are not a saturated basis")
     v = rl.transpose(rl.int_inverse_unimodular(w))
-    hv, _ = rl.hnf(v[:k])
-    hs, _ = rl.hnf(sat_rows)
-    if hv[:k] != hs[:k]:
+    if rl.hnf_rows(v[:k])[:k] != rl.hnf_rows(sat_rows)[:k]:
         raise InternalInvariantViolation("basis completion changed the sublattice")
     return v, rl.transpose(w)
 
@@ -534,7 +541,7 @@ def common_eigenspace_bases(reps, eigenvalues, dim: int):
             for e in spaces:
                 c = rl.right_kernel_int(rl.transpose(rl.mat_mul(e, shifted)))
                 if c:
-                    refined.append(rl.hnf(rl.mat_mul(c, e))[0])
+                    refined.append(rl.hnf_rows(rl.mat_mul(c, e)))
         spaces = refined
         if not spaces:
             break
@@ -614,7 +621,7 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
             for y, norm in _stable_quotient_lines(quot, t_sq, bud):
                 # Z saturated and y primitive in Λ/Λ_Z: Λ_Z + Z·lift(y) is
                 # saturated, so its HNF is the line's canonical basis
-                rows = rl.hnf(z_rows + (quot.lift(y),))[0]
+                rows = rl.hnf_rows(z_rows + (quot.lift(y),))
                 if not any(rows[-1]):
                     raise InternalInvariantViolation("line lift lost a dimension")
                 emit(RationalSubspace._trusted(n, rows),

@@ -280,9 +280,11 @@ class RationalSubspace:
         return self.dim == self.ambient
 
     def contains(self, other: "RationalSubspace") -> bool:
+        """Whether other's rows all reduce to zero against self's echelon rows."""
         if other.ambient != self.ambient:
             raise ValidationError("ambient", "mismatched ambient dimensions")
-        return rl.saturate(self.rows + other.rows) == self.rows
+        echelon = _echelon(self.rows)
+        return not any(any(_reduce(echelon, r)) for r in other.rows)
 
 
 def subspace_from_rows(ambient: int, rows: Sequence[Sequence[int]]):
@@ -347,12 +349,13 @@ class _Frame:
     torus orbit.
 
     gens is (ĝ_int, d) per generator g of M, with B⁻¹·g·B = ĝ_int/d exactly
-    and d the lcm of the denominators of B⁻¹·g·B, from one inverse and
-    integer products. closures memoizes `m_closure` on its exact input
-    rows; bases and eigenspaces hold, per stable subspace Z (its saturated
-    rows), the basis completion and the eigen-line spaces of `enumeration`'s
-    quotients. Each entry is a pure function of gens and its key, so it
-    holds for every lattice that shares gens.
+    and d the lcm of the denominators of B⁻¹·g·B, from one fraction-free
+    inverse of the integer basis and integer products. closures memoizes
+    `m_closure` on its exact input rows; bases and eigenspaces hold, per
+    stable subspace Z (its saturated rows), the basis completion and the
+    eigen-line spaces of `enumeration`'s quotients. Each entry is a pure
+    function of gens and its key, so it holds for every lattice that shares
+    gens.
     """
 
     __slots__ = ("sc", "gens", "closures", "bases", "eigenspaces")
@@ -368,15 +371,16 @@ class _Frame:
         if not sc.m_generators:
             self.gens = ()
             return
-        # B = b_int/b and B⁻¹ = binv/c, so B⁻¹·g·B = binv·g_int·b_int/(c·e·b)
-        b_int, b = lat.int_basis
-        binv, c = rl.scale_to_int(rl.rat_inverse(lat.basis))
+        # B = b_int/b, so B⁻¹ = b·adj/det and B⁻¹·g·B = adj·g_int·b_int/(det·e)
+        b_int, _ = lat.int_basis
+        adj, det = rl.int_inverse(b_int)
         out = []
         for g in sc.m_generators:
             g_int, e = rl.scale_to_int(g)
-            p = rl.mat_mul(rl.mat_mul(binv, g_int), b_int)
-            den = c * e * b
+            p = rl.mat_mul(rl.mat_mul(adj, g_int), b_int)
+            den = det * e
             h = gcd(den, *(x for row in p for x in row))
+            h = h if den > 0 else -h
             out.append((tuple(tuple(x // h for x in row) for row in p), den // h))
         self.gens = tuple(out)
 
@@ -448,6 +452,11 @@ def _reduce(echelon: list[tuple[int, tuple[int, ...]]], v: Sequence[int]) -> lis
     return [x // g for x in v] if g > 1 else v
 
 
+def _echelon(rows: rl.IntRows) -> list[tuple[int, tuple[int, ...]]]:
+    """The (pivot, row) pairs of nonzero rows already in HNF, for `_reduce`."""
+    return [(next(j for j, x in enumerate(r) if x), r) for r in rows]
+
+
 def _insert(echelon: list[tuple[int, tuple[int, ...]]], v: Sequence[int]) -> tuple[int, ...] | None:
     """Reduce v and add the residual to echelon; the new row, or None if v ∈ span."""
     v = _reduce(echelon, v)
@@ -467,7 +476,7 @@ def is_m_stable(w, lat: UnimodularLattice, sc: Scenario) -> bool:
     """
     if w is ZERO_SUBSPACE:
         return True
-    echelon = [(next(j for j, x in enumerate(r) if x), r) for r in w.rows]
+    echelon = _echelon(w.rows)
     for gen, _ in int_generators(lat, sc):
         # row coordinates transform by x ↦ x·ĝᵀ, i.e. entrywise rows of ĝ dot x
         for x in w.rows:

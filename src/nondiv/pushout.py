@@ -33,7 +33,7 @@ from .errors import (GrowthContractViolated, IncompleteSearch,
                      WholeSpace)
 from .exterior import contraction_constant
 from .lattice import (RationalSubspace, Scenario, TorusElement,
-                      UnimodularLattice, _frame, apply_torus)
+                      UnimodularLattice, _frame, _insert, apply_torus)
 
 F = Fraction
 
@@ -80,31 +80,37 @@ def select_index_set(lat: UnimodularLattice, w: RationalSubspace,
                      sc: Scenario) -> tuple[int, ...]:
     """Block index set I from the descending kernel chain of block projections.
 
-    Scan blocks in ascending order; whenever the current kernel subspace has a
-    nonzero projection to block i, add i and pass to the kernel of that
-    projection. The result makes the projection of W to the I-coordinates
-    injective, which is asserted exactly.
-
-    Every decision is about spans, so the chain runs on the integer rows
-    w.rows·b_intᵀ (b times the real rows, `lat.int_basis`) with integer
-    kernels.
+    Scan blocks in ascending order; whenever the vectors of W that vanish on
+    the blocks picked so far have a nonzero projection to block i, add i.
+    The result makes the projection of W to the I-coordinates injective,
+    which is asserted exactly.
     """
-    cur = rows = rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0]))
+    return _index_set(rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0])), sc)
+
+
+def _index_set(rows: rl.IntRows, sc: Scenario) -> tuple[int, ...]:
+    """`select_index_set` on the integer rows w.rows·b_intᵀ of W (b times
+    its real rows, `lat.int_basis`), in the column picture.
+
+    With x·rows ranging over W, the vectors vanishing on a column set C are
+    the x orthogonal to the columns in C. So such a vector is nonzero on
+    block i iff a column of block i lies outside the span of C's columns,
+    and the projection to I is injective iff I's columns span Q^dim W. One
+    echelon of the picked columns decides both.
+    """
+    k = len(rows)
+    cols = rl.transpose(rows)
+    echelon: list = []
     picked = []
     for i, (a, b) in enumerate(sc.blocks):
-        if not cur:
+        if len(echelon) == k:
             break
-        proj = [row[a:b] for row in cur]
-        if not any(any(p) for p in proj):
-            continue
-        picked.append(i)
-        coeffs = rl.right_kernel_int(rl.transpose(proj))
-        cur = [row for row in rl.mat_mul(coeffs, cur) if any(row)]
-    if cur:
-        raise InternalInvariantViolation("projection kernel chain did not reach zero")
-    i_cols = [c for i in picked for c in range(*sc.blocks[i])]
-    proj_w = [tuple(row[c] for c in i_cols) for row in rows]
-    if rl.right_kernel_int(rl.transpose(proj_w)):
+        before = len(echelon)
+        for c in cols[a:b]:
+            _insert(echelon, c)
+        if len(echelon) > before:
+            picked.append(i)
+    if len(echelon) != k:
         raise InternalInvariantViolation("index-set projection is not injective on W")
     return tuple(picked)
 
@@ -137,7 +143,8 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
     rational (16 bisection rounds, then a rational-root snap); otherwise a
     dyadic overshoot, which only strengthens downstream certificates. The
     generalized eigenvalues, the roots of det(x·g_i - g_c), are those of
-    the characteristic polynomial of g_i⁻¹·g_c.
+    the characteristic polynomial of g_i⁻¹·g_c; with g_i = g/s for an
+    integer g, g_i⁻¹ = s·adj(g)/det(g) from `int_inverse`.
     """
     if all(x == 0 for row in g_c for x in row):
         return F(0)
@@ -157,7 +164,10 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
             hi = mid
         else:
             lo = mid
-    for r in rational_roots(char_poly(rl.mat_mul(rl.rat_inverse(g_i), g_c))):
+    g, s = rl.scale_to_int(g_i)
+    adj, det = rl.int_inverse(g)
+    m = tuple(tuple(F(s * x, det) for x in row) for row in rl.mat_mul(adj, g_c))
+    for r in rational_roots(char_poly(m)):
         if lo < r <= hi and ok(r):
             return r
     return hi
@@ -209,14 +219,14 @@ def expansion_element(lat: UnimodularLattice, w: RationalSubspace, sc: Scenario,
         raise WholeSpace("expansion needs a proper subspace")
     _frame(lat, sc)  # rejects a scenario of another dimension
     n = lat.n
-    picked = select_index_set(lat, w, sc)
+    rows = rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0]))
+    picked = _index_set(rows, sc)
     i_cols = [c for i in picked for c in range(*sc.blocks[i])]
     d_i = len(i_cols)
     if d_i == n:
         raise UnexpandableSubspace(
             "index set touches every block; no determinant-one direction expands W")
     o_cols = [c for c in range(n) if c not in set(i_cols)]
-    rows = rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0]))
     a = [tuple(row[c] for c in i_cols) for row in rows]
     b = [tuple(row[c] for c in o_cols) for row in rows]
     g_i = rl.mat_mul(a, rl.transpose(a))

@@ -4,10 +4,13 @@ Matrices are immutable tuples of row tuples; integer matrices hold ints,
 rational ones hold Fractions. No floating point enters this module: every
 value computed here can sit on a branch decision.
 
-Spans, kernels and ranks are computed on integers (`hnf`, `right_kernel_int`,
-`saturate`). The Fraction RREF family (`_rref`, `rat_rank`,
-`rat_right_kernel`, `span_contains`) has no caller in the program; it is
-kept as the tests' reference for the integer paths.
+Program paths run on integers: spans, kernels and ranks through `hnf`
+(`hnf_rows` where the transform is never read), `right_kernel_int` and
+`saturate`; determinants through `int_det`; inverses through the
+fraction-free `int_inverse` and, for unimodular matrices,
+`int_inverse_unimodular`. The Fraction routines `_rref`, `rat_rank`,
+`rat_right_kernel`, `span_contains` and `rat_inverse` have no caller in the
+program; they are kept as the tests' references for the integer paths.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DependentVectors, ValidationError
@@ -72,11 +76,11 @@ def transpose(m):
 def mat_mul(a, b):
     """Matrix product; works for int and Fraction entries alike."""
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -98,12 +102,23 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
     """Row-style Hermite normal form with transform.
 
     Returns (h, u) with h = u·m, u unimodular. Pivots positive, entries above
-    a pivot reduced into [0, pivot), zero rows trail.
+    a pivot reduced into [0, pivot), zero rows trail. u is the trailing block
+    of the HNF of [m | I] eliminated on m's columns alone.
     """
-    work = [list(r) for r in m]
+    ncols = len(m[0]) if m else 0
+    work = _hnf([list(r) + list(e) for r, e in zip(m, identity(len(m)))], ncols)
+    return tuple(r[:ncols] for r in work), tuple(r[ncols:] for r in work)
+
+
+def hnf_rows(m: Sequence[Sequence[int]]) -> IntRows:
+    """The form h of `hnf` alone, for callers that never read the transform."""
+    return tuple(_hnf([list(r) for r in m], len(m[0]) if m else 0))
+
+
+def _hnf(work: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Hermite form of the rows of work on their first ncols columns; any
+    later columns follow the same row operations."""
     nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    u = [list(r) for r in identity(nrows)]
     row = 0
     for col in range(ncols):
         piv = None
@@ -115,7 +130,6 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
             continue
         if piv != row:
             work[row], work[piv] = work[piv], work[row]
-            u[row], u[piv] = u[piv], u[row]
         for i in range(row + 1, nrows):
             if not work[i][col]:
                 continue
@@ -126,23 +140,17 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
                 [x * p + y * q for p, q in zip(work[row], work[i])],
                 [-b * p + a * q for p, q in zip(work[row], work[i])],
             )
-            u[row], u[i] = (
-                [x * p + y * q for p, q in zip(u[row], u[i])],
-                [-b * p + a * q for p, q in zip(u[row], u[i])],
-            )
         if work[row][col] < 0:
             work[row] = [-x for x in work[row]]
-            u[row] = [-x for x in u[row]]
         p = work[row][col]
         for i in range(row):
             q = work[i][col] // p
             if q:
                 work[i] = [x - q * y for x, y in zip(work[i], work[row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[row])]
         row += 1
         if row == nrows:
             break
-    return tuple(tuple(r) for r in work), tuple(tuple(r) for r in u)
+    return [tuple(r) for r in work]
 
 
 def hnf_rank(h: IntRows) -> int:
@@ -163,7 +171,7 @@ def right_kernel_int(m: Sequence[Sequence[int]]) -> IntRows:
     ker = u[rank:]
     if not ker:
         return ()
-    hk, _ = hnf(ker)
+    hk = hnf_rows(ker)
     return hk[:hnf_rank(hk)]
 
 
@@ -347,6 +355,35 @@ def rat_inverse(m: Sequence[Sequence]) -> RatRows:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+def int_inverse(m: Sequence[Sequence[int]]) -> tuple[IntRows, int]:
+    """(adj m, det m) of a square integer matrix m, so m⁻¹ = adj/det;
+    ValueError if singular.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [m | I]: step k replaces every
+    row i ≠ k by (p_k·row_i - a_ik·row_k)/p_{k-1}, an exact division. The
+    left block ends as p·I and the right block as p·m⁻¹, with p the last
+    pivot, det m up to the sign of the row swaps (Bareiss, 1968).
+    """
+    n = len(m)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        krow = a[k]
+        pk = krow[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], krow)]
+        prev = pk
+    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
 
 
 def int_inverse_unimodular(m: Sequence[Sequence[int]]) -> IntRows:

@@ -72,6 +72,15 @@ def test_delta_output_roundtrip(tmp_path, capsys):
     assert se.parse_rat(doc["delta_sq_pow"], "x") == F(1, 4096) ** 12
 
 
+def test_output_to_missing_directory_is_invalid_input(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "delta", "--lattice", f"{FIX}/z4.json",
+                         "--output", str(out_path))
+    assert code == 2
+    assert err.startswith("error: --output: cannot write") and str(out_path) in err
+    assert out == "" and not out_path.parent.exists()
+
+
 def test_drive_reaches_floor(capsys):
     code, out, _ = run(capsys, "drive",
                        "--scenario", f"{FIX}/sl4_so21.json",

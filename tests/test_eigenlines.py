@@ -266,7 +266,7 @@ def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
     real_complete = enumeration.complete_to_basis
     real_search = enumeration.common_eigenspace_bases
     real_lines = enumeration._stable_quotient_lines
-    real_inverse = rl.rat_inverse
+    real_inverse = rl.int_inverse
 
     def complete(rows, n):
         completions[rows] += 1
@@ -291,7 +291,7 @@ def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
     monkeypatch.setattr(enumeration, "complete_to_basis", complete)
     monkeypatch.setattr(enumeration, "_stable_quotient_lines", lines)
     monkeypatch.setattr(enumeration, "common_eigenspace_bases", search)
-    monkeypatch.setattr(rl, "rat_inverse", inverse)
+    monkeypatch.setattr(rl, "int_inverse", inverse)
     cert = drive(sl4_torus_lattice(F(1, 8)), sc, PushoutConfig(eta0_override=F(1, 4)))
     assert len(cert.steps) == 3
     assert completions and max(completions.values()) == 1

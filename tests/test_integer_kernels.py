@@ -1,0 +1,224 @@
+"""The integer-only kernels against the code they replaced.
+
+Each reference below is the earlier program path, kept verbatim in spirit:
+the HNF with its transform, the Fraction inverse, `contains` by saturation,
+the projection-kernel chain of `select_index_set` and the Fraction-remainder
+Fincke-Pohst enumerator. Outputs (and budget use) must be identical.
+"""
+
+import random
+from fractions import Fraction
+from math import isqrt
+
+from nondiv import ratlin as rl
+from nondiv.enumeration import (_Budget, _enumerate_gram, _scaled_bareiss,
+                                lll_reduce_gram)
+from nondiv.errors import BudgetExceeded, InternalInvariantViolation
+from nondiv.lattice import (ZERO_SUBSPACE, make_scenario, subspace_from_rows,
+                            subspace_sum, trivial_scenario)
+from nondiv.pushout import select_index_set
+from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
+
+from conftest import random_unimodular_lattice
+
+F = Fraction
+
+
+# -- HNF without its transform ---------------------------------------------------
+
+def test_hnf_rows_matches_hnf_form():
+    rng = random.Random(101)
+    shapes = set()
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        if nrows > 1 and rng.random() < 0.3:
+            # a dependent row: rank below min(nrows, ncols)
+            i, j = rng.sample(range(nrows), 2)
+            c = rng.randint(-3, 3)
+            rows[i] = [c * x for x in rows[j]]
+        h = rl.hnf(rows)[0]
+        assert rl.hnf_rows(rows) == h, rows
+        shapes.add((rl.hnf_rank(h) < min(nrows, ncols), any(not any(r) for r in rows)))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# -- fraction-free inverse --------------------------------------------------------
+
+def test_int_inverse_matches_rat_inverse():
+    rng = random.Random(103)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(n)]
+             for _ in range(n)]
+        det = rl.int_det(m)
+        if det == 0:
+            try:
+                rl.int_inverse(m)
+            except ValueError:
+                continue
+            raise AssertionError(f"singular {m} was inverted")
+        adj, d = rl.int_inverse(m)
+        assert d == det
+        assert tuple(tuple(F(x, d) for x in row) for row in adj) == rl.rat_inverse(m), m
+        seen.add((m[0][0] == 0, det < 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# -- containment ------------------------------------------------------------------
+
+def test_contains_matches_saturation_form():
+    rng = random.Random(107)
+    kinds = set()
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        subs = []
+        while len(subs) < 2:
+            s = subspace_from_rows(n, [[rng.randint(-3, 3) for _ in range(n)]
+                                       for _ in range(rng.randint(1, n))])
+            if s is not ZERO_SUBSPACE:
+                subs.append(s)
+        w, x = subs
+        for a, b in ((w, w), (w, subspace_sum(w, x)), (subspace_sum(w, x), w),
+                     (w, x), (x, w)):
+            want = rl.saturate(a.rows + b.rows) == a.rows
+            assert a.contains(b) == want, (a.rows, b.rows)
+            kinds.add(want)
+    assert kinds == {True, False}
+
+
+# -- index sets: the projection-kernel chain ----------------------------------------
+
+def reference_select_index_set(lat, w, sc):
+    """The descending kernel chain on w.rows·b_intᵀ with integer kernels."""
+    cur = rows = rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0]))
+    picked = []
+    for i, (a, b) in enumerate(sc.blocks):
+        if not cur:
+            break
+        proj = [row[a:b] for row in cur]
+        if not any(any(p) for p in proj):
+            continue
+        picked.append(i)
+        coeffs = rl.right_kernel_int(rl.transpose(proj))
+        cur = [row for row in rl.mat_mul(coeffs, cur) if any(row)]
+    if cur:
+        raise InternalInvariantViolation("projection kernel chain did not reach zero")
+    i_cols = [c for i in picked for c in range(*sc.blocks[i])]
+    proj_w = [tuple(row[c] for c in i_cols) for row in rows]
+    if rl.right_kernel_int(rl.transpose(proj_w)):
+        raise InternalInvariantViolation("index-set projection is not injective on W")
+    return tuple(picked)
+
+
+def random_blocks(rng, n):
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    edges = [0] + cuts + [n]
+    return [(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def test_select_index_set_matches_kernel_chain():
+    rng = random.Random(109)
+    cases = [(sl4_torus_lattice(t), sl4_so21_scenario()) for t in (F(2), F(1, 8))]
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        cases.append((random_unimodular_lattice(rng, n, shears=rng.randint(2, 8)),
+                      make_scenario(n, random_blocks(rng, n), ())))
+    cases.append((random_unimodular_lattice(rng, 5), trivial_scenario(5)))
+    picked_sizes = set()
+    for lat, sc in cases:
+        n = lat.n
+        for _ in range(10):
+            w = subspace_from_rows(n, [[rng.randint(-2, 2) for _ in range(n)]
+                                       for _ in range(rng.randint(1, n))])
+            if w is ZERO_SUBSPACE:
+                continue
+            got = select_index_set(lat, w, sc)
+            assert got == reference_select_index_set(lat, w, sc), (lat.basis, w.rows)
+            picked_sizes.add(len(got))
+    assert len(picked_sizes) >= 4
+
+
+# -- enumeration with an integer remainder -----------------------------------------
+
+def reference_enumerate_gram(g, bound, budget, spanning):
+    """The Fincke-Pohst of `_enumerate_gram` with the remaining bound a Fraction."""
+    n = len(g)
+    if bound <= 0:
+        return []
+    lam, d, den = _scaled_bareiss(g)
+    scale = [den * d[l] * d[l + 1] for l in range(n)]
+    out = []
+    x = [0] * n
+
+    def recurse(level, rem, outer_zero):
+        budget.consume()
+        dl, m = d[level + 1], scale[level]
+        num = 0
+        for i in range(level + 1, n):
+            if x[i]:
+                num += lam[i][level] * x[i]
+        if rem < 0:
+            lo, hi = 0, -1
+        else:
+            s = isqrt(rem.numerator * m // rem.denominator)
+            lo, hi = -((s + num) // dl), (s - num) // dl
+        if outer_zero:
+            lo = max(lo, 0)
+            if spanning and level == 0:
+                hi = min(hi, 1)
+        for t in range(lo, hi + 1):
+            if level == 0 and outer_zero and t == 0:
+                continue
+            x[level] = t
+            y = dl * t + num
+            rem2 = rem - F(y * y, m)
+            if level == 0:
+                budget.consume()
+                out.append((bound - rem2, tuple(x)))
+            else:
+                recurse(level - 1, rem2, outer_zero and t == 0)
+        x[level] = 0
+
+    recurse(n - 1, F(bound), True)
+    return out
+
+
+def run_enumerator(enum, g, bound, cap, spanning):
+    bud = _Budget(cap)
+    try:
+        out = enum(g, bound, bud, spanning)
+    except BudgetExceeded:
+        out = "exceeded"
+    return out, bud.used
+
+
+def test_enumerate_gram_matches_fraction_remainder():
+    rng = random.Random(113)
+    exceeded = complete = 0
+    for trial in range(200):
+        n = 1 + trial % 5
+        b = [[F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+             for _ in range(n)]
+        if rl.rat_det(b) == 0:
+            continue
+        g = rl.mat_mul(b, rl.transpose(b))
+        if rng.random() < 0.5:
+            u = lll_reduce_gram(g)
+            g = rl.mat_mul(rl.mat_mul(u, g), rl.transpose(u))
+        bound = min(g[i][i] for i in range(n)) * F(rng.randint(1, 8), rng.randint(1, 3))
+        for cap in (rng.randint(1, 150), 10 ** 6):
+            for spanning in (False, True):
+                got = run_enumerator(_enumerate_gram, g, bound, cap, spanning)
+                want = run_enumerator(reference_enumerate_gram, g, bound, cap, spanning)
+                assert got == want, (g, bound, cap, spanning)
+                if got[0] == "exceeded":
+                    exceeded += 1
+                else:
+                    complete += 1
+                    assert all(type(qv) is F for qv, _ in got[0])
+    assert exceeded > 30 and complete > 30

@@ -1,10 +1,10 @@
 """The program's span work runs on the integer kernels.
 
 The Fraction RREF family (`ratlin._rref` under `rat_rank`, `rat_right_kernel`
-and `span_contains`) and the Fraction real coordinates
-`UnimodularLattice.real_rows` are kept only as the tests' reference paths.
-With both made to raise, a restricted delta, a push-out drive and a CLI
-drive must still run.
+and `span_contains`), the Fraction inverse `ratlin.rat_inverse` and the
+Fraction real coordinates `UnimodularLattice.real_rows` are kept only as the
+tests' reference paths. With all of them made to raise, a restricted delta,
+a push-out drive and a CLI drive must still run.
 """
 
 import json
@@ -28,6 +28,7 @@ def no_fraction_spans(monkeypatch):
         raise AssertionError("a program path used a Fraction span routine")
 
     monkeypatch.setattr(rl, "_rref", refuse)
+    monkeypatch.setattr(rl, "rat_inverse", refuse)
     monkeypatch.setattr(UnimodularLattice, "real_rows", refuse)
 
 
