@@ -24,7 +24,7 @@ import sys
 from . import serialize as se
 from .enumeration import delta_m, oracle_delta_m, short_vectors
 from .errors import BudgetExceeded, NondivError, ValidationError
-from .lattice import trivial_scenario
+from .lattice import check_dimensions, trivial_scenario
 from .pushout import PushoutConfig, Terminated, drive
 
 ENV_BUDGET = "NONDIV_VECTOR_BUDGET"
@@ -43,9 +43,7 @@ def _load_inputs(args):
     lat = se.load_lattice(args.lattice)
     if args.scenario is not None:
         sc, cfg = se.load_scenario(args.scenario)
-        if sc.n != lat.n:
-            raise ValidationError(
-                "dimension", f"scenario is {sc.n}-dimensional, lattice is {lat.n}")
+        check_dimensions(lat, sc)
         for w in sc.isomorphy_warnings():
             print(f"warning: {w}", file=sys.stderr)
     else:

@@ -101,9 +101,9 @@ def _bareiss(g, k: int) -> int:
 
 
 def _scaled_bareiss(a):
-    """(λ, D, den) for den·a, den the lcm of a's denominators: the matrix
-    after n `_bareiss` steps and its minors D = [D_0 = 1, D_1, ..., D_n]."""
-    scaled, den = rl.scale_to_int(a)
+    """(λ, D, den) for den·a, den the lcm of a's denominators (1 for ints):
+    the matrix after n `_bareiss` steps and its minors [1, D_1, ..., D_n]."""
+    scaled, den = rl.int_or_scaled(a)
     lam = [list(row) for row in scaled]
     _bareiss(lam, len(lam))
     return lam, [1] + [lam[i][i] for i in range(len(lam))], den
@@ -435,8 +435,8 @@ def complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
     k = len(sat_rows)
     ht = rl.transpose(sat_rows)
     hh, w = rl.hnf(ht)
-    corner = tuple(tuple(hh[i][:k][j] for j in range(k)) for i in range(k))
-    if abs(rl.int_det(corner)) != 1:
+    # hh's k×k corner is triangular with positive pivots: |det| = 1 iff all are 1
+    if any(hh[i][i] != 1 for i in range(k)):
         raise InternalInvariantViolation("rows are not a saturated basis")
     v = rl.transpose(rl.int_inverse_unimodular(w))
     if rl.hnf_rows(v[:k])[:k] != rl.hnf_rows(sat_rows)[:k]:
@@ -476,11 +476,7 @@ def _divisors(m: int) -> list[int]:
 
 def rational_roots(coeffs) -> list[Fraction]:
     """All rational roots of the polynomial with the given coefficients."""
-    cs = [F(c) for c in coeffs]
-    den = 1
-    for c in cs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in cs]
+    ints = rl.scale_to_int([coeffs])[0][0]
     roots = []
     # factor out x^v
     v = 0

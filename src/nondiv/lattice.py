@@ -3,6 +3,9 @@
 Subspaces are stored as saturated HNF integer matrices in LATTICE coordinates
 (rows are coordinates of a Z-basis of Λ∩W with respect to the lattice basis).
 Group actions transport them for free; the real-coordinate span is derived.
+Values are frozen and validated once, where they enter (the dataclasses
+accept lists and ints); a lattice derived from validated values carries
+their `det_sign` and computes no second determinant.
 
 The M-structure of a lattice under a scenario lives in one private frame
 (`_Frame`): the integer action B⁻¹·g·B, the closures of `m_closure` and what
@@ -45,6 +48,7 @@ class Scenario:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("dimension", f"must be >= 2, got {self.n}")
+        object.__setattr__(self, "blocks", tuple((int(a), int(b)) for a, b in self.blocks))
         pos = 0
         for i, (a, b) in enumerate(self.blocks):
             if a != pos or b <= a:
@@ -58,6 +62,8 @@ class Scenario:
         for gi, g in enumerate(self.m_generators):
             if len(g) != self.n or any(len(r) != self.n for r in g):
                 raise ValidationError(f"m_generators[{gi}]", f"must be {self.n}x{self.n}")
+        object.__setattr__(self, "m_generators", tuple(map(rl.rat_matrix, self.m_generators)))
+        for gi, g in enumerate(self.m_generators):
             for i in range(self.n):
                 for j in range(self.n):
                     if self.block_of(i) != self.block_of(j) and g[i][j] != 0:
@@ -119,9 +125,7 @@ def trivial_scenario(n: int) -> Scenario:
 
 
 def make_scenario(n: int, blocks: Sequence[Sequence[int]], generators: Sequence[Sequence[Sequence]]) -> Scenario:
-    return Scenario(n=n,
-                    blocks=tuple((int(a), int(b)) for a, b in blocks),
-                    m_generators=tuple(rl.rat_matrix(g) for g in generators))
+    return Scenario(n=n, blocks=blocks, m_generators=generators)
 
 
 @dataclass(frozen=True)
@@ -132,15 +136,21 @@ class TorusElement:
     block_dims: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "scalars",
+                           tuple(rl.exact_rational(s, "scalars") for s in self.scalars))
+        object.__setattr__(self, "block_dims", tuple(self.block_dims))
         if len(self.scalars) != len(self.block_dims):
             raise ValidationError("scalars", "one scalar per block required")
-        det = Fraction(1)
+        num = den = 1
         for s, d in zip(self.scalars, self.block_dims):
-            if s <= 0:
+            if s.numerator <= 0:
                 raise ValidationError("scalars", f"must be positive, got {s}")
-            det *= s ** d
-        if det != 1:
-            raise ValidationError("scalars", f"determinant {det} != 1")
+            if type(d) is not int or d < 1:
+                raise ValidationError("block_dims", f"must be positive ints, got {d!r}")
+            num *= s.numerator ** d
+            den *= s.denominator ** d
+        if num != den:
+            raise ValidationError("scalars", f"determinant {Fraction(num, den)} != 1")
 
     def diagonal(self) -> tuple[Fraction, ...]:
         out = []
@@ -168,6 +178,7 @@ class UnimodularLattice:
         n = len(self.basis)
         if n < 2 or any(len(r) != n for r in self.basis):
             raise ValidationError("basis", "must be square, N >= 2")
+        object.__setattr__(self, "basis", rl.rat_matrix(self.basis))
         d = rl.rat_det(self.basis)
         if d not in (1, -1):
             raise NotUnimodular(f"|det| must be 1, got {d}")
@@ -225,11 +236,11 @@ class UnimodularLattice:
 
 
 def make_lattice(basis_rows: Sequence[Sequence]) -> UnimodularLattice:
-    return UnimodularLattice(basis=rl.rat_matrix(basis_rows))
+    return UnimodularLattice(basis=basis_rows)
 
 
 def standard_lattice(n: int) -> UnimodularLattice:
-    return UnimodularLattice(basis=rl.rat_matrix(rl.identity(n)))
+    return UnimodularLattice(basis=rl.identity(n))
 
 
 class _ZeroSubspace:
@@ -299,13 +310,21 @@ def full_subspace(n: int) -> RationalSubspace:
     return RationalSubspace._trusted(n, rl.identity(n))
 
 
-def covolume_sq(lat: UnimodularLattice, w) -> Fraction:
-    """‖Λ_W‖²: Gram determinant of the real basis of Λ∩W. Zero subspace gives 1."""
-    if w is ZERO_SUBSPACE:
-        return Fraction(1)
-    if w.ambient != lat.n:
+def check_dimensions(lat: UnimodularLattice, sc: Scenario | None = None, w=None) -> None:
+    """Raise ValidationError unless sc and w, when given, have lat's dimension."""
+    if sc is not None and sc.n != lat.n:
+        raise ValidationError(
+            "dimension", f"scenario is {sc.n}-dimensional, lattice is {lat.n}")
+    if w is not None and w is not ZERO_SUBSPACE and w.ambient != lat.n:
         raise ValidationError(
             "ambient", f"subspace is {w.ambient}-dimensional, lattice is {lat.n}")
+
+
+def covolume_sq(lat: UnimodularLattice, w) -> Fraction:
+    """‖Λ_W‖²: Gram determinant of the real basis of Λ∩W. Zero subspace gives 1."""
+    check_dimensions(lat, w=w)
+    if w is ZERO_SUBSPACE:
+        return Fraction(1)
     return covolume_sq_rows(lat, w.rows)
 
 
@@ -361,9 +380,7 @@ class _Frame:
     __slots__ = ("sc", "gens", "closures", "bases", "eigenspaces")
 
     def __init__(self, lat: UnimodularLattice, sc: Scenario):
-        if sc.n != lat.n:
-            raise ValidationError(
-                "dimension", f"scenario is {sc.n}-dimensional, lattice is {lat.n}")
+        check_dimensions(lat, sc)
         self.sc = sc
         self.closures: dict = {}
         self.bases: dict = {}
@@ -474,6 +491,7 @@ def is_m_stable(w, lat: UnimodularLattice, sc: Scenario) -> bool:
     The saturated HNF rows of w are an integer echelon basis, so w is stable
     iff every image ĝ·x of a row x reduces to zero against them.
     """
+    check_dimensions(lat, w=w)
     if w is ZERO_SUBSPACE:
         return True
     echelon = _echelon(w.rows)
@@ -520,13 +538,16 @@ def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]
 def apply_group(g: Sequence[Sequence], lat: UnimodularLattice) -> UnimodularLattice:
     """g·Λ; integer subspace coordinates are unchanged by transport.
 
-    g need not commute with M, so g·Λ starts without a frame.
+    g need not commute with M, so g·Λ starts without a frame. Its det_sign
+    is det g·det_sign(Λ).
     """
     gm = rl.rat_matrix(g)
+    if len(gm) != lat.n or any(len(r) != lat.n for r in gm):
+        raise ValidationError("g", f"must be {lat.n}x{lat.n}")
     d = rl.rat_det(gm)
     if d not in (1, -1):
         raise NotUnimodular(f"|det g| must be 1, got {d}")
-    return UnimodularLattice(basis=rl.rat_matrix(rl.mat_mul(gm, lat.basis)))
+    return UnimodularLattice._trusted(rl.mat_mul(gm, lat.basis), d.numerator * lat.det_sign)
 
 
 def apply_torus(s: TorusElement, lat: UnimodularLattice) -> UnimodularLattice:
@@ -545,7 +566,7 @@ def apply_torus(s: TorusElement, lat: UnimodularLattice) -> UnimodularLattice:
     if len(diag) != lat.n:
         raise ValidationError("scalars", "torus element dimension mismatch")
     new_basis = tuple(tuple(diag[i] * x for x in row) for i, row in enumerate(lat.basis))
-    out = UnimodularLattice._trusted(rl.rat_matrix(new_basis), lat.det_sign)
+    out = UnimodularLattice._trusted(new_basis, lat.det_sign)
     frame = lat.__dict__.get("_m_frame")
     if frame is not None and frame.sc.block_dims == s.block_dims:
         _hold_frame(out, frame)

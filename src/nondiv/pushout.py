@@ -33,7 +33,7 @@ from .errors import (GrowthContractViolated, IncompleteSearch,
                      WholeSpace)
 from .exterior import contraction_constant
 from .lattice import (RationalSubspace, Scenario, TorusElement,
-                      UnimodularLattice, _frame, _insert, apply_torus)
+                      UnimodularLattice, _insert, apply_torus, check_dimensions)
 
 F = Fraction
 
@@ -85,6 +85,7 @@ def select_index_set(lat: UnimodularLattice, w: RationalSubspace,
     The result makes the projection of W to the I-coordinates injective,
     which is asserted exactly.
     """
+    check_dimensions(lat, sc, w)
     return _index_set(rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0])), sc)
 
 
@@ -164,7 +165,7 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
             hi = mid
         else:
             lo = mid
-    g, s = rl.scale_to_int(g_i)
+    g, s = rl.int_or_scaled(g_i)
     adj, det = rl.int_inverse(g)
     m = tuple(tuple(F(s * x, det) for x in row) for row in rl.mat_mul(adj, g_c))
     for r in rational_roots(char_poly(m)):
@@ -217,7 +218,7 @@ def expansion_element(lat: UnimodularLattice, w: RationalSubspace, sc: Scenario,
     """
     if w.is_full:
         raise WholeSpace("expansion needs a proper subspace")
-    _frame(lat, sc)  # rejects a scenario of another dimension
+    check_dimensions(lat, sc, w)
     n = lat.n
     rows = rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0]))
     picked = _index_set(rows, sc)
@@ -287,6 +288,7 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
                    else c ** (-n))
     eta0_sq = rl.exact_rational(eta0_sq, "eta0_sq")
     d = delta if delta is not None else delta_m(lat, sc, budget=bud)
+    check_dimensions(lat, sc, d.witness)
     if d.delta_sq_vs(eta0_sq) >= 0:
         return NOT_NEEDED
     if not d.complete:
@@ -442,6 +444,7 @@ def pushout_step(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig,
     """
     d0 = delta_before if delta_before is not None else delta_m(
         lat, sc, budget=cfg.vector_budget)
+    check_dimensions(lat, sc, d0.witness)
     if not d0.complete:
         raise IncompleteSearch("cannot certify a step from an incomplete delta")
     pres, cert = _resolve_protection(lat, sc, cfg, d0)

@@ -6,9 +6,10 @@ value computed here can sit on a branch decision.
 
 Program paths run on integers: spans, kernels and ranks through `hnf`
 (`hnf_rows` where the transform is never read), `right_kernel_int` and
-`saturate`; determinants through `int_det`; inverses through the
-fraction-free `int_inverse` and, for unimodular matrices,
-`int_inverse_unimodular`. The Fraction routines `_rref`, `rat_rank`,
+`saturate`; determinants through `int_det` (`rat_det` and `gram_det` over
+one common denominator); inverses through the fraction-free `int_inverse`
+and, for unimodular matrices, `int_inverse_unimodular`. `int_or_scaled`
+uses a matrix of ints as given. The Fraction routines `_rref`, `rat_rank`,
 `rat_right_kernel`, `span_contains` and `rat_inverse` have no caller in the
 program; they are kept as the tests' references for the integer paths.
 """
@@ -226,17 +227,11 @@ def scale_to_int(m: Sequence[Sequence]) -> tuple[IntRows, int]:
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
 
 
-def row_scale_to_int(rows: Sequence[Sequence[Fraction]]) -> tuple[IntRows, tuple[int, ...]]:
-    """Scale each row by the lcm of its denominators; returns (int rows, scales)."""
-    out = []
-    scales = []
-    for r in rows:
-        d = 1
-        for x in r:
-            d = lcm(d, Fraction(x).denominator)
-        out.append(tuple(int(x * d) for x in r))
-        scales.append(d)
-    return tuple(out), tuple(scales)
+def int_or_scaled(m: Sequence[Sequence]) -> tuple[IntRows, int]:
+    """(m, 1) for a matrix of ints, used as given; otherwise `scale_to_int(m)`."""
+    if all(type(x) is int for row in m for x in row):
+        return m, 1
+    return scale_to_int(m)
 
 
 def gram_det(vectors: Sequence[Sequence]) -> Fraction:
@@ -245,29 +240,17 @@ def gram_det(vectors: Sequence[Sequence]) -> Fraction:
     Equals the squared norm of the wedge v₁∧…∧v_k. Raises DependentVectors
     when the vectors are linearly dependent (determinant 0).
     """
-    vecs = rat_matrix(vectors) if vectors else ()
-    if not vecs:
-        return Fraction(1)
-    w, scales = row_scale_to_int(vecs)
-    g = mat_mul(w, transpose(w))
-    d = int_det(g)
-    if d == 0:
+    w, d = scale_to_int(vectors)
+    det = int_det(mat_mul(w, transpose(w)))
+    if det == 0:
         raise DependentVectors("gram determinant is zero")
-    denom = 1
-    for s in scales:
-        denom *= s * s
-    return Fraction(d, denom)
+    return Fraction(det, d ** (2 * len(w)))
 
 
 def rat_det(m: Sequence[Sequence]) -> Fraction:
-    rows = rat_matrix(m)
-    if not rows:
-        return Fraction(1)
-    w, scales = row_scale_to_int(rows)
-    d = Fraction(int_det(w))
-    for s in scales:
-        d /= s
-    return d
+    """det m = det(d·m)/d^n for a square matrix m of ints and Fractions."""
+    w, d = scale_to_int(m)
+    return Fraction(int_det(w), d ** len(w))
 
 
 def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -3,8 +3,8 @@
 All decision-bearing numbers travel as exact rational strings "num/den" in
 lowest terms with a positive denominator; floats appear only in *_float
 convenience fields. Lattice files carry the basis column by column (one
-generator per column) together with its determinant, which is re-verified
-on load.
+generator per column) together with its determinant, which is verified
+once, on load; the loaded lattice carries it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import json
 from fractions import Fraction
 from typing import Any
 
+from . import ratlin as rl
 from .errors import ValidationError
-from .lattice import (Scenario, UnimodularLattice, make_lattice,
-                      make_scenario)
+from .lattice import Scenario, UnimodularLattice, make_scenario
 from .pushout import PushoutConfig, PushoutCertificate, Terminated
 
 F = Fraction
@@ -147,27 +147,25 @@ def load_lattice(path: str) -> UnimodularLattice:
     if (not isinstance(cols, list) or len(cols) != n
             or any(not isinstance(c, list) or len(c) != n for c in cols)):
         raise ValidationError("basis_columns", f"expected {n} columns of length {n}")
-    rows = [[parse_rat(cols[j][i], f"basis_columns[{j}][{i}]")
-             for j in range(n)] for i in range(n)]
-    from . import ratlin as rl
-    det = rl.rat_det(tuple(tuple(r) for r in rows))
+    rows = tuple(tuple(parse_rat(cols[j][i], f"basis_columns[{j}][{i}]")
+                       for j in range(n)) for i in range(n))
+    det = rl.rat_det(rows)
     recorded = parse_rat(_require(doc, "determinant", "lattice"), "determinant")
     if det != recorded:
         raise ValidationError("determinant",
                               f"recorded {rat_str(recorded)} but basis has {rat_str(det)}")
     if det not in (1, -1):
         raise ValidationError("determinant", f"basis must be unimodular, got {rat_str(det)}")
-    return make_lattice(rows)
+    return UnimodularLattice._trusted(rows, det.numerator)
 
 
 def lattice_to_dict(lat: UnimodularLattice) -> dict:
     n = lat.n
-    from . import ratlin as rl
     return {
         "dimension": n,
         "basis_columns": [[rat_str(lat.basis[i][j]) for i in range(n)]
                           for j in range(n)],
-        "determinant": rat_str(rl.rat_det(lat.basis)),
+        "determinant": rat_str(lat.det_sign),
     }
 
 

@@ -52,7 +52,7 @@ def real_coordinate_subspace(lat, coords):
         from nondiv.lattice import full_subspace
         return full_subspace(n)
     ker = rl.rat_right_kernel(constraints)
-    ints, _ = rl.row_scale_to_int(rl.rat_matrix(ker))
+    ints, _ = rl.scale_to_int(rl.rat_matrix(ker))
     from nondiv.lattice import subspace_from_rows
     return subspace_from_rows(n, ints)
 

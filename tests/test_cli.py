@@ -8,6 +8,7 @@ import pytest
 
 from nondiv import serialize as se
 from nondiv.cli import build_parser, main
+from nondiv.lattice import make_lattice
 
 F = Fraction
 
@@ -254,6 +255,19 @@ def test_unknown_config_field(tmp_path, capsys):
                        "--lattice", f"{FIX}/squash_n2_k6.json")
     assert code == 2
     assert "config.etaO" in err
+
+
+def test_det_minus_one_lattice_file_round_trips(tmp_path):
+    doc = {"dimension": 2, "basis_columns": [["0/1", "2/1"], ["1/2", "0/1"]],
+           "determinant": "-1/1"}
+    path = tmp_path / "det_minus_one.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    lat = se.load_lattice(str(path))
+    ref = make_lattice([[0, F(1, 2)], [2, 0]])
+    assert (lat.basis, lat.det_sign, lat.int_gram) == (ref.basis, -1, ref.int_gram)
+    assert se.lattice_to_dict(lat) == se.lattice_to_dict(ref) == doc
+    path.write_text(se.dumps_json(se.lattice_to_dict(lat)), encoding="utf-8")
+    assert se.load_lattice(str(path)) == lat
 
 
 LATTICE_N2 = {"dimension": 2, "basis_columns": [["1", "0"], ["0", "1"]],

@@ -95,7 +95,7 @@ def reference_common_eigenspace_bases(mats, dim):
 def reference_spaces(quot):
     """The saturated spans `_stable_quotient_lines` searched, in order."""
     spaces = reference_common_eigenspace_bases(reference_rep_matrices(quot), quot.rank)
-    return [rl.saturate(rl.row_scale_to_int(rl.rat_matrix(e))[0]) for e in spaces]
+    return [rl.saturate(rl.scale_to_int(rl.rat_matrix(e))[0]) for e in spaces]
 
 
 def integer_spaces(quot):

@@ -7,7 +7,7 @@ import pytest
 from nondiv import ratlin as rl
 from nondiv.errors import NotUnimodular, ValidationError
 from nondiv.lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
-                            TorusElement, _frame, apply_group, apply_torus,
+                            TorusElement, UnimodularLattice, _frame, apply_group, apply_torus,
                             conjugated_generators, covolume_sq,
                             covolume_sq_rows, full_subspace, int_generators,
                             is_m_stable, m_closure, make_lattice,
@@ -19,7 +19,8 @@ from nondiv.samples import (sl4_so21_scenario, sl4_torus, sl4_torus_lattice,
 
 from nondiv.enumeration import (DeltaResult, _hnf_candidates, _root_lt,
                                 delta_m, stable_subspaces_within)
-from nondiv.pushout import PushoutConfig, drive, expansion_element
+from nondiv.pushout import (PushoutConfig, drive, expansion_element, protect,
+                            pushout_step, select_index_set)
 
 from conftest import (random_torus, random_unimodular_int,
                       random_unimodular_lattice, real_coordinate_subspace)
@@ -136,7 +137,7 @@ def reference_closure(lat, sc, rows):
                     cur.append(tuple(y))
                     rank = rl.rat_rank(cur)
                     changed = True
-    ints, _ = rl.row_scale_to_int(rl.rat_matrix(cur))
+    ints, _ = rl.scale_to_int(rl.rat_matrix(cur))
     return subspace_from_rows(lat.n, ints)
 
 
@@ -346,12 +347,107 @@ SHEAR3 = make_scenario(3, [[0, 3]], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]])
     (lambda: expansion_element(sl4_torus_lattice(F(1, 4)), sub(4, [(1, 0, 0, 0)]),
                                make_scenario(3, [[0, 1], [1, 3]], []), PushoutConfig()),
      "dimension", "scenario is 3-dimensional, lattice is 4"),
+    (lambda: expansion_element(standard_lattice(3), sub(2, [(1, 0)]), trivial_scenario(3),
+                               PushoutConfig()),
+     "ambient", "subspace is 2-dimensional, lattice is 3"),
+    (lambda: select_index_set(standard_lattice(3), sub(3, [(1, 0, 0)]), trivial_scenario(2)),
+     "dimension", "scenario is 2-dimensional, lattice is 3"),
+    (lambda: select_index_set(standard_lattice(3), sub(2, [(1, 0)]), trivial_scenario(3)),
+     "ambient", "subspace is 2-dimensional, lattice is 3"),
+    (lambda: select_index_set(standard_lattice(3), sub(3, [(1, 0, 0)]), trivial_scenario(4)),
+     "dimension", "scenario is 4-dimensional, lattice is 3"),
+    (lambda: is_m_stable(sub(5, [(1, 0, 0, 0, 0)]), sl4_torus_lattice(F(1, 4)),
+                         sl4_so21_scenario()),
+     "ambient", "subspace is 5-dimensional, lattice is 4"),
+    (lambda: pushout_step(sl4_torus_lattice(F(1, 4)), sl4_so21_scenario(), PushoutConfig(),
+                          delta_before=delta_m(standard_lattice(2), trivial_scenario(2))),
+     "ambient", "subspace is 2-dimensional, lattice is 4"),
+    (lambda: protect(sl4_torus_lattice(F(1, 4)), sl4_so21_scenario(), PushoutConfig(), 2,
+                     delta=delta_m(standard_lattice(2), trivial_scenario(2))),
+     "ambient", "subspace is 2-dimensional, lattice is 4"),
+    (lambda: apply_group([[1, 0, 0], [0, 1, 0]], standard_lattice(2)), "g", "must be 2x2"),
+    (lambda: apply_group(rl.identity(3), standard_lattice(2)), "g", "must be 2x2"),
 ], ids=["delta-scenario", "delta-lattice", "covolume", "contains", "closure",
-        "drive", "expansion"])
+        "drive", "expansion", "expansion-subspace", "index-set-scenario",
+        "index-set-subspace", "index-set-scenario-4", "m-stable", "step-delta",
+        "protect-delta", "group-2x3", "group-3x3"])
 def test_dimension_mismatch_is_rejected(call, field, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert (err.value.field, err.value.message) == (field, message)
+
+
+def test_values_built_from_lists_equal_frozen_ones():
+    sc = Scenario(n=2, blocks=[[0, 2]], m_generators=([[1, 1], [0, 1]],))
+    ref_sc = make_scenario(2, ((0, 2),), (((F(1), F(1)), (F(0), F(1))),))
+    assert sc == ref_sc and hash(sc) == hash(ref_sc)
+    assert delta_m(standard_lattice(2), sc) == delta_m(standard_lattice(2), ref_sc)
+    lat = UnimodularLattice(basis=[[2, 1], [1, 1]])
+    ref_lat = make_lattice(((F(2), F(1)), (F(1), F(1))))
+    assert lat == ref_lat and hash(lat) == hash(ref_lat)
+    assert all(type(x) is F for row in lat.basis for x in row)
+    s = TorusElement([4, F(1, 2), F(1, 2)], [1, 1, 1])
+    ref_s = TorusElement((F(4), F(1, 2), F(1, 2)), (1, 1, 1))
+    assert s == ref_s and hash(s) == hash(ref_s)
+    assert all(type(x) is F for x in s.scalars)
+    z3 = standard_lattice(3)
+    assert z3 == make_lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert apply_torus(s, z3) == apply_torus(ref_s, z3)
+
+
+@pytest.mark.parametrize("call, field, message", [
+    (lambda: UnimodularLattice(basis=[[1, 0.5], [0, 1]]),
+     "rows[0][1]", "float entry rejected, use Fraction"),
+    (lambda: make_lattice([[1, 0.5], [0, 1]]), "rows[0][1]", "float entry rejected, use Fraction"),
+    (lambda: UnimodularLattice(basis=[[1, 0], [0]]), "basis", "must be square, N >= 2"),
+    (lambda: make_lattice([[1, 0, 0], [0, 1, 0]]), "basis", "must be square, N >= 2"),
+    (lambda: standard_lattice(1), "basis", "must be square, N >= 2"),
+    (lambda: Scenario(n=2, blocks=[[0, 2]], m_generators=([[1, 0.5], [0, 1]],)),
+     "rows[0][1]", "float entry rejected, use Fraction"),
+    (lambda: Scenario(n=2, blocks=[[0, 2]], m_generators=([[1, 0], [0]],)),
+     "m_generators[0]", "must be 2x2"),
+    (lambda: make_scenario(2, [[0, 2]], [[[1, 0, 0], [0, 1, 0]]]),
+     "m_generators[0]", "must be 2x2"),
+    (lambda: Scenario(n=2, blocks=[[0, 2]], m_generators=([[2, 0], [0, 1]],)),
+     "m_generators[0]", "determinant must be 1"),
+    (lambda: TorusElement((2, 0.5), (1, 1)), "scalars", "expected an int or Fraction, got float"),
+    (lambda: TorusElement((F(2), F(1, 4)), (1, 1)), "scalars", "determinant 1/2 != 1"),
+    (lambda: TorusElement([F(2), F(1, 2)], [2, 1]), "scalars", "determinant 2 != 1"),
+    (lambda: TorusElement((F(2), F(-1, 2)), (1, 1)), "scalars", "must be positive, got -1/2"),
+    (lambda: TorusElement([F(1)], [1, 1]), "scalars", "one scalar per block required"),
+    (lambda: TorusElement((F(1, 2), F(2)), (-1, 1)), "block_dims", "must be positive ints, got -1"),
+    (lambda: TorusElement((F(2), F(2)), (-1, 1)), "block_dims", "must be positive ints, got -1"),
+    (lambda: TorusElement((F(1), F(1)), (1.5, 1)), "block_dims", "must be positive ints, got 1.5"),
+], ids=["lattice-float", "make-lattice-float", "lattice-ragged", "lattice-non-square",
+        "lattice-n1", "scenario-float", "scenario-ragged", "scenario-non-square",
+        "scenario-det", "torus-float", "torus-det", "torus-det-dims", "torus-negative",
+        "torus-count", "torus-negative-dim", "torus-negative-dim-det-1", "torus-float-dim"])
+def test_boundary_rejects_bad_values(call, field, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert (err.value.field, err.value.message) == (field, message)
+
+
+def test_group_lattice_equals_validated_one(rng):
+    # apply_group skips the second determinant; det g·det B gives det_sign
+    seen = set()
+    for _ in range(40):
+        n = rng.choice([2, 3, 4])
+        lat = random_unimodular_lattice(rng, n)
+        if rng.random() < 0.5:
+            lat = make_lattice([[-x for x in lat.basis[0]]] + list(lat.basis[1:]))
+        g = [list(r) for r in random_unimodular_int(rng, n)]
+        if rng.random() < 0.5:
+            g[0] = [-x for x in g[0]]
+        if rng.random() < 0.5:
+            g[0], g[1] = [2 * x for x in g[0]], [F(x, 2) for x in g[1]]
+        moved = apply_group(g, lat)
+        ref = make_lattice(rl.mat_mul(g, lat.basis))
+        assert (moved.basis, moved.det_sign, moved.int_gram) == \
+            (ref.basis, ref.det_sign, ref.int_gram)
+        assert moved == ref
+        seen.add((rl.rat_det(g), lat.det_sign))
+    assert seen == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
 def test_torus_round_trip(rng):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -150,6 +151,61 @@ def test_int_det_against_rat_det():
         n = rng.randint(1, 5)
         m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         assert rl.int_det(m) == rl.rat_det(m)
+
+
+def _per_row_scaled(rows):
+    """Each row times the lcm of its own denominators, and those scales."""
+    out, scales = [], []
+    for r in rows:
+        d = math.lcm(*(Fraction(x).denominator for x in r))
+        out.append(tuple(int(x * d) for x in r))
+        scales.append(d)
+    return tuple(out), scales
+
+
+def per_row_rat_det(m):
+    """`rl.rat_det` with one denominator per row; the reference."""
+    w, scales = _per_row_scaled(m)
+    d = Fraction(rl.int_det(w))
+    for s in scales:
+        d /= s
+    return d
+
+
+def per_row_gram_det(vectors):
+    """`rl.gram_det` with one denominator per row; the reference."""
+    w, scales = _per_row_scaled(vectors)
+    d = rl.int_det(rl.mat_mul(w, rl.transpose(w)))
+    if d == 0:
+        raise DependentVectors("gram determinant is zero")
+    return Fraction(d, math.prod(s * s for s in scales))
+
+
+def test_one_denominator_dets_match_per_row_reference():
+    rng = random.Random(20261019)
+    signs = set()
+    dependent = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+              for _ in range(n)] for _ in range(n)]
+        want = per_row_rat_det(m)
+        assert rl.rat_det(m) == want
+        signs.add((want > 0) - (want < 0))
+        vecs = m[:rng.randint(1, n)]
+        try:
+            want_g = per_row_gram_det(vecs)
+        except DependentVectors:
+            dependent += 1
+            with pytest.raises(DependentVectors):
+                rl.gram_det(vecs)
+        else:
+            assert rl.gram_det(vecs) == want_g
+    assert signs == {-1, 0, 1} and dependent
+    singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+    assert rl.rat_det(singular) == per_row_rat_det(singular) == 0
+    with pytest.raises(DependentVectors):
+        rl.gram_det(singular)
 
 
 def test_right_kernel_int():
