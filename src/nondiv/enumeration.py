@@ -429,8 +429,8 @@ def _quotient(lat: UnimodularLattice, sc: Scenario, z_rows) -> _Quotient:
 def complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
     """Extend a saturated k-row basis to a unimodular n×n matrix v; (v, v⁻¹).
 
-    The first k rows of v span the same sublattice as sat_rows. v is
-    (w⁻¹)ᵀ for the HNF transform w of sat_rowsᵀ, so v⁻¹ = wᵀ.
+    The first k rows of v are sat_rows. v is (w⁻¹)ᵀ for the HNF transform w
+    of sat_rowsᵀ, so v⁻¹ = wᵀ.
     """
     k = len(sat_rows)
     ht = rl.transpose(sat_rows)
@@ -438,9 +438,8 @@ def complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
     # hh's k×k corner is triangular with positive pivots: |det| = 1 iff all are 1
     if any(hh[i][i] != 1 for i in range(k)):
         raise InternalInvariantViolation("rows are not a saturated basis")
+    # so w·sat_rowsᵀ = [I_k; 0], sat_rows·wᵀ = [I_k | 0] and v[:k] = sat_rows
     v = rl.transpose(rl.int_inverse_unimodular(w))
-    if rl.hnf_rows(v[:k])[:k] != rl.hnf_rows(sat_rows)[:k]:
-        raise InternalInvariantViolation("basis completion changed the sublattice")
     return v, rl.transpose(w)
 
 

@@ -48,7 +48,9 @@ class Scenario:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("dimension", f"must be >= 2, got {self.n}")
-        object.__setattr__(self, "blocks", tuple((int(a), int(b)) for a, b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(
+            (rl.exact_int(a, f"blocks[{i}]"), rl.exact_int(b, f"blocks[{i}]"))
+            for i, (a, b) in enumerate(self.blocks)))
         pos = 0
         for i, (a, b) in enumerate(self.blocks):
             if a != pos or b <= a:
@@ -264,6 +266,8 @@ class RationalSubspace:
     rows: rl.IntRows
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(
+            tuple(rl.exact_int(x, "rows") for x in r) for r in self.rows))
         if not self.rows:
             raise ValidationError("rows", "zero subspace is not a RationalSubspace")
         if any(len(r) != self.ambient for r in self.rows):

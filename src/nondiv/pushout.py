@@ -6,27 +6,28 @@ the block-scalar torus element that expands the protected subspace, apply it,
 and certify the resulting growth of the restricted minimal covolume exactly.
 Iterating rounds drives the lattice above a covolume floor eta0.
 
-Constants policy. The guard constant (squared) c1c2_sq and the floor eta0 are
-coupled: eta0_sq = c1c2_sq^(-N) keeps the protection chain proper and makes
-the a priori growth factor a theorem. By default both are derived from the
-achieved expansion certificate and stabilized by a short fixed-point loop
-(certificates of larger protected subspaces can have larger constants). With
-eta0_override the guard becomes the largest 1/256-grid rational c > 1 with
-c^N <= 1/eta0_sq; the a priori factor may then be unprovable, so the step
-always re-verifies growth a posteriori and raises GrowthContractViolated
-honestly if a configuration breaks it.
+Constants policy. The squared guard c and the floor eta0 are coupled:
+eta0_sq ≤ c^(-N) keeps the protection chain proper. One loop settles both:
+check the floor, protect under c, certify W∞. By default c is W∞'s achieved
+c1c2_sq and eta0_sq = c^(-N), re-derived until c stops rising (larger
+protected subspaces can have larger constants), and the a priori growth
+factor is a theorem. With eta0_override the floor is fixed and checked before
+any certificate is built, c is the largest 1/256-grid rational with c^N ≤
+1/eta0_sq, and the a priori factor may be unprovable: every step re-verifies
+growth and raises GrowthContractViolated if a configuration breaks it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin as rl
 from .enumeration import (DEFAULT_VECTOR_BUDGET, DeltaResult, _as_budget,
                           _int_nthroot_floor, _stable_search, char_poly,
-                          delta_m, rational_roots)
+                          delta_m)
 from .errors import (GrowthContractViolated, IncompleteSearch,
                      InternalInvariantViolation, NotBelowEta0,
                      ProtectionFailed, UnexpandableSubspace, ValidationError,
@@ -116,44 +117,38 @@ def _index_set(rows: rl.IntRows, sc: Scenario) -> tuple[int, ...]:
     return tuple(picked)
 
 
-def _is_psd(m) -> bool:
-    """Exact test for positive semidefiniteness of a symmetric rational matrix."""
-    a = [[F(x) for x in row] for row in m]
-    while a:
-        k = len(a)
-        diag = [a[i][i] for i in range(k)]
-        if any(d < 0 for d in diag):
-            return False
-        p = max(range(k), key=lambda i: diag[i])
-        if diag[p] == 0:
-            return all(x == 0 for row in a for x in row)
-        if p != 0:
-            a[0], a[p] = a[p], a[0]
-            for row in a:
-                row[0], row[p] = row[p], row[0]
-        piv = a[0][0]
-        a = [[a[i][j] - a[i][0] * a[0][j] / piv for j in range(1, k)]
-             for i in range(1, k)]
-    return True
+def _shifted(p: list[int], u: int, v: int) -> list[int]:
+    """Coefficients of v^n·p((u + t)/v) in t (Taylor shift): the signs of p(u/v + t)."""
+    n = len(p) - 1
+    c = [a * v ** (n - j) for j, a in enumerate(p)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += u * c[j + 1]
+    return c
 
 
 def _sigma_sq_upper(g_i, g_c) -> Fraction:
     """Certified rational upper bound for max_x (x·g_c·x)/(x·g_i·x), g_i PD.
 
-    Equals the exact largest generalized eigenvalue whenever that value is
-    rational (16 bisection rounds, then a rational-root snap); otherwise a
-    dyadic overshoot, which only strengthens downstream certificates. The
-    generalized eigenvalues, the roots of det(x·g_i - g_c), are those of
-    the characteristic polynomial of g_i⁻¹·g_c; with g_i = g/s for an
-    integer g, g_i⁻¹ = s·adj(g)/det(g) from `int_inverse`.
+    The bound is the largest root λ_max of the integer characteristic
+    polynomial p of g_i⁻¹·g_c (g_i⁻¹ = s·adj(g)/det(g) for g_i = g/s), with
+    leading coefficient a > 0, when it is rational; otherwise a dyadic
+    overshoot, which only strengthens downstream certificates. The pencil is
+    symmetric-definite, so p is real-rooted, and x ≥ λ_max exactly when
+    p(x + t) has no negative coefficient (Descartes); 16 bisection rounds
+    bracket λ_max in (lo, hi]. Rational roots of p are y/a for integers y,
+    so λ_max is rational iff p(⌈a·λ_max⌉/a) = 0; integer bisection finds y.
     """
     if all(x == 0 for row in g_c for x in row):
         return F(0)
+    g, s = rl.int_or_scaled(g_i)
+    adj, det = rl.int_inverse(g)
+    m = tuple(tuple(F(s * x, det) for x in row) for row in rl.mat_mul(adj, g_c))
+    p = rl.scale_to_int([char_poly(m)])[0][0]
+    a = p[-1]
 
     def ok(x: Fraction) -> bool:
-        k = len(g_i)
-        m = tuple(tuple(x * g_i[r][c] - g_c[r][c] for c in range(k)) for r in range(k))
-        return _is_psd(m)
+        return min(_shifted(p, x.numerator, x.denominator)) >= 0
 
     hi = F(1)
     while not ok(hi):
@@ -165,13 +160,14 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
             hi = mid
         else:
             lo = mid
-    g, s = rl.int_or_scaled(g_i)
-    adj, det = rl.int_inverse(g)
-    m = tuple(tuple(F(s * x, det) for x in row) for row in rl.mat_mul(adj, g_c))
-    for r in rational_roots(char_poly(m)):
-        if lo < r <= hi and ok(r):
-            return r
-    return hi
+    y_lo, y_hi = math.floor(a * lo), math.ceil(a * hi)
+    while y_hi - y_lo > 1:
+        y = (y_lo + y_hi) // 2
+        if ok(F(y, a)):
+            y_hi = y
+        else:
+            y_lo = y
+    return F(y_hi, a) if _shifted(p, y_hi, a)[0] == 0 else hi
 
 
 @dataclass(frozen=True)
@@ -355,45 +351,38 @@ class PushoutStep:
 
 
 def _resolve_protection(lat, sc, cfg, d0):
-    """Stabilize (guard, eta0, W∞, certificate); raises NotBelowEta0 if moot."""
-    n = lat.n
+    """Settle (guard, eta0, W∞, certificate) in one floor/guard loop.
+
+    Each round checks the floor, protects under the guard and certifies a
+    new W∞. Under eta0_override the floor is fixed, its guard is
+    `dyadic_guard`, and one round decides. Otherwise the guard is W∞'s
+    c1c2_sq (W₁'s at first) and the floor guard^(-N), re-derived until the
+    guard stops rising. Raises IncompleteSearch for an incomplete delta and
+    NotBelowEta0 when the step is moot.
+    """
+    if not d0.complete:
+        raise IncompleteSearch("cannot certify a step from an incomplete delta")
+    n, fixed = lat.n, cfg.eta0_override
     if d0.witness.is_full:
         # delta is exactly 1; every admissible floor is below it
-        eta0_sq = (cfg.eta0_override ** 2 if cfg.eta0_override is not None
-                   else None)
-        raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
-    cert = expansion_element(lat, d0.witness, sc, cfg)
-    if cfg.eta0_override is not None:
-        eta0_sq = cfg.eta0_override ** 2
+        raise NotBelowEta0(None if fixed is None else fixed ** 2, d0.delta_sq_pow)
+    w = d0.witness
+    cert = None if fixed is not None else expansion_element(lat, w, sc, cfg)
+    for _ in range(8 * n):
+        eta0_sq = fixed ** 2 if fixed is not None else cert.c1c2_sq ** (-n)
         if d0.delta_sq_vs(eta0_sq) >= 0:
+            # a larger guard only lowers a self-calibrated floor further
             raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
-        guard = dyadic_guard(eta0_sq, n)
+        guard = dyadic_guard(eta0_sq, n) if fixed is not None else cert.c1c2_sq
         pres = protect(lat, sc, cfg, guard, eta0_sq=eta0_sq, delta=d0)
         if pres is NOT_NEEDED:
             raise InternalInvariantViolation("floor check diverged between layers")
-        if pres.w_infinity != d0.witness:
-            cert = expansion_element(lat, pres.w_infinity, sc, cfg)
-        return pres, cert
-    c_work = cert.c1c2_sq
-    eta0_sq = c_work ** (-n)
-    if d0.delta_sq_vs(eta0_sq) >= 0:
-        # larger constants only lower the floor further
-        raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
-    w = d0.witness
-    for _ in range(8 * n):
-        pres = protect(lat, sc, cfg, c_work, eta0_sq=eta0_sq, delta=d0)
-        if pres is NOT_NEEDED:
-            raise InternalInvariantViolation("floor check diverged between layers")
-        if pres.w_infinity != w:
-            # an unchanged W∞ keeps its certificate, which then returns below
+        if cert is None or pres.w_infinity != w:
+            # an unchanged W∞ keeps its certificate
             w = pres.w_infinity
             cert = expansion_element(lat, w, sc, cfg)
-        if cert.c1c2_sq <= c_work:
+        if fixed is not None or cert.c1c2_sq <= guard:
             return pres, cert
-        c_work = cert.c1c2_sq
-        eta0_sq = c_work ** (-n)
-        if d0.delta_sq_vs(eta0_sq) >= 0:
-            raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
     raise InternalInvariantViolation("working constants failed to stabilize")
 
 
@@ -445,8 +434,6 @@ def pushout_step(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig,
     d0 = delta_before if delta_before is not None else delta_m(
         lat, sc, budget=cfg.vector_budget)
     check_dimensions(lat, sc, d0.witness)
-    if not d0.complete:
-        raise IncompleteSearch("cannot certify a step from an incomplete delta")
     pres, cert = _resolve_protection(lat, sc, cfg, d0)
     return _execute_step(lat, sc, cfg, d0, pres, cert)
 
@@ -495,34 +482,21 @@ def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
     """
     steps: list[PushoutStep] = []
     cur = lat
-    d_cur = delta_m(cur, sc, budget=cfg.vector_budget)
-    d_init = d_cur
-    status = None
+    d_cur = d_init = delta_m(cur, sc, budget=cfg.vector_budget)
     eta0_final = None
-    if not d_cur.complete:
-        status = Terminated.INCOMPLETE
-    else:
+    try:
         while True:
-            try:
-                pres, cert = _resolve_protection(cur, sc, cfg, d_cur)
-            except NotBelowEta0 as e:
-                status = Terminated.REACHED_ETA0
-                eta0_final = e.eta0_sq
-                break
-            except IncompleteSearch:
-                status = Terminated.INCOMPLETE
-                break
+            pres, cert = _resolve_protection(cur, sc, cfg, d_cur)
             if len(steps) >= cfg.max_steps:
                 status = Terminated.MAX_STEPS
                 break
-            try:
-                new_lat, rec = _execute_step(cur, sc, cfg, d_cur, pres, cert)
-            except IncompleteSearch:
-                status = Terminated.INCOMPLETE
-                break
+            cur, rec = _execute_step(cur, sc, cfg, d_cur, pres, cert)
             steps.append(rec)
-            cur = new_lat
             d_cur = rec.delta_after
+    except NotBelowEta0 as e:
+        status, eta0_final = Terminated.REACHED_ETA0, e.eta0_sq
+    except IncompleteSearch:
+        status = Terminated.INCOMPLETE
     composed = TorusElement(tuple(F(1) for _ in sc.blocks), sc.block_dims)
     for rec in steps:
         composed = composed.compose(rec.expansion.s)
@@ -532,18 +506,16 @@ def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
             raise InternalInvariantViolation("composed torus does not replay the trace")
     bound = None
     if status is Terminated.REACHED_ETA0 and steps:
-        eta0s = [rec.eta0_sq for rec in steps]
-        if eta0_final is not None:
-            eta0s.append(eta0_final)
-        eta0_max = max(eta0s)
+        if eta0_final is None:
+            # the full space is the witness; the last step's floor governs
+            eta0_final = steps[-1].eta0_sq
+        eta0_max = max(eta0_final, *(rec.eta0_sq for rec in steps))
         factor_min = min(rec.growth_qpow_factor for rec in steps)
         bound = _step_count_bound(steps[0].delta_before.delta_sq_pow, factor_min,
                                   eta0_max ** d_init.lcm_pow)
         if len(steps) > bound:
             raise InternalInvariantViolation(
                 f"trace length {len(steps)} exceeded the growth bound {bound}")
-        if eta0_final is None:
-            eta0_final = eta0s[-1] if eta0s else None
     return PushoutCertificate(
         initial_delta=d_init,
         steps=tuple(steps),

@@ -41,9 +41,26 @@ def rat_matrix(rows: Sequence[Sequence]) -> RatRows:
         for j, x in enumerate(row):
             if isinstance(x, float):
                 raise ValidationError(f"rows[{i}][{j}]", "float entry rejected, use Fraction")
-            r.append(Fraction(x))
+            r.append(rational_from_str(x, f"rows[{i}][{j}]") if isinstance(x, str)
+                     else Fraction(x))
         out.append(tuple(r))
     return tuple(out)
+
+
+def clip(x, width: int = 40) -> str:
+    """repr(x) cut to width characters, for echoing input in a message."""
+    r = repr(x)
+    return r if len(r) <= width else r[:width - 3] + "..."
+
+
+def rational_from_str(s: str, field: str) -> Fraction:
+    """'p/q' or a decimal; no exponents: Fraction("1e10000000") alone takes ~10 s."""
+    if "e" in s.lower():
+        raise ValidationError(field, f"exponent notation is not accepted, got {clip(s)}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(field, f"expected a rational like 'p/q', got {clip(s)}") from None
 
 
 def exact_rational(x, field: str) -> Fraction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -37,17 +38,11 @@ def _is_int(x) -> bool:
 
 
 def parse_rat(s, field: str) -> Fraction:
-    try:
-        if _is_int(s):
-            return F(s)
-        if isinstance(s, str):
-            # Fraction builds 10**exponent: "1e10000000" alone costs ~10 s, unbudgeted
-            if "e" in s.lower():
-                raise ValidationError(field, f"exponent notation is not accepted, got {s!r}")
-            return F(s.strip())
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValidationError(field, f"expected a rational like 'p/q', got {s!r}")
+    if _is_int(s):
+        return F(s)
+    if isinstance(s, str):
+        return rl.rational_from_str(s, field)
+    raise ValidationError(field, f"expected a rational like 'p/q', got {rl.clip(s)}")
 
 
 def _require(doc: dict, key: str, where: str):
@@ -64,6 +59,11 @@ def load_json(path: str) -> dict:
         raise ValidationError(path, str(e))
     except json.JSONDecodeError as e:
         raise ValidationError(path, f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except UnicodeDecodeError as e:
+        raise ValidationError(path, f"not UTF-8 text at byte {e.start}") from None
+    except ValueError:  # int() refuses literals over the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(path, f"integer literal over the {limit}-digit limit") from None
 
 
 def _parse_blocks(raw, n: int):

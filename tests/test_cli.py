@@ -137,6 +137,19 @@ def test_drive_eta0_flag_overrides_config(capsys):
     assert doc["eta0_sq"] == "1/256"
 
 
+def test_drive_eta0_flag_checks_floor_first(tmp_path, capsys):
+    # one block touches every coordinate, so W₁ is unexpandable; but
+    # δ = 1/64 is above the floor, and that is decided before any certificate
+    scenario = tmp_path / "single_block.json"
+    scenario.write_text(json.dumps({"dimension": 2, "blocks": [[1, 2]]}), encoding="utf-8")
+    code, out, _ = run(capsys, "drive", "--scenario", str(scenario),
+                       "--lattice", f"{FIX}/squash_n2_k6.json", "--eta0", "1/1000000")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["terminated"] == "ReachedEta0"
+    assert doc["steps"] == []
+
+
 def test_drive_budget_flag_incomplete(capsys):
     code, out, _ = run(capsys, "drive",
                        "--scenario", f"{FIX}/sl4_so21.json",
@@ -298,21 +311,30 @@ SCENARIO_N2 = {"dimension": 2, "blocks": [[1, 1], [2, 2]], "m_generators": []}
     ("lattice", {**LATTICE_N2, "basis_columns": [["1e0", "0"], ["0", "1"]]},
      "basis_columns[0][0]"),
     ("lattice", {**LATTICE_N2, "determinant": "1E+0"}, "determinant"),
+    # raw file bytes: json.loads refuses integer literals over 4 300 digits
+    ("lattice", b'{"dimension": 2, "basis_columns": [[' + b"9" * 5001
+     + b', "0"], ["0", "1"]], "determinant": "1"}', "4300-digit limit"),
+    ("lattice", b"\xff" + json.dumps(LATTICE_N2).encode(), "not UTF-8"),
+    # a bad value is echoed cut short
+    ("lattice", {**LATTICE_N2, "basis_columns": [["9" * 5001, "0"], ["0", "1"]]},
+     "basis_columns[0][0]"),
 ], ids=["basis-bools", "determinant-bool", "lattice-dimension-bool",
         "lattice-dimension-1", "scenario-dimension-bool", "blocks-bool",
         "generator-bool", "max-steps-bool", "vector-budget-bool", "eta0-bool",
         "eta0-exponent", "multiplier-exponent", "basis-exponent",
-        "determinant-exponent"])
+        "determinant-exponent", "integer-literal-digits", "not-utf8",
+        "long-value-echo"])
 def test_file_field_rejected(tmp_path, capsys, kind, doc, field):
     argv = ["drive"]
     for k, d in {"scenario": SCENARIO_N2, "lattice": LATTICE_N2, kind: doc}.items():
         p = tmp_path / f"{k}.json"
-        p.write_text(json.dumps(d), encoding="utf-8")
+        p.write_bytes(d if isinstance(d, bytes) else json.dumps(d).encode())
         argv += [f"--{k}", str(p)]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert field in err
+    assert len(err) < 200
 
 
 def test_parse_rat_accepts_plain_forms():

@@ -12,7 +12,7 @@ from math import isqrt
 
 from nondiv import ratlin as rl
 from nondiv.enumeration import (_Budget, _enumerate_gram, _scaled_bareiss,
-                                lll_reduce_gram)
+                                complete_to_basis, lll_reduce_gram)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation
 from nondiv.lattice import (ZERO_SUBSPACE, make_scenario, subspace_from_rows,
                             subspace_sum, trivial_scenario)
@@ -22,6 +22,22 @@ from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
 from conftest import random_unimodular_lattice
 
 F = Fraction
+
+
+# -- basis completion ------------------------------------------------------------
+
+def test_complete_to_basis_keeps_rows():
+    """The first k rows of the completion are the saturated rows themselves."""
+    rng = random.Random(107)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+        sub = subspace_from_rows(n, rows)
+        if sub is ZERO_SUBSPACE:
+            continue
+        v, v_inv = complete_to_basis(sub.rows, n)
+        assert v[:sub.dim] == sub.rows
+        assert rl.mat_mul(v, v_inv) == rl.identity(n)
 
 
 # -- HNF without its transform ---------------------------------------------------

@@ -393,6 +393,9 @@ def test_values_built_from_lists_equal_frozen_ones():
     z3 = standard_lattice(3)
     assert z3 == make_lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert apply_torus(s, z3) == apply_torus(ref_s, z3)
+    w = RationalSubspace(ambient=2, rows=[[1, 0]])
+    assert w == subspace_from_rows(2, [(1, 0)]) and hash(w) == hash(subspace_from_rows(2, [(1, 0)]))
+    assert make_lattice([["1/2", " 0 "], [0, 2]]) == make_lattice([[F(1, 2), 0], [0, 2]])
 
 
 @pytest.mark.parametrize("call, field, message", [
@@ -418,10 +421,20 @@ def test_values_built_from_lists_equal_frozen_ones():
     (lambda: TorusElement((F(1, 2), F(2)), (-1, 1)), "block_dims", "must be positive ints, got -1"),
     (lambda: TorusElement((F(2), F(2)), (-1, 1)), "block_dims", "must be positive ints, got -1"),
     (lambda: TorusElement((F(1), F(1)), (1.5, 1)), "block_dims", "must be positive ints, got 1.5"),
+    # the same text rule as lattice files: exponents never reach Fraction
+    (lambda: make_lattice([["1e3", 0], [0, "1e-3"]]),
+     "rows[0][0]", "exponent notation is not accepted, got '1e3'"),
+    (lambda: make_lattice([[1, "x"], [0, 1]]), "rows[0][1]", "expected a rational like 'p/q', got 'x'"),
+    (lambda: make_scenario(2, [[0, 1.9], [1.9, 2]], []),
+     "blocks[0]", "expected an int or Fraction, got float"),
+    (lambda: Scenario(n=2, blocks=[[0, True], [True, 2]], m_generators=()),
+     "blocks[0]", "expected an int or Fraction, got bool"),
+    (lambda: RationalSubspace(ambient=2, rows=[[1, 0.5]]), "rows", "expected an int or Fraction, got float"),
 ], ids=["lattice-float", "make-lattice-float", "lattice-ragged", "lattice-non-square",
         "lattice-n1", "scenario-float", "scenario-ragged", "scenario-non-square",
         "scenario-det", "torus-float", "torus-det", "torus-det-dims", "torus-negative",
-        "torus-count", "torus-negative-dim", "torus-negative-dim-det-1", "torus-float-dim"])
+        "torus-count", "torus-negative-dim", "torus-negative-dim-det-1", "torus-float-dim",
+        "lattice-exponent", "lattice-text", "blocks-float", "blocks-bool", "subspace-float"])
 def test_boundary_rejects_bad_values(call, field, message):
     with pytest.raises(ValidationError) as err:
         call()

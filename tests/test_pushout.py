@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from nondiv.exterior import PureWedge, apply_torus_to_wedge
 from nondiv.lattice import (UnimodularLattice, apply_group, covolume_sq,
                             int_generators, make_lattice, standard_lattice,
                             subspace_from_rows, trivial_scenario)
-from nondiv.pushout import (NOT_NEEDED, PushoutConfig, Terminated, _is_psd,
+from nondiv.pushout import (NOT_NEEDED, PushoutConfig, Terminated,
                             _sigma_sq_upper, drive, dyadic_guard,
                             expansion_element, protect, pushout_step,
                             select_index_set)
@@ -432,6 +433,27 @@ def reference_det_poly(g_i, g_c):
     return coeffs
 
 
+def _is_psd(m) -> bool:
+    """Exact test for positive semidefiniteness of a symmetric rational matrix."""
+    a = [[F(x) for x in row] for row in m]
+    while a:
+        k = len(a)
+        diag = [a[i][i] for i in range(k)]
+        if any(d < 0 for d in diag):
+            return False
+        p = max(range(k), key=lambda i: diag[i])
+        if diag[p] == 0:
+            return all(x == 0 for row in a for x in row)
+        if p != 0:
+            a[0], a[p] = a[p], a[0]
+            for row in a:
+                row[0], row[p] = row[p], row[0]
+        piv = a[0][0]
+        a = [[a[i][j] - a[i][0] * a[0][j] / piv for j in range(1, k)]
+             for i in range(1, k)]
+    return True
+
+
 def reference_sigma_sq_upper(g_i, g_c):
     """Bisection, then a snap to a rational root of the interpolated det(x·g_i - g_c)."""
     if all(x == 0 for row in g_c for x in row):
@@ -492,6 +514,17 @@ def test_sigma_sq_upper_matches_interpolation_route():
         snapped += singular
         bracketed += not singular
     assert snapped > 20 and bracketed > 10
+
+
+def test_sigma_sq_upper_has_no_factoring_stall():
+    """A large prime in the Grams costs no trial division: σ² = 9p² exactly."""
+    p = 10 ** 9 + 7
+    start = time.perf_counter()
+    cert = expansion_element(make_lattice([[F(1, p), F(1, 3)], [0, p]]),
+                             subspace_from_rows(2, [(0, 1)]), trivial_scenario(2),
+                             PushoutConfig())
+    assert time.perf_counter() - start < 1
+    assert cert.c_w_sq == 1 + 9 * p ** 2
 
 
 def rebase(lat, rng):
