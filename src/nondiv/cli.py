@@ -133,8 +133,7 @@ def cmd_oracle(args) -> int:
         raise ValidationError("--hnf-bound", "must be at least 1")
     d = delta_m(lat, sc, budget=_resolve_budget(args, cfg))
     o = oracle_delta_m(lat, sc, args.hnf_bound)
-    agree = d.complete and (d.witness_covol_sq ** o.witness.dim
-                            == o.witness_covol_sq ** d.witness.dim)
+    agree = d.complete and d.delta_sq_vs(o.witness_covol_sq, o.witness.dim) == 0
     verdict = "AGREE" if agree else "DISAGREE"
     doc = _with_seed({
         "verdict": verdict,

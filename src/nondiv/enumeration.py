@@ -461,43 +461,62 @@ def char_poly(m) -> list[Fraction]:
     return coeffs
 
 
-def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    out = set()
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            out.add(i)
-            out.add(m // i)
-        i += 1
-    return sorted(out)
+def _shifted(p: list[int], u: int, v: int) -> list[int]:
+    """Coefficients of v^n·p((u + t)/v) in t (Taylor shift): the signs of p(u/v + t)."""
+    n = len(p) - 1
+    c = [a * v ** (n - j) for j, a in enumerate(p)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += u * c[j + 1]
+    return c
+
+
+def _roots_over(p: list[int], lo: int, hi: int) -> list[Fraction]:
+    """Ascending roots y/a of the integer polynomial p with integer y in (lo, hi].
+
+    a = |leading coefficient|, so every rational root of p is such a y/a.
+    V(y) counts the sign changes of p's Taylor coefficients at y/a; by
+    Budan–Fourier, V(l) − V(h) bounds the roots in (l/a, h/a] counted with
+    multiplicity, and V only drops at roots of p and its derivatives. A range
+    is bisected while its count is positive; on a unit step the one
+    candidate, the right end, is tested exactly (Collins and Akritas, 1976).
+    """
+    a = abs(p[-1])
+
+    def var(y: int) -> int:
+        signs = [c > 0 for c in _shifted(p, y, a) if c]
+        return sum(map(bool.__ne__, signs, signs[1:]))
+
+    roots = []
+    todo = [(lo, var(lo), hi, var(hi))]
+    while todo:
+        l, vl, h, vh = todo.pop()
+        if vl == vh:
+            continue
+        if h - l == 1:
+            if _shifted(p, h, a)[0] == 0:
+                roots.append(F(h, a))
+            continue
+        m = (l + h) // 2
+        vm = var(m)
+        todo += [(m, vm, h, vh), (l, vl, m, vm)]
+    return roots
 
 
 def rational_roots(coeffs) -> list[Fraction]:
-    """All rational roots of the polynomial with the given coefficients."""
-    ints = rl.scale_to_int([coeffs])[0][0]
-    roots = []
-    # factor out x^v
-    v = 0
-    while v < len(ints) and ints[v] == 0:
-        v += 1
-    if v == len(ints):
+    """All rational roots of the polynomial with the given coefficients, ascending.
+
+    coeffs run from the constant term up; the zero polynomial gives [0]. For
+    the integer form p with leading coefficient a and M = max |pᵢ| below it,
+    every root y/a has |y| < a + M (Cauchy), which `_roots_over` searches.
+    """
+    p = list(rl.scale_to_int([coeffs])[0][0])
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
         return [F(0)]
-    if v:
-        roots.append(F(0))
-        ints = ints[v:]
-    a0, an = ints[0], ints[-1]
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (F(p, q), F(-p, q)):
-                if cand in roots:
-                    continue
-                val = F(0)
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+    b = abs(p[-1]) + max(map(abs, p[:-1]), default=0)
+    return _roots_over(p, -b, b - 1)
 
 
 @lru_cache(maxsize=64)
@@ -507,8 +526,8 @@ def _generator_eigenvalues(g) -> tuple[Fraction, ...]:
     Z is M-stable, so on a quotient Λ/Λ_Z every generator acts
     block-triangularly and the quotient's characteristic polynomial divides
     that of B⁻¹·g·B, which is g's. These are thus the candidate eigenvalues
-    on every quotient, factored once per generator instead of once per
-    quotient.
+    on every quotient, found once per generator instead of once per quotient
+    by `rational_roots`' sign-change bisection, without factoring.
     """
     return tuple(r for r in rational_roots(char_poly(g)) if r != 0)
 
@@ -670,9 +689,10 @@ class DeltaResult:
     """Exact certificate for the restricted minimal covolume.
 
     δ² = witness_covol_sq^{1/dim} for the witness W, dim = dim W; searches
-    compare such roots by cross powers (`_root_lt`). The reported root-free
-    form is derived: delta_sq_pow = witness_covol_sq^{L/dim} with
-    L = lcm(1..N) = lcm_pow, and delta_float = delta_sq_pow^{1/(2L)}.
+    and decisions compare such roots by cross powers (`_root_cmp`). The
+    reported root-free form is derived, and only drive's step bound decides
+    by it: delta_sq_pow = witness_covol_sq^{L/dim} with L = lcm(1..N) =
+    lcm_pow, and delta_float = delta_sq_pow^{1/(2L)}.
     complete=False marks an upper bound obtained under an exhausted budget.
     """
 
@@ -692,11 +712,9 @@ class DeltaResult:
     def delta_float(self) -> float:
         return _float_root(self.delta_sq_pow, 2 * self.lcm_pow)
 
-    def delta_sq_vs(self, value_sq: Fraction) -> int:
-        """Compare δ² with an exact rational: -1, 0, or 1."""
-        lhs = self.witness_covol_sq
-        rhs = F(value_sq) ** self.witness.dim
-        return (lhs > rhs) - (lhs < rhs)
+    def delta_sq_vs(self, c: Fraction, d: int = 1) -> int:
+        """The sign of δ² − c^{1/d}, c ≥ 0 rational: -1, 0, or 1 (`_root_cmp`)."""
+        return _root_cmp(self.witness_covol_sq, self.witness.dim, F(c), d)
 
 
 def _float_root(x: Fraction, power: int) -> float:
@@ -705,17 +723,21 @@ def _float_root(x: Fraction, power: int) -> float:
     return exp((log(x.numerator) - log(x.denominator)) / power)
 
 
-def _root_lt(a, b) -> bool:
-    """Whether a = (c, d, rows) precedes b: by c^{1/d}, then d, then rows.
+def _root_cmp(c, d: int, c2, d2: int) -> int:
+    """The sign of c^{1/d} − c2^{1/d2} for rationals c, c2 ≥ 0: -1, 0, or 1.
 
-    The roots are compared by cross powers, c^{d'} against c'^{d}, so no
-    exponent exceeds N.
+    The roots are compared by cross powers, c^{d2} against c2^{d}, so no
+    exponent exceeds the larger of the two root indices.
     """
-    (c, d, rows), (c2, d2, rows2) = a, b
     x, y = c ** d2, c2 ** d
-    if x != y:
-        return x < y
-    return (d, rows) < (d2, rows2)
+    return (x > y) - (x < y)
+
+
+def _root_lt(a, b) -> bool:
+    """Whether a = (c, d, rows) precedes b: by c^{1/d}, then d, then rows."""
+    (c, d, rows), (c2, d2, rows2) = a, b
+    x = _root_cmp(c, d, c2, d2)
+    return x < 0 if x else (d, rows) < (d2, rows2)
 
 
 def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:

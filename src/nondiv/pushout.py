@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from . import ratlin as rl
 from .enumeration import (DEFAULT_VECTOR_BUDGET, DeltaResult, _as_budget,
-                          _int_nthroot_floor, _stable_search, char_poly,
-                          delta_m)
+                          _int_nthroot_floor, _roots_over, _shifted,
+                          _stable_search, char_poly, delta_m)
 from .errors import (GrowthContractViolated, IncompleteSearch,
                      InternalInvariantViolation, NotBelowEta0,
                      ProtectionFailed, UnexpandableSubspace, ValidationError,
@@ -117,16 +117,6 @@ def _index_set(rows: rl.IntRows, sc: Scenario) -> tuple[int, ...]:
     return tuple(picked)
 
 
-def _shifted(p: list[int], u: int, v: int) -> list[int]:
-    """Coefficients of v^n·p((u + t)/v) in t (Taylor shift): the signs of p(u/v + t)."""
-    n = len(p) - 1
-    c = [a * v ** (n - j) for j, a in enumerate(p)]
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            c[j] += u * c[j + 1]
-    return c
-
-
 def _sigma_sq_upper(g_i, g_c) -> Fraction:
     """Certified rational upper bound for max_x (x·g_c·x)/(x·g_i·x), g_i PD.
 
@@ -137,7 +127,8 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
     symmetric-definite, so p is real-rooted, and x ≥ λ_max exactly when
     p(x + t) has no negative coefficient (Descartes); 16 bisection rounds
     bracket λ_max in (lo, hi]. Rational roots of p are y/a for integers y,
-    so λ_max is rational iff p(⌈a·λ_max⌉/a) = 0; integer bisection finds y.
+    so λ_max is rational iff the largest root `_roots_over` finds for y in
+    (⌊a·lo⌋, ⌈a·hi⌉] passes that same test: no smaller root can.
     """
     if all(x == 0 for row in g_c for x in row):
         return F(0)
@@ -160,14 +151,8 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
             hi = mid
         else:
             lo = mid
-    y_lo, y_hi = math.floor(a * lo), math.ceil(a * hi)
-    while y_hi - y_lo > 1:
-        y = (y_lo + y_hi) // 2
-        if ok(F(y, a)):
-            y_hi = y
-        else:
-            y_lo = y
-    return F(y_hi, a) if _shifted(p, y_hi, a)[0] == 0 else hi
+    roots = _roots_over(p, math.floor(a * lo), math.ceil(a * hi))
+    return roots[-1] if roots and ok(roots[-1]) else hi
 
 
 @dataclass(frozen=True)
@@ -388,16 +373,18 @@ def _resolve_protection(lat, sc, cfg, d0):
 
 def _execute_step(lat, sc, cfg, d0, pres, cert):
     """Apply the certified torus element and re-verify the growth claim."""
-    n = lat.n
+    n, k0 = lat.n, d0.witness.dim
     new_lat = apply_torus(cert.s, lat)
     d1 = delta_m(new_lat, sc, budget=cfg.vector_budget)
     if not d1.complete:
         raise IncompleteSearch("moved lattice's delta could not be certified")
-    factor = min(cert.achieved_c2_sq, F(4)) ** (d0.lcm_pow // n)
-    if d1.delta_sq_pow < factor * d0.delta_sq_pow:
+    m = min(cert.achieved_c2_sq, F(4))
+    factor = m ** (d0.lcm_pow // n)
+    ratio = d1.delta_sq_pow / d0.delta_sq_pow
+    # δ₁² ≥ m^{1/N}·δ₀², by cross powers with exponents at most N²
+    if d1.delta_sq_vs(m ** k0 * d0.witness_covol_sq ** n, n * k0) < 0:
         raise GrowthContractViolated(
-            f"a posteriori q-ratio {d1.delta_sq_pow / d0.delta_sq_pow} "
-            f"fell below the a priori factor {factor}")
+            f"a posteriori q-ratio {ratio} fell below the a priori factor {factor}")
     if d1.witness.is_full:
         tag = "none"
     elif pres.w_infinity.contains(d1.witness):
@@ -415,7 +402,7 @@ def _execute_step(lat, sc, cfg, d0, pres, cert):
         guard_c=pres.guard_c,
         case_tag=tag,
         growth_qpow_factor=factor,
-        qpow_ratio=d1.delta_sq_pow / d0.delta_sq_pow,
+        qpow_ratio=ratio,
     )
     return new_lat, rec
 
@@ -427,9 +414,10 @@ def pushout_step(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig,
 
     Raises NotBelowEta0 when the restricted minimal covolume is already at or
     above the governing floor. Otherwise returns the moved lattice and a step
-    record whose growth claim min(achieved_c2_sq, 4)^{L/N} (in q-power form)
-    is re-verified against the exact recomputed delta; GrowthContractViolated
-    if a custom floor configuration defeats it.
+    record whose growth claim δ₁² ≥ min(achieved_c2_sq, 4)^{1/N}·δ₀² is
+    re-verified against the exact recomputed delta (the record reports it in
+    q-power form); GrowthContractViolated if a custom floor configuration
+    defeats it.
     """
     d0 = delta_before if delta_before is not None else delta_m(
         lat, sc, budget=cfg.vector_budget)

@@ -16,6 +16,8 @@ program; they are kept as the tests' references for the integer paths.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -54,12 +56,20 @@ def clip(x, width: int = 40) -> str:
 
 
 def rational_from_str(s: str, field: str) -> Fraction:
-    """'p/q' or a decimal; no exponents: Fraction("1e10000000") alone takes ~10 s."""
+    """'p/q' or a decimal; no exponents: Fraction("1e10000000") alone takes ~10 s.
+
+    A run of more digits than `sys.get_int_max_str_digits()` (0: no limit)
+    allows is refused with a message that names the limit.
+    """
     if "e" in s.lower():
         raise ValidationError(field, f"exponent notation is not accepted, got {clip(s)}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(r.replace("_", "")) > limit for r in re.findall(r"[\d_]+", s)):
+            raise ValidationError(
+                field, f"number over the {limit}-digit limit, got {clip(s)}") from None
         raise ValidationError(field, f"expected a rational like 'p/q', got {clip(s)}") from None
 
 

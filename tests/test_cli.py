@@ -2,12 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from nondiv import serialize as se
 from nondiv.cli import build_parser, main
+from nondiv.enumeration import _generator_eigenvalues
 from nondiv.lattice import make_lattice
 
 F = Fraction
@@ -318,12 +320,15 @@ SCENARIO_N2 = {"dimension": 2, "blocks": [[1, 1], [2, 2]], "m_generators": []}
     # a bad value is echoed cut short
     ("lattice", {**LATTICE_N2, "basis_columns": [["9" * 5001, "0"], ["0", "1"]]},
      "basis_columns[0][0]"),
+    # a string's digit run over the limit names it, as a JSON literal does
+    ("lattice", {**LATTICE_N2, "basis_columns": [["1/" + "3" * 5001, "0"], ["0", "1"]]},
+     "4300-digit limit"),
 ], ids=["basis-bools", "determinant-bool", "lattice-dimension-bool",
         "lattice-dimension-1", "scenario-dimension-bool", "blocks-bool",
         "generator-bool", "max-steps-bool", "vector-budget-bool", "eta0-bool",
         "eta0-exponent", "multiplier-exponent", "basis-exponent",
         "determinant-exponent", "integer-literal-digits", "not-utf8",
-        "long-value-echo"])
+        "long-value-echo", "string-digits"])
 def test_file_field_rejected(tmp_path, capsys, kind, doc, field):
     argv = ["drive"]
     for k, d in {"scenario": SCENARIO_N2, "lattice": LATTICE_N2, kind: doc}.items():
@@ -335,6 +340,21 @@ def test_file_field_rejected(tmp_path, capsys, kind, doc, field):
     assert out == ""
     assert field in err
     assert len(err) < 200
+
+
+def test_delta_generator_with_large_prime_no_factoring_stall(tmp_path, capsys):
+    """The generator's eigenvalues p³ and 1/p³ cost no trial division."""
+    p = 10 ** 9 + 7
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"dimension": 2, "blocks": [[1, 2]], "m_generators": [
+        [[str(p ** 3), "0"], ["0", f"1/{p ** 3}"]]]}), encoding="utf-8")
+    _generator_eigenvalues.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "delta", "--scenario", str(path),
+                       "--lattice", f"{FIX}/squash_n2_k6.json")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["witness_hnf"] == [[1, 0]]
 
 
 def test_parse_rat_accepts_plain_forms():

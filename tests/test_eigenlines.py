@@ -18,13 +18,14 @@ from nondiv import enumeration
 from nondiv import ratlin as rl
 from nondiv.enumeration import (_generator_eigenvalues, _Quotient, char_poly,
                                 common_eigenspace_bases, delta_m,
-                                rational_roots, stable_subspaces_within)
+                                stable_subspaces_within)
 from nondiv.lattice import (conjugated_generators, int_generators,
                             make_lattice, make_scenario, trivial_scenario)
 from nondiv.pushout import PushoutConfig, drive
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
 
 from conftest import random_unimodular_int, random_unimodular_lattice
+from reference import reference_rational_roots
 
 F = Fraction
 
@@ -76,7 +77,7 @@ def reference_span_intersection(e1, e2):
 def reference_common_eigenspace_bases(mats, dim):
     spaces = [tuple(tuple(F(1 if i == j else 0) for j in range(dim)) for i in range(dim))]
     for m in mats:
-        roots = [r for r in rational_roots(char_poly(m)) if r != 0]
+        roots = [r for r in reference_rational_roots(char_poly(m)) if r != 0]
         refined = []
         for alpha in roots:
             eig = reference_eigenspace_rows(m, alpha)
@@ -160,7 +161,7 @@ def assert_search_matches_reference(quots):
         for (m, d), ref, g in zip(q.rep_matrices, reference_rep_matrices(q),
                                   q.sc.m_generators):
             assert tuple(tuple(F(x, d) for x in row) for row in m) == ref
-            roots = {r for r in rational_roots(char_poly(ref)) if r != 0}
+            roots = {r for r in reference_rational_roots(char_poly(ref)) if r != 0}
             assert roots <= set(_generator_eigenvalues(g))
 
 
@@ -212,7 +213,7 @@ def test_generator_eigenvalues_are_sorted_nonzero_roots():
     g = planted_scenario(random.Random(97), jordan=False).m_generators[0]
     roots = _generator_eigenvalues(g)
     assert list(roots) == sorted(set(roots)) and 0 not in roots
-    assert set(roots) == {r for r in rational_roots(char_poly(g)) if r != 0}
+    assert set(roots) == {r for r in reference_rational_roots(char_poly(g)) if r != 0}
 
 
 def test_int_generators_match_reference():

@@ -425,6 +425,11 @@ def test_values_built_from_lists_equal_frozen_ones():
     (lambda: make_lattice([["1e3", 0], [0, "1e-3"]]),
      "rows[0][0]", "exponent notation is not accepted, got '1e3'"),
     (lambda: make_lattice([[1, "x"], [0, 1]]), "rows[0][1]", "expected a rational like 'p/q', got 'x'"),
+    # well formed, but over the interpreter's int max str digits
+    (lambda: make_lattice([["1" * 5001, 0], [0, 1]]),
+     "rows[0][0]", "number over the 4300-digit limit, got '" + "1" * 36 + "..."),
+    (lambda: make_lattice([[1, "0." + "3" * 5001], [0, 1]]),
+     "rows[0][1]", "number over the 4300-digit limit, got '0." + "3" * 34 + "..."),
     (lambda: make_scenario(2, [[0, 1.9], [1.9, 2]], []),
      "blocks[0]", "expected an int or Fraction, got float"),
     (lambda: Scenario(n=2, blocks=[[0, True], [True, 2]], m_generators=()),
@@ -434,7 +439,8 @@ def test_values_built_from_lists_equal_frozen_ones():
         "lattice-n1", "scenario-float", "scenario-ragged", "scenario-non-square",
         "scenario-det", "torus-float", "torus-det", "torus-det-dims", "torus-negative",
         "torus-count", "torus-negative-dim", "torus-negative-dim-det-1", "torus-float-dim",
-        "lattice-exponent", "lattice-text", "blocks-float", "blocks-bool", "subspace-float"])
+        "lattice-exponent", "lattice-text", "lattice-digits", "lattice-decimal-digits",
+        "blocks-float", "blocks-bool", "subspace-float"])
 def test_boundary_rejects_bad_values(call, field, message):
     with pytest.raises(ValidationError) as err:
         call()
@@ -655,6 +661,10 @@ def test_root_key():
         for x in (F(1, 4), F(1, 2), F(2, 3), F(1), c ** 2, F(3, 7) ** 2):
             q, rhs = res.delta_sq_pow, x ** big_l
             assert res.delta_sq_vs(x) == (q > rhs) - (q < rhs)
+        # against a root x^{1/e}, as the growth check and the oracle compare
+        for x, e in ((F(1, 4), 3), (F(1, 2), 2), (F(2, 3), 12), (c ** 5, 5), (c ** 2, 2 * d)):
+            q, rhs = res.delta_sq_pow, x ** (big_l // e)
+            assert res.delta_sq_vs(x, e) == (q > rhs) - (q < rhs)
 
 
 def test_int_gram_matches_fraction_gram(rng):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -10,9 +11,10 @@ from nondiv import enumeration, lattice, pushout
 from nondiv import ratlin as rl
 from nondiv import serialize as se
 from nondiv.cli import main
-from nondiv.enumeration import delta_m, rational_roots
-from nondiv.errors import (IncompleteSearch, NotBelowEta0, ProtectionFailed,
-                           UnexpandableSubspace, ValidationError, WholeSpace)
+from nondiv.enumeration import _shifted, char_poly, delta_m
+from nondiv.errors import (GrowthContractViolated, IncompleteSearch, NotBelowEta0,
+                           ProtectionFailed, UnexpandableSubspace, ValidationError,
+                           WholeSpace)
 from nondiv.exterior import PureWedge, apply_torus_to_wedge
 from nondiv.lattice import (UnimodularLattice, apply_group, covolume_sq,
                             int_generators, make_lattice, standard_lattice,
@@ -24,7 +26,8 @@ from nondiv.pushout import (NOT_NEEDED, PushoutConfig, Terminated,
 from nondiv.samples import (diagonal_lattice, sl4_so21_scenario,
                             sl4_torus_lattice, squash_lattice_2d)
 
-from conftest import random_unimodular_int
+from conftest import random_unimodular_int, random_unimodular_lattice
+from reference import reference_rational_roots
 
 F = Fraction
 
@@ -305,6 +308,80 @@ def test_pushout_step_growth_random_deep():
     assert ran >= 8
 
 
+def lpower_grew(d0, d1, c2_sq, n):
+    """The former growth test: δ₁^{2L} ≥ min(c₂², 4)^{L/N}·δ₀^{2L}, L = lcm(1..N)."""
+    return d1.delta_sq_pow >= min(c2_sq, 4) ** (d0.lcm_pow // n) * d0.delta_sq_pow
+
+
+def growth_cases(lat, sc, cfg):
+    """(lat, sc, cfg, d0, protection, certificate, d1) for each step of a drive.
+
+    The steps are those `drive` takes; a step that fails its growth check
+    is kept and ends the list.
+    """
+    d0 = delta_m(lat, sc, budget=cfg.vector_budget)
+    out = []
+    for _ in range(cfg.max_steps):
+        try:
+            pres, cert = pushout._resolve_protection(lat, sc, cfg, d0)
+        except NotBelowEta0:
+            break
+        new_lat = lattice.apply_torus(cert.s, lat)
+        d1 = delta_m(new_lat, sc, budget=cfg.vector_budget)
+        out.append((lat, sc, cfg, d0, pres, cert, d1))
+        if not lpower_grew(d0, d1, cert.achieved_c2_sq, lat.n):
+            break
+        lat, d0 = new_lat, d1
+    return out
+
+
+def test_growth_decision_matches_lpower(monkeypatch):
+    """`_execute_step`'s cross-power growth check decides as the L-power one.
+
+    Each step is re-run with its real δ₁ and with planted δ₁ just below, at
+    and just above the a priori threshold, in every witness dimension.
+    """
+    cases = []
+    for scen, lat_file in (("sl4_so21.json", "sl4_t_eighth.json"),
+                           ("sl4_so21.json", "sl4_pushed_t_half.json"),
+                           (None, "squash_n2_k6.json"),
+                           (None, "random_n3_seed20260815.json")):
+        lat = se.load_lattice(f"fixtures/{lat_file}")
+        sc, cfg = (se.load_scenario(f"fixtures/{scen}") if scen
+                   else (trivial_scenario(lat.n), PushoutConfig()))
+        cases += growth_cases(lat, sc, cfg)
+    rng = random.Random(5)
+    for n in (2, 3, 4, 5):
+        for spread in (4, 6, 8):
+            lat = random_unimodular_lattice(rng, n, shears=4, dyadic_range=spread)
+            cases += growth_cases(lat, trivial_scenario(n), PushoutConfig(eta0_override=F(1, 2)))
+    outcomes = Counter()
+    for lat, sc, cfg, d0, pres, cert, d1 in cases:
+        n, k0 = lat.n, d0.witness.dim
+        # δ₁² is on the threshold when covol₁^{1/k1} = x^{1/r}
+        x, r = min(cert.achieved_c2_sq, 4) ** k0 * d0.witness_covol_sq ** n, n * k0
+        q = enumeration.rat_root_upper(x, r)
+        planted = [d1]
+        for k1 in range(1, n):
+            w = subspace_from_rows(n, rl.identity(n)[:k1])
+            planted += [enumeration.DeltaResult(w, (q * f) ** k1, True)
+                        for f in (F(255, 256), F(1), F(257, 256))]
+        for d in planted:
+            monkeypatch.setattr(pushout, "delta_m", lambda *args, d=d, **kw: d)
+            try:
+                pushout._execute_step(lat, sc, cfg, d0, pres, cert)
+                grew = True
+            except GrowthContractViolated:
+                grew = False
+            assert grew == lpower_grew(d0, d, cert.achieved_c2_sq, n)
+            outcomes[grew, d.delta_sq_vs(x, r) == 0] += 1
+    assert len(cases) > 30
+    assert outcomes[True, True] and outcomes[True, False] and outcomes[False, False]
+    # one seeded N = 5 step under eta0_override really fails its check
+    assert any(not lpower_grew(d0, d1, cert.achieved_c2_sq, lat.n)
+               for lat, _, _, d0, _, cert, d1 in cases)
+
+
 def test_drive_standard_lattice_stops_immediately():
     cert = drive(Z4, SC4, CFG_QUARTER)
     assert cert.terminated is Terminated.REACHED_ETA0
@@ -474,7 +551,7 @@ def reference_sigma_sq_upper(g_i, g_c):
             hi = mid
         else:
             lo = mid
-    for r in rational_roots(reference_det_poly(g_i, g_c)):
+    for r in reference_rational_roots(reference_det_poly(g_i, g_c)):
         if lo < r <= hi and ok(r):
             return r
     return hi
@@ -514,6 +591,67 @@ def test_sigma_sq_upper_matches_interpolation_route():
         snapped += singular
         bracketed += not singular
     assert snapped > 20 and bracketed > 10
+
+
+def reference_sigma_sq_bisect(g_i, g_c):
+    """`_sigma_sq_upper` before it shared the root engine: its own integer bisection."""
+    if all(x == 0 for row in g_c for x in row):
+        return F(0)
+    g, s = rl.int_or_scaled(g_i)
+    adj, det = rl.int_inverse(g)
+    m = tuple(tuple(F(s * x, det) for x in row) for row in rl.mat_mul(adj, g_c))
+    p = rl.scale_to_int([char_poly(m)])[0][0]
+    a = p[-1]
+
+    def ok(x):
+        return min(_shifted(p, x.numerator, x.denominator)) >= 0
+
+    hi = F(1)
+    while not ok(hi):
+        hi *= 2
+    lo = F(0)
+    for _ in range(16):
+        mid = (lo + hi) / 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    y_lo, y_hi = math.floor(a * lo), math.ceil(a * hi)
+    while y_hi - y_lo > 1:
+        y = (y_lo + y_hi) // 2
+        if ok(F(y, a)):
+            y_hi = y
+        else:
+            y_lo = y
+    return F(y_hi, a) if _shifted(p, y_hi, a)[0] == 0 else hi
+
+
+def test_sigma_sq_upper_matches_integer_bisection():
+    rng = random.Random(20261019)
+    rational = irrational = 0
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        p = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(k)]
+             for _ in range(k)]
+        if rl.rat_det(p) == 0:
+            continue
+        g_i = rl.mat_mul(p, rl.transpose(p))
+        if rng.random() < 0.5:
+            # planted generalized eigenvalues: λ_max = max(dg) is rational
+            dg = [F(rng.randint(0, 40), rng.randint(1, 7)) for _ in range(k)]
+            g_c = rl.mat_mul(rl.mat_mul(p, [[dg[i] if i == j else 0 for j in range(k)]
+                                            for i in range(k)]), rl.transpose(p))
+        else:
+            c = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(rng.randint(1, k))]
+            g_c = rl.mat_mul(rl.transpose(c), c)
+        got = _sigma_sq_upper(g_i, g_c)
+        assert got == reference_sigma_sq_bisect(g_i, g_c), (g_i, g_c)
+        if rl.rat_det([[got * x - y for x, y in zip(ri, rc)]
+                       for ri, rc in zip(g_i, g_c)]) == 0:
+            rational += 1
+        else:
+            irrational += 1
+    assert rational > 50 and irrational > 50, (rational, irrational)
 
 
 def test_sigma_sq_upper_has_no_factoring_stall():
