@@ -74,38 +74,12 @@ def _as_budget(budget) -> _Budget:
     return _Budget(rl.exact_int(budget, "vector_budget"))
 
 
-def _bareiss(g, k: int) -> int:
-    """k in-place fraction-free elimination steps on a positive definite
-    integer matrix g; returns the last pivot (1 when k = 0).
-
-    Every division is exact. After step p the trailing block is D_{p+1}
-    times the Schur complement of the leading block, D_i being the leading
-    i×i minor. Columns below the pivots are not touched again, so after
-    n steps the diagonal holds D_1..D_n and g[i][j], j < i, holds
-    λ_ij = D_{j+1}·μ_ij (Cohen, Alg. 2.6.7).
-    """
-    n = len(g)
-    prev = 1
-    for p in range(k):
-        piv = g[p][p]
-        if piv <= 0:
-            raise InternalInvariantViolation("Gram matrix not positive definite")
-        prow = g[p]
-        for i in range(p + 1, n):
-            row = g[i]
-            gip = row[p]
-            for j in range(p + 1, n):
-                row[j] = (row[j] * piv - gip * prow[j]) // prev
-        prev = piv
-    return prev
-
-
 def _scaled_bareiss(a):
     """(λ, D, den) for den·a, den the lcm of a's denominators (1 for ints):
-    the matrix after n `_bareiss` steps and its minors [1, D_1, ..., D_n]."""
+    the matrix after n `rl.bareiss` steps and its minors [1, D_1, ..., D_n]."""
     scaled, den = rl.int_or_scaled(a)
     lam = [list(row) for row in scaled]
-    _bareiss(lam, len(lam))
+    rl.bareiss(lam, len(lam))
     return lam, [1] + [lam[i][i] for i in range(len(lam))], den
 
 
@@ -114,7 +88,7 @@ def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
 
     Integral LLL (Cohen, Alg. 2.6.7) on the Gram matrix scaled to integers by
     the lcm of its denominators; a positive scalar changes no μ and no Lovász
-    test. With D_i (D_0 = 1) and λ_ij = D_{j+1}·μ_ij from `_bareiss`, every
+    test. With D_i (D_0 = 1) and λ_ij = D_{j+1}·μ_ij from `rl.bareiss`, every
     size-reduction step and every swap is an O(n) exact integer update. The
     decisions are those of the rational algorithm: row k is size-reduced
     against rows k-1, ..., 0 with μ rounded half up, then tested against the
@@ -160,7 +134,7 @@ def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
     """All x ≠ 0 with x·g·xᵀ ≤ bound, canonical sign (highest nonzero positive).
 
     Fincke-Pohst on integers, depth first, t ascending at every level: D_l
-    and λ_il come from `_bareiss` on den·g. With num = Σ_{i>l} λ_il·x_i,
+    and λ_il come from `rl.bareiss` on den·g. With num = Σ_{i>l} λ_il·x_i,
     x_l = t adds (D_{l+1}·t + num)²/(den·D_l·D_{l+1}) to x·g·xᵀ, so the range
     of t needs only isqrt(⌊rem·den·D_l·D_{l+1}⌋). The remaining bound rem is
     one int over Q = lcm(bound's denominator, every den·D_l·D_{l+1}), so a
@@ -309,7 +283,7 @@ class _Quotient:
 
     The quotient Gram (the Schur complement S of the Z block in v·A·vᵀ, v a
     basis completion of Z) is gram/scale exactly: `gram` is the integer
-    matrix D_k·den·S that `_bareiss(g, k)` leaves in the trailing block of
+    matrix D_k·den·S that `rl.bareiss(g, k)` leaves in the trailing block of
     the integer Gram g = den·v·A·vᵀ, and scale = den·D_k, with den the
     common denominator of A and D_k > 0 the leading k×k minor of g. Callers
     scale their bounds by `scale` instead of dividing the Gram. D_k is also
@@ -338,7 +312,7 @@ class _Quotient:
         if k:  # Z = 0 completes with v = I, so its Gram is lat's own
             a = rl.mat_mul(rl.mat_mul(v, a), rl.transpose(v))
         g = [list(r) for r in a]
-        d_k = _bareiss(g, k)
+        d_k = rl.bareiss(g, k)
         self.scale = den * d_k
         self.covol_sq = F(d_k, den ** k)
         self.gram = tuple(tuple(row[k:]) for row in g[k:])
@@ -689,10 +663,11 @@ class DeltaResult:
     """Exact certificate for the restricted minimal covolume.
 
     δ² = witness_covol_sq^{1/dim} for the witness W, dim = dim W; searches
-    and decisions compare such roots by cross powers (`_root_cmp`). The
-    reported root-free form is derived, and only drive's step bound decides
-    by it: delta_sq_pow = witness_covol_sq^{L/dim} with L = lcm(1..N) =
-    lcm_pow, and delta_float = delta_sq_pow^{1/(2L)}.
+    and decisions compare such roots by cross powers (`_root_cmp`), and
+    drive's step bound works from witness_covol_sq and dim as well. The
+    reported root-free form is derived for output only, and no decision
+    reads it: delta_sq_pow = witness_covol_sq^{L/dim} with
+    L = lcm(1..N) = lcm_pow, and delta_float = delta_sq_pow^{1/(2L)}.
     complete=False marks an upper bound obtained under an exhausted budget.
     """
 
@@ -818,7 +793,8 @@ def oracle_delta_m(lat: UnimodularLattice, sc: Scenario,
     for k in range(1, n):
         # covol² = det(mat·a_int·matᵀ)/den^k: sort on the integer determinants
         items = sorted(
-            (rl.int_det(rl.mat_mul(rl.mat_mul(mat, a_int), rl.transpose(mat))), mat)
+            (rl.bareiss([list(r) for r in rl.mat_mul(rl.mat_mul(mat, a_int),
+                                                     rl.transpose(mat))], k), mat)
             for mat in _hnf_candidates(n, k, hnf_entry_bound))
         for det, mat in items:
             key = (F(det, den ** k), k, mat)

@@ -225,12 +225,6 @@ class UnimodularLattice:
         h = gcd(b * b, *(x for row in g for x in row))
         return tuple(tuple(x // h for x in row) for row in g), b * b // h
 
-    def real_rows(self, int_rows: Sequence[Sequence[int]]) -> rl.RatRows:
-        """Real coordinates of integer coordinate rows, x·b_intᵀ/b; the tests' reference."""
-        bt = rl.transpose(self.basis)
-        return tuple(tuple(sum(Fraction(x) * bt[i][j] for i, x in enumerate(row))
-                           for j in range(self.n)) for row in int_rows)
-
     def vector_norm_sq(self, int_row: Sequence[int]) -> Fraction:
         a = self.gram
         return sum(Fraction(x) * sum(a[i][j] * y for j, y in enumerate(int_row))
@@ -329,17 +323,9 @@ def covolume_sq(lat: UnimodularLattice, w) -> Fraction:
     check_dimensions(lat, w=w)
     if w is ZERO_SUBSPACE:
         return Fraction(1)
-    return covolume_sq_rows(lat, w.rows)
-
-
-def covolume_sq_rows(lat: UnimodularLattice, int_rows: Sequence[Sequence[int]]) -> Fraction:
     a_int, d = lat.int_gram
-    k = len(int_rows)
-    if k == 0:
-        return Fraction(1)
-    inner = rl.mat_mul(rl.mat_mul(int_rows, a_int), rl.transpose(int_rows))
-    det = rl.int_det(inner)
-    return Fraction(det, d ** k)
+    inner = rl.mat_mul(rl.mat_mul(w.rows, a_int), rl.transpose(w.rows))
+    return Fraction(rl.bareiss([list(r) for r in inner], w.dim), d ** w.dim)
 
 
 def subspace_sum(w1: RationalSubspace, w2: RationalSubspace) -> RationalSubspace:

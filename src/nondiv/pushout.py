@@ -384,7 +384,9 @@ def _execute_step(lat, sc, cfg, d0, pres, cert):
     # δ₁² ≥ m^{1/N}·δ₀², by cross powers with exponents at most N²
     if d1.delta_sq_vs(m ** k0 * d0.witness_covol_sq ** n, n * k0) < 0:
         raise GrowthContractViolated(
-            f"a posteriori q-ratio {ratio} fell below the a priori factor {factor}")
+            f"delta^2 after the step (witness covol^2 {d1.witness_covol_sq}, dim "
+            f"{d1.witness.dim}) fell below m^(1/{n}) times delta^2 before (witness "
+            f"covol^2 {d0.witness_covol_sq}, dim {k0}), m = {m}")
     if d1.witness.is_full:
         tag = "none"
     elif pres.w_infinity.contains(d1.witness):
@@ -446,16 +448,41 @@ class PushoutCertificate:
     step_bound: int | None
 
 
-def _step_count_bound(q0: Fraction, factor_min: Fraction, target: Fraction) -> int:
-    """Smallest b with factor_min^b·q0 ≥ target (exact iteration)."""
-    b = 0
-    q = q0
-    while q < target:
-        q *= factor_min
-        b += 1
-        if b > 10 ** 6:
-            raise InternalInvariantViolation("step bound iteration diverged")
-    return b
+def _step_count_bound(c0: Fraction, d0: int, m: Fraction, eta_sq: Fraction,
+                      n: int) -> int:
+    """Least b ≥ 0 with m^{b·d0}·c0^n ≥ eta_sq^{n·d0}, m > 1.
+
+    This is δ₀²·m^{b/N} ≥ eta_sq raised to the power N·d0, with c0 and d0
+    the first δ's witness covol² and dim, so no exponent carries lcm(1..N).
+    With A = m^{d0} and T = eta_sq^{n·d0}/c0^n, b ≥ log₂T/log₂A >
+    (bitlen(T.num) − bitlen(T.den) − 1)/(3/2·(A − 1)), as log₂A ≤ (A − 1)/ln 2;
+    when that exceeds 10⁶ the bound is refused before any power of A is
+    built. Otherwise b is found by doubling and bisection on exact integer
+    cross products. InternalInvariantViolation once b is known to exceed 10⁶.
+    """
+    a = m ** d0
+    t = eta_sq ** (n * d0) / c0 ** n
+    if t <= 1:
+        return 0
+    bits = t.numerator.bit_length() - t.denominator.bit_length() - 1
+    if bits > F(3, 2) * (a - 1) * 10 ** 6:
+        raise InternalInvariantViolation("step bound exceeds 10^6 steps")
+
+    def reaches(b: int) -> bool:
+        return a.numerator ** b * t.denominator >= t.numerator * a.denominator ** b
+
+    lo, hi = 0, 1
+    while not reaches(hi):
+        if hi > 10 ** 6:
+            raise InternalInvariantViolation("step bound exceeds 10^6 steps")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
@@ -498,9 +525,9 @@ def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
             # the full space is the witness; the last step's floor governs
             eta0_final = steps[-1].eta0_sq
         eta0_max = max(eta0_final, *(rec.eta0_sq for rec in steps))
-        factor_min = min(rec.growth_qpow_factor for rec in steps)
-        bound = _step_count_bound(steps[0].delta_before.delta_sq_pow, factor_min,
-                                  eta0_max ** d_init.lcm_pow)
+        m_min = min(F(4), *(rec.expansion.achieved_c2_sq for rec in steps))
+        bound = _step_count_bound(d_init.witness_covol_sq, d_init.witness.dim, m_min,
+                                  eta0_max, lat.n)
         if len(steps) > bound:
             raise InternalInvariantViolation(
                 f"trace length {len(steps)} exceeded the growth bound {bound}")

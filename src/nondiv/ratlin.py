@@ -4,14 +4,13 @@ Matrices are immutable tuples of row tuples; integer matrices hold ints,
 rational ones hold Fractions. No floating point enters this module: every
 value computed here can sit on a branch decision.
 
-Program paths run on integers: spans, kernels and ranks through `hnf`
-(`hnf_rows` where the transform is never read), `right_kernel_int` and
-`saturate`; determinants through `int_det` (`rat_det` and `gram_det` over
-one common denominator); inverses through the fraction-free `int_inverse`
-and, for unimodular matrices, `int_inverse_unimodular`. `int_or_scaled`
-uses a matrix of ints as given. The Fraction routines `_rref`, `rat_rank`,
-`rat_right_kernel`, `span_contains` and `rat_inverse` have no caller in the
-program; they are kept as the tests' references for the integer paths.
+Program paths run on integers, with one elimination per job: spans,
+kernels and ranks through the Hermite form `_hnf` (`hnf`, `hnf_rows`,
+`right_kernel_int`, `saturate`); positive definite Grams, and with them
+covolumes and `gram_det`, through the fraction-free `bareiss`; inverses and
+general determinants (`rat_det`) through the fraction-free Gauss-Jordan
+`int_inverse`, and unimodular inverses through `int_inverse_unimodular`.
+`int_or_scaled` uses a matrix of ints as given.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import DependentVectors, ValidationError
+from .errors import DependentVectors, InternalInvariantViolation, ValidationError
 
 IntRows = tuple[tuple[int, ...], ...]
 RatRows = tuple[tuple[Fraction, ...], ...]
@@ -219,35 +218,6 @@ def saturate(m: Sequence[Sequence[int]]) -> IntRows:
     return right_kernel_int(ker)
 
 
-def int_det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, Bareiss fraction-free."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            arow = a[i]
-            krow = a[k]
-            for j in range(k + 1, n):
-                arow[j] = (arow[j] * pk - aik * krow[j]) // prev
-            arow[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
-
-
 def scale_to_int(m: Sequence[Sequence]) -> tuple[IntRows, int]:
     """(d·m, d) for a rational or integer matrix, d the lcm of its denominators."""
     d = lcm(*(x.denominator for row in m for x in row))
@@ -261,110 +231,57 @@ def int_or_scaled(m: Sequence[Sequence]) -> tuple[IntRows, int]:
     return scale_to_int(m)
 
 
+def bareiss(g, k: int) -> int:
+    """k in-place fraction-free elimination steps on a positive definite
+    integer matrix g; returns the last pivot (1 when k = 0).
+
+    Every division is exact. After step p the trailing block is D_{p+1}
+    times the Schur complement of the leading block, D_i being the leading
+    i×i minor. Columns below the pivots are not touched again, so after
+    n steps the diagonal holds D_1..D_n and g[i][j], j < i, holds
+    λ_ij = D_{j+1}·μ_ij (Cohen, Alg. 2.6.7). A pivot ≤ 0 raises
+    InternalInvariantViolation.
+    """
+    n = len(g)
+    prev = 1
+    for p in range(k):
+        piv = g[p][p]
+        if piv <= 0:
+            raise InternalInvariantViolation("Gram matrix not positive definite")
+        prow = g[p]
+        for i in range(p + 1, n):
+            row = g[i]
+            gip = row[p]
+            for j in range(p + 1, n):
+                row[j] = (row[j] * piv - gip * prow[j]) // prev
+        prev = piv
+    return prev
+
+
 def gram_det(vectors: Sequence[Sequence]) -> Fraction:
     """det of the Gram matrix ⟨v_i, v_j⟩ of rational vectors.
 
     Equals the squared norm of the wedge v₁∧…∧v_k. Raises DependentVectors
-    when the vectors are linearly dependent (determinant 0).
+    when the vectors are linearly dependent (determinant 0): the Gram is
+    then positive semidefinite and `bareiss` meets a zero pivot.
     """
     w, d = scale_to_int(vectors)
-    det = int_det(mat_mul(w, transpose(w)))
-    if det == 0:
-        raise DependentVectors("gram determinant is zero")
+    try:
+        det = bareiss([list(r) for r in mat_mul(w, transpose(w))], len(w))
+    except InternalInvariantViolation:
+        raise DependentVectors("gram determinant is zero") from None
     return Fraction(det, d ** (2 * len(w)))
 
 
 def rat_det(m: Sequence[Sequence]) -> Fraction:
-    """det m = det(d·m)/d^n for a square matrix m of ints and Fractions."""
+    """det m = det(d·m)/d^n for a square matrix m of ints and Fractions,
+    read off `int_inverse` (0 when it finds m singular)."""
     w, d = scale_to_int(m)
-    return Fraction(int_det(w), d ** len(w))
-
-
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot column list)."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, nrows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(nrows):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return a, pivots
-
-
-def rat_rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
-
-
-def rat_right_kernel(rows: Sequence[Sequence]) -> RatRows:
-    """Basis rows of {x in Q^cols : rows·x = 0}."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    rref, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -rref[prow][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def span_contains(base_rows: Sequence[Sequence], vec: Sequence) -> bool:
-    """Whether vec lies in the Q-span of base_rows."""
-    if not any(vec):
-        return True
-    if not base_rows:
-        return False
-    r0 = rat_rank(base_rows)
-    stacked = list(base_rows) + [tuple(vec)]
-    return rat_rank(stacked) == r0
-
-
-def rat_inverse(m: Sequence[Sequence]) -> RatRows:
-    """Inverse of a square rational matrix (Gauss-Jordan); ValueError if singular."""
-    n = len(m)
-    a = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, r in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    try:
+        det = int_inverse(w)[1]
+    except ValueError:
+        return Fraction(0)
+    return Fraction(det, d ** len(w))
 
 
 def int_inverse(m: Sequence[Sequence[int]]) -> tuple[IntRows, int]:

@@ -5,6 +5,7 @@ import pytest
 
 from nondiv.lattice import TorusElement, UnimodularLattice, make_lattice
 from nondiv import ratlin as rl
+from reference import rat_right_kernel
 
 
 def random_torus(rng: random.Random, block_dims) -> TorusElement:
@@ -51,7 +52,7 @@ def real_coordinate_subspace(lat, coords):
     if not constraints:
         from nondiv.lattice import full_subspace
         return full_subspace(n)
-    ker = rl.rat_right_kernel(constraints)
+    ker = rat_right_kernel(constraints)
     ints, _ = rl.scale_to_int(rl.rat_matrix(ker))
     from nondiv.lattice import subspace_from_rows
     return subspace_from_rows(n, ints)

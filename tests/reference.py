@@ -4,11 +4,21 @@
 `enumeration.rational_roots` replaced: every candidate ±p/q, p | a₀ and
 q | aₙ, is evaluated exactly. It costs O(√|a₀| + √|aₙ|) divisions, so the
 tests call it on small coefficients only.
+
+The Fraction routines below are the references for the integer kernels of
+`ratlin`: the RREF family (`_rref` under `rat_rank`, `rat_right_kernel` and
+`span_contains`) for `hnf` and `saturate`, `rat_inverse` for `int_inverse`,
+`fraction_det` for every determinant, and `real_rows` for the lattice's
+integer coordinates. `lpower_step_bound` is the L-power iteration that
+`pushout._step_count_bound` replaced.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from nondiv import ratlin as rl
+from nondiv.errors import InternalInvariantViolation
+from nondiv.ratlin import RatRows
 
 F = Fraction
 
@@ -50,3 +60,128 @@ def reference_rational_roots(coeffs) -> list[Fraction]:
                 if val == 0:
                     roots.append(cand)
     return sorted(set(roots))
+
+
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (rows, pivot column list)."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(row, nrows):
+            if a[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for i in range(nrows):
+            if i != row and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return a, pivots
+
+
+def rat_rank(rows: Sequence[Sequence]) -> int:
+    if not rows:
+        return 0
+    _, pivots = _rref(rows)
+    return len(pivots)
+
+
+def rat_right_kernel(rows: Sequence[Sequence]) -> RatRows:
+    """Basis rows of {x in Q^cols : rows·x = 0}."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    rref, pivots = _rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = -rref[prow][fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def span_contains(base_rows: Sequence[Sequence], vec: Sequence) -> bool:
+    """Whether vec lies in the Q-span of base_rows."""
+    if not any(vec):
+        return True
+    if not base_rows:
+        return False
+    r0 = rat_rank(base_rows)
+    stacked = list(base_rows) + [tuple(vec)]
+    return rat_rank(stacked) == r0
+
+
+def rat_inverse(m: Sequence[Sequence]) -> RatRows:
+    """Inverse of a square rational matrix (Gauss-Jordan); ValueError if singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, r in enumerate(m)]
+    for col in range(n):
+        piv = None
+        for i in range(col, n):
+            if a[i][col]:
+                piv = i
+                break
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def fraction_det(m: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square rational matrix by Gaussian elimination over Q."""
+    a = [[Fraction(x) for x in r] for r in m]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, n):
+            f = a[i][col] / a[col][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def real_rows(lat, int_rows: Sequence[Sequence[int]]) -> RatRows:
+    """Real coordinates of integer coordinate rows, x·b_intᵀ/b."""
+    bt = rl.transpose(lat.basis)
+    return tuple(tuple(sum(Fraction(x) * bt[i][j] for i, x in enumerate(row))
+                       for j in range(lat.n)) for row in int_rows)
+
+
+def lpower_step_bound(q0: Fraction, factor_min: Fraction, target: Fraction) -> int:
+    """Smallest b with factor_min^b·q0 ≥ target (exact iteration)."""
+    b = 0
+    q = q0
+    while q < target:
+        q *= factor_min
+        b += 1
+        if b > 10 ** 6:
+            raise InternalInvariantViolation("step bound iteration diverged")
+    return b

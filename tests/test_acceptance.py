@@ -25,6 +25,7 @@ from nondiv import serialize as se
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice, squash_lattice_2d
 
 from conftest import random_unimodular_int
+from reference import real_rows
 
 F = Fraction
 SC4 = sl4_so21_scenario()
@@ -176,7 +177,7 @@ def test_criterion_4_expansion_bounds():
         except UnexpandableSubspace:
             continue
         diag = cert.s.diagonal()
-        real = lat.real_rows(w.rows)
+        real = real_rows(lat, w.rows)
         for _ in range(2):
             coeffs = [rng.randint(-3, 3) for _ in real]
             v = tuple(sum(F(c) * row[j] for c, row in zip(coeffs, real))

@@ -25,7 +25,7 @@ from nondiv.pushout import PushoutConfig, drive
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
 
 from conftest import random_unimodular_int, random_unimodular_lattice
-from reference import reference_rational_roots
+from reference import rat_inverse, rat_right_kernel, reference_rational_roots
 
 F = Fraction
 
@@ -35,7 +35,7 @@ UNIPOTENT = make_scenario(3, [[0, 2], [2, 3]], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]
 # -- the Fraction path --------------------------------------------------------
 
 def reference_conjugated_generators(lat, sc):
-    binv = rl.rat_inverse(lat.basis)
+    binv = rat_inverse(lat.basis)
     return tuple(rl.rat_matrix(rl.mat_mul(rl.mat_mul(binv, g), lat.basis))
                  for g in sc.m_generators)
 
@@ -64,14 +64,14 @@ def reference_eigenspace_rows(m, alpha):
     n = len(m)
     shifted = tuple(tuple(m[i][j] - (alpha if i == j else 0) for j in range(n))
                     for i in range(n))
-    return rl.rat_right_kernel(rl.transpose(shifted))
+    return rat_right_kernel(rl.transpose(shifted))
 
 
 def reference_span_intersection(e1, e2):
-    constraints = list(rl.rat_right_kernel(e1)) + list(rl.rat_right_kernel(e2))
+    constraints = list(rat_right_kernel(e1)) + list(rat_right_kernel(e2))
     if not constraints:
         return e1 if len(e1) <= len(e2) else e2
-    return rl.rat_right_kernel(constraints)
+    return rat_right_kernel(constraints)
 
 
 def reference_common_eigenspace_bases(mats, dim):
@@ -261,7 +261,7 @@ def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
     """Along a drive the torus moves share one frame: the basis is inverted
     once for the generator action, and each stable subspace Z is completed
     to a basis and searched for eigen-lines once."""
-    sc = sl4_so21_scenario()
+    sc, lat = sl4_so21_scenario(), sl4_torus_lattice(F(1, 8))
     completions, searches, inversions = Counter(), Counter(), []
     current, line_searches = [], []
     real_complete = enumeration.complete_to_basis
@@ -293,7 +293,7 @@ def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
     monkeypatch.setattr(enumeration, "_stable_quotient_lines", lines)
     monkeypatch.setattr(enumeration, "common_eigenspace_bases", search)
     monkeypatch.setattr(rl, "int_inverse", inverse)
-    cert = drive(sl4_torus_lattice(F(1, 8)), sc, PushoutConfig(eta0_override=F(1, 4)))
+    cert = drive(lat, sc, PushoutConfig(eta0_override=F(1, 4)))
     assert len(cert.steps) == 3
     assert completions and max(completions.values()) == 1
     assert searches and max(searches.values()) == 1

@@ -7,7 +7,7 @@ import pytest
 
 import nondiv
 from nondiv import enumeration
-from nondiv.enumeration import (_as_budget, _bareiss, _Budget, _enumerate_gram,
+from nondiv.enumeration import (_as_budget, _Budget, _enumerate_gram,
                                 _int_nthroot_floor, _Quotient, _root_lt,
                                 _stable_search, delta_m, eligible_subspaces,
                                 lll_reduce_gram, oracle_delta_m,
@@ -25,6 +25,7 @@ from nondiv import ratlin as rl
 
 from conftest import (random_unimodular_int, random_unimodular_lattice,
                       real_coordinate_subspace)
+from reference import rat_inverse, real_rows
 
 F = Fraction
 
@@ -103,8 +104,8 @@ def test_short_vectors_basis_independent():
         lat2 = rebase(lat, random_unimodular_int(rng, n, shears=4, c=1))
         b = F(3, 2)
         reals = lambda lt, vs: sorted(tuple(x) for v in vs
-                                      for x in (lt.real_rows([v])[0],
-                                                tuple(-c for c in lt.real_rows([v])[0])))
+                                      for x in (real_rows(lt, [v])[0],
+                                                tuple(-c for c in real_rows(lt, [v])[0])))
         assert reals(lat, short_vectors(lat, b)) == reals(lat2, short_vectors(lat2, b))
 
 
@@ -444,7 +445,7 @@ def reference_quotient_gram(lat, v, k):
     g12 = [row[k:] for row in g_full[:k]]
     g21 = [row[:k] for row in g_full[k:]]
     g22 = [row[k:] for row in g_full[k:]]
-    corr = rl.mat_mul(rl.mat_mul(g21, rl.rat_inverse(g11)), g12)
+    corr = rl.mat_mul(rl.mat_mul(g21, rat_inverse(g11)), g12)
     return tuple(tuple(a - b for a, b in zip(r1, r2))
                  for r1, r2 in zip(g22, corr))
 
@@ -684,7 +685,7 @@ def test_bareiss_matches_reference_gso():
             minors.append(minors[-1] * di)
         for k in range(n + 1):
             h = [list(r) for r in g]
-            assert _bareiss(h, k) == minors[k]
+            assert rl.bareiss(h, k) == minors[k]
         assert [h[i][i] for i in range(n)] == minors[1:]
         for i in range(n):
             for j in range(i):
@@ -694,7 +695,7 @@ def test_bareiss_matches_reference_gso():
 def test_bareiss_rejects_non_positive_definite():
     for g in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[-1]], [[2, 0], [0, -3]]):
         with pytest.raises(InternalInvariantViolation):
-            _bareiss([list(r) for r in g], len(g))
+            rl.bareiss([list(r) for r in g], len(g))
 
 
 def constant_cap_delta(lat, sc):

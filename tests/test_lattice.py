@@ -9,7 +9,7 @@ from nondiv.errors import NotUnimodular, ValidationError
 from nondiv.lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
                             TorusElement, UnimodularLattice, _frame, apply_group, apply_torus,
                             conjugated_generators, covolume_sq,
-                            covolume_sq_rows, full_subspace, int_generators,
+                            full_subspace, int_generators,
                             is_m_stable, m_closure, make_lattice,
                             make_scenario, standard_lattice,
                             subspace_from_rows, subspace_intersect,
@@ -24,6 +24,7 @@ from nondiv.pushout import (PushoutConfig, drive, expansion_element, protect,
 
 from conftest import (random_torus, random_unimodular_int,
                       random_unimodular_lattice, real_coordinate_subspace)
+from reference import fraction_det, rat_rank, real_rows, span_contains
 from test_eigenlines import UNIPOTENT, planted_scenario
 
 F = Fraction
@@ -80,8 +81,8 @@ def test_dim_formula(rng):
 
 def unsaturated_sum_covol_sq(lat, w1, w2):
     h, _ = rl.hnf(list(w1.rows) + list(w2.rows))
-    rows = h[:rl.hnf_rank(h)]
-    return covolume_sq_rows(lat, rows)
+    real = real_rows(lat, h[:rl.hnf_rank(h)])
+    return fraction_det(rl.mat_mul(real, rl.transpose(real)))
 
 
 def test_submultiplicativity(rng):
@@ -126,16 +127,16 @@ def reference_closure(lat, sc, rows):
     if not cur:
         return ZERO_SUBSPACE
     gens = conjugated_generators(lat, sc)
-    rank = rl.rat_rank(cur)
+    rank = rat_rank(cur)
     changed = True
     while changed and rank < lat.n:
         changed = False
         for ghat in gens:
             for row in list(cur):
                 y = rl.mat_vec(ghat, row)
-                if not rl.span_contains(cur, y):
+                if not span_contains(cur, y):
                     cur.append(tuple(y))
-                    rank = rl.rat_rank(cur)
+                    rank = rat_rank(cur)
                     changed = True
     ints, _ = rl.scale_to_int(rl.rat_matrix(cur))
     return subspace_from_rows(lat.n, ints)
@@ -213,8 +214,8 @@ def test_stable_family_non_semisimple():
         assert complete
         got = {w.rows for w in family if max(abs(x) for r in w.rows for x in r) <= 3}
         want = {mat for k in (1, 2) for mat in _hnf_candidates(3, k, 3)
-                if covolume_sq_rows(lat, mat) <= cap
-                and is_m_stable(RationalSubspace(ambient=3, rows=mat), lat, sc)}
+                if covolume_sq(lat, sub := RationalSubspace(ambient=3, rows=mat)) <= cap
+                and is_m_stable(sub, lat, sc)}
         assert got == want
 
 
@@ -244,7 +245,7 @@ def test_is_m_stable_matches_span_test(rng):
             w = subspace_from_rows(4, rows)
             if w is ZERO_SUBSPACE:
                 continue
-            want = all(rl.span_contains(w.rows, rl.mat_vec(g, x)) for g in gens for x in w.rows)
+            want = all(span_contains(w.rows, rl.mat_vec(g, x)) for g in gens for x in w.rows)
             assert is_m_stable(w, lat, sc) == want
             assert is_m_stable(m_closure(lat, sc, rows), lat, sc)
 
@@ -535,7 +536,7 @@ def test_m_invariance_of_covolume_on_stable_subspaces():
             w = real_coordinate_subspace(lat, coords)
             assert is_m_stable(w, lat, sc)
             # the restriction of m to W has |det| = 1
-            rows = lat.real_rows(w.rows)
+            rows = real_rows(lat, w.rows)
             img = rl.mat_mul(rows, rl.transpose(m))
             assert rl.gram_det(img) == rl.gram_det(rows)
             assert covolume_sq(mlat, w) == covolume_sq(lat, w)
@@ -680,7 +681,7 @@ def test_int_gram_matches_fraction_gram(rng):
 
 def reference_contains(w, other):
     """The Fraction form: every row of other lies in the Q-span of w's rows."""
-    return all(rl.span_contains(w.rows, r) for r in other.rows)
+    return all(span_contains(w.rows, r) for r in other.rows)
 
 
 def test_contains_matches_span_form():

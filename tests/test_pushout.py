@@ -12,22 +12,23 @@ from nondiv import ratlin as rl
 from nondiv import serialize as se
 from nondiv.cli import main
 from nondiv.enumeration import _shifted, char_poly, delta_m
-from nondiv.errors import (GrowthContractViolated, IncompleteSearch, NotBelowEta0,
-                           ProtectionFailed, UnexpandableSubspace, ValidationError,
-                           WholeSpace)
+from nondiv.errors import (GrowthContractViolated, IncompleteSearch,
+                           InternalInvariantViolation, NotBelowEta0, ProtectionFailed,
+                           UnexpandableSubspace, ValidationError, WholeSpace)
 from nondiv.exterior import PureWedge, apply_torus_to_wedge
 from nondiv.lattice import (UnimodularLattice, apply_group, covolume_sq,
                             int_generators, make_lattice, standard_lattice,
                             subspace_from_rows, trivial_scenario)
-from nondiv.pushout import (NOT_NEEDED, PushoutConfig, Terminated,
-                            _sigma_sq_upper, drive, dyadic_guard,
+from nondiv.pushout import (NOT_NEEDED, ProtectResult, PushoutConfig, Terminated,
+                            _sigma_sq_upper, _step_count_bound, drive, dyadic_guard,
                             expansion_element, protect, pushout_step,
                             select_index_set)
 from nondiv.samples import (diagonal_lattice, sl4_so21_scenario,
                             sl4_torus_lattice, squash_lattice_2d)
 
 from conftest import random_unimodular_int, random_unimodular_lattice
-from reference import reference_rational_roots
+from reference import (lpower_step_bound, rat_rank, rat_right_kernel, real_rows,
+                       reference_rational_roots)
 
 F = Fraction
 
@@ -161,7 +162,7 @@ def test_expansion_bounds_random():
         except UnexpandableSubspace:
             continue
         diag = cert.s.diagonal()
-        real = lat.real_rows(w.rows)
+        real = real_rows(lat, w.rows)
         # vectors inside W
         for _ in range(5):
             coeffs = [rng.randint(-3, 3) for _ in real]
@@ -382,6 +383,78 @@ def test_growth_decision_matches_lpower(monkeypatch):
                for lat, _, _, d0, _, cert, d1 in cases)
 
 
+def lpower_bound(cert):
+    """`cert.step_bound` as the former L-power iteration computed it."""
+    eta0_max = max(cert.eta0_sq, *(rec.eta0_sq for rec in cert.steps))
+    return lpower_step_bound(cert.initial_delta.delta_sq_pow,
+                             min(rec.growth_qpow_factor for rec in cert.steps),
+                             eta0_max ** cert.initial_delta.lcm_pow)
+
+
+def test_step_bound_matches_lpower_reference():
+    """The root-free step bound equals the L-power one on fixture, SL4 and
+    seeded N = 2, 3 drives, and on seeded arguments with m near 1."""
+    certs = []
+    for scen, lat_file in (("sl4_so21.json", "sl4_t_eighth.json"),
+                           ("sl4_so21.json", "sl4_pushed_t_half.json"),
+                           (None, "squash_n2_k6.json"),
+                           (None, "random_n3_seed20260815.json")):
+        lat = se.load_lattice(f"fixtures/{lat_file}")
+        sc, cfg = (se.load_scenario(f"fixtures/{scen}") if scen
+                   else (trivial_scenario(lat.n), PushoutConfig()))
+        certs.append(drive(lat, sc, cfg))
+    certs += [drive(sl4_torus_lattice(t), SC4, CFG_QUARTER) for t in (F(1, 4), F(1, 8))]
+    rng = random.Random(31)
+    for n in (2, 3):
+        for spread in (4, 6, 8):
+            lat = random_unimodular_lattice(rng, n, shears=4, dyadic_range=spread)
+            for cfg in (PushoutConfig(), PushoutConfig(eta0_override=F(1, 2))):
+                certs.append(drive(lat, trivial_scenario(n), cfg))
+    bounded = [c for c in certs if c.step_bound is not None]
+    assert len(bounded) >= 12
+    for cert in bounded:
+        assert cert.step_bound == lpower_bound(cert)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        d0 = rng.randint(1, n - 1)
+        c0 = F(rng.randint(1, 9), rng.choice((1, 16, 2 ** 10)))
+        m = rng.choice((F(101, 100), F(11, 10), F(3, 2), F(257, 256), F(4)))
+        eta_sq = F(1, rng.choice((2, 4, 16)))
+        big_l = rl.lcm_upto(n)
+        want = lpower_step_bound(c0 ** (big_l // d0), m ** (big_l // n), eta_sq ** big_l)
+        assert _step_count_bound(c0, d0, m, eta_sq, n) == want
+
+
+def test_step_bound_refused_before_any_power():
+    """A factor barely above 1 makes the bound ~10⁷ steps: refused at once
+    from bit lengths, where the L-power iteration never returned."""
+    e = F(1, 571 * 2 ** 12)
+    lat = make_lattice([[571 * e, 0], [989 * e, 1 / (571 * e)]])
+    cfg = PushoutConfig(lambda_multiplier=F(10 ** 7 + 1, 10 ** 7), eta0_override=F(1, 2))
+    t0 = time.perf_counter()
+    with pytest.raises(InternalInvariantViolation, match="step bound"):
+        drive(lat, trivial_scenario(2), cfg)
+    assert time.perf_counter() - t0 < 5
+
+
+def test_growth_violation_message_is_root_free(monkeypatch):
+    """At N = 11 the L-power ratio has over 4 300 digits; the typed error
+    names the witnesses' covol² and dims and m instead."""
+    n = 11
+    lat = diagonal_lattice(F(1, 2), F(2), *[F(1)] * (n - 2))
+    sc, cfg = trivial_scenario(n), PushoutConfig()
+    d0 = delta_m(lat, sc)
+    w = d0.witness
+    cert = expansion_element(lat, w, sc, cfg)
+    pres = ProtectResult(w, (w,), (d0.witness_covol_sq,), cert.c1c2_sq, F(1, 4))
+    monkeypatch.setattr(pushout, "delta_m",
+                        lambda *args, **kw: enumeration.DeltaResult(w, F(1, 8), True))
+    with pytest.raises(GrowthContractViolated) as err:
+        pushout._execute_step(lat, sc, cfg, d0, pres, cert)
+    assert "covol^2 1/8, dim 1" in str(err.value) and "covol^2 1/4, dim 1" in str(err.value)
+    assert "m = 4" in str(err.value)
+
+
 def test_drive_standard_lattice_stops_immediately():
     cert = drive(Z4, SC4, CFG_QUARTER)
     assert cert.terminated is Terminated.REACHED_ETA0
@@ -465,7 +538,7 @@ def test_drive_deep_n3():
 
 def reference_select_index_set(lat, w, sc):
     """Kernel chain on the Fraction real rows, with the RREF kernel and rank."""
-    real = lat.real_rows(w.rows)
+    real = real_rows(lat, w.rows)
     cur = [tuple(row) for row in real]
     picked = []
     for i, (a, b) in enumerate(sc.blocks):
@@ -475,13 +548,13 @@ def reference_select_index_set(lat, w, sc):
         if all(x == 0 for p in proj for x in p):
             continue
         picked.append(i)
-        coeffs = rl.rat_right_kernel(rl.transpose(proj))
+        coeffs = rat_right_kernel(rl.transpose(proj))
         cur = [tuple(sum(cf[j] * cur[j][t] for j in range(len(cur)))
                      for t in range(lat.n)) for cf in coeffs]
         cur = [row for row in cur if any(row)]
     assert not cur
     i_cols = [c for i in picked for c in range(*sc.blocks[i])]
-    assert rl.rat_rank([tuple(row[c] for c in i_cols) for row in real]) == w.dim
+    assert rat_rank([tuple(row[c] for c in i_cols) for row in real]) == w.dim
     return tuple(picked)
 
 
@@ -561,7 +634,7 @@ def real_grams(lat, w, sc, picked):
     """g_i and g_c of expansion_element, on the Fraction real rows."""
     i_cols = [c for i in picked for c in range(*sc.blocks[i])]
     o_cols = [c for c in range(lat.n) if c not in i_cols]
-    real = lat.real_rows(w.rows)
+    real = real_rows(lat, w.rows)
     a = [tuple(row[c] for c in i_cols) for row in real]
     b = [tuple(row[c] for c in o_cols) for row in real]
     return rl.mat_mul(a, rl.transpose(a)), rl.mat_mul(b, rl.transpose(b))

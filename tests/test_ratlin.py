@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from nondiv.errors import DependentVectors, ValidationError
+from nondiv.errors import DependentVectors, InternalInvariantViolation, ValidationError
 from nondiv import ratlin as rl
+from nondiv.lattice import RationalSubspace, covolume_sq, make_lattice
+from reference import (_rref, fraction_det, rat_rank, rat_right_kernel, real_rows,
+                       span_contains)
 
 
 def brute_same_row_span_z(a, b, coeff=4):
@@ -28,7 +31,7 @@ def test_hnf_example_2x2():
     h, u = rl.hnf([[2, 4], [1, 1]])
     assert h == ((1, 1), (0, 2))
     assert rl.mat_mul(u, [[2, 4], [1, 1]]) == h
-    assert abs(rl.int_det(u)) == 1
+    assert abs(fraction_det(u)) == 1
     assert brute_same_row_span_z([[2, 4], [1, 1]], h)
 
 
@@ -38,7 +41,7 @@ def test_hnf_identity_and_zero():
     z = ((0, 0), (0, 0))
     h, u = rl.hnf(z)
     assert h == z
-    assert abs(rl.int_det(u)) == 1
+    assert abs(fraction_det(u)) == 1
 
 
 def test_hnf_shape_conventions():
@@ -47,7 +50,7 @@ def test_hnf_shape_conventions():
         rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(rng.randint(1, 4))]
         h, u = rl.hnf(rows)
         assert rl.mat_mul(u, rows) == h
-        assert abs(rl.int_det(u)) == 1
+        assert abs(fraction_det(u)) == 1
         # echelon with positive pivots, reduced above, zero rows trailing
         seen_zero = False
         last_pivot = -1
@@ -86,9 +89,9 @@ def test_saturate_231_denominator_oracle():
                 v = (Fraction(2 * a, den), Fraction(2 * a, den), Fraction(3 * b, den))
                 if all(x.denominator == 1 for x in v):
                     vi = tuple(int(x) for x in v)
-                    assert rl.span_contains(sat, vi)
+                    assert span_contains(sat, vi)
                     # integral member of the span must be an integer combo of sat
-                    rrefd, piv = rl._rref(list(sat) + [vi])
+                    rrefd, piv = _rref(list(sat) + [vi])
                     assert len(piv) == 2
 
 
@@ -98,9 +101,9 @@ def test_saturate_idempotent_and_span_preserving():
         rows = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(rng.randint(1, 3))]
         s = rl.saturate(rows)
         assert rl.saturate(s) == s
-        assert rl.rat_rank(s) == rl.rat_rank([r for r in rows if any(r)])
+        assert rat_rank(s) == rat_rank([r for r in rows if any(r)])
         for r in rows:
-            assert rl.span_contains(s, r)
+            assert span_contains(s, r)
 
 
 def test_gram_det_examples():
@@ -145,12 +148,58 @@ def test_gram_det_cauchy_binet_oracle():
             assert minors == 0
 
 
-def test_int_det_against_rat_det():
-    rng = random.Random(13)
+def test_eliminations_match_fraction_reference():
+    """`bareiss`, `rat_det`, `gram_det` and `covolume_sq` against Fraction
+    Gaussian elimination (`reference.fraction_det`)."""
+    rng = random.Random(20261020)
+    dependent = singular = 0
     for _ in range(200):
         n = rng.randint(1, 5)
-        m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
-        assert rl.int_det(m) == rl.rat_det(m)
+        b = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        m = [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:  # plant a dependent last row
+            m[-1] = [2 * x for x in m[0]]
+        # bareiss: every leading minor of a positive definite Gram
+        if fraction_det(b):
+            g = rl.mat_mul(b, rl.transpose(b))
+            work = [list(r) for r in g]
+            assert rl.bareiss(work, n) == fraction_det(g)
+            assert [work[i][i] for i in range(n)] == \
+                [fraction_det([r[:i + 1] for r in g[:i + 1]]) for i in range(n)]
+        want = fraction_det(m)
+        singular += want == 0
+        assert rl.rat_det(m) == want
+        vecs = m[:rng.randint(1, n)]
+        want_g = fraction_det(rl.mat_mul(vecs, rl.transpose(vecs)))
+        if want_g == 0:
+            dependent += 1
+            with pytest.raises(DependentVectors):
+                rl.gram_det(vecs)
+        else:
+            assert rl.gram_det(vecs) == want_g
+    assert singular and dependent
+    with pytest.raises(InternalInvariantViolation):
+        rl.bareiss([[1, 2], [2, 4]], 2)
+    # covolume_sq: the Fraction Gram determinant of the real rows
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        basis = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)]
+                 for _ in range(n)]
+        if fraction_det(basis) == 0:
+            continue
+        basis[0] = [x / fraction_det(basis) for x in basis[0]]
+        lat = make_lattice(basis)
+        rows = rl.saturate([[rng.randint(-3, 3) for _ in range(n)]
+                            for _ in range(rng.randint(1, n))])
+        if not rows:
+            continue
+        real = real_rows(lat, rows)
+        want = fraction_det(rl.mat_mul(real, rl.transpose(real)))
+        assert covolume_sq(lat, RationalSubspace(ambient=n, rows=rows)) == want
+        checked += 1
+    assert checked > 30
 
 
 def _per_row_scaled(rows):
@@ -166,7 +215,7 @@ def _per_row_scaled(rows):
 def per_row_rat_det(m):
     """`rl.rat_det` with one denominator per row; the reference."""
     w, scales = _per_row_scaled(m)
-    d = Fraction(rl.int_det(w))
+    d = fraction_det(w)
     for s in scales:
         d /= s
     return d
@@ -175,7 +224,7 @@ def per_row_rat_det(m):
 def per_row_gram_det(vectors):
     """`rl.gram_det` with one denominator per row; the reference."""
     w, scales = _per_row_scaled(vectors)
-    d = rl.int_det(rl.mat_mul(w, rl.transpose(w)))
+    d = fraction_det(rl.mat_mul(w, rl.transpose(w)))
     if d == 0:
         raise DependentVectors("gram determinant is zero")
     return Fraction(d, math.prod(s * s for s in scales))
@@ -217,7 +266,7 @@ def test_right_kernel_int():
     for _ in range(100):
         rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(rng.randint(1, 3))]
         ker = rl.right_kernel_int(rows)
-        assert len(ker) == 4 - rl.rat_rank(rows)
+        assert len(ker) == 4 - rat_rank(rows)
         for v in ker:
             for r in rows:
                 assert sum(a * b for a, b in zip(r, v)) == 0
@@ -260,7 +309,7 @@ def test_int_inverse_unimodular():
 
 
 def test_rat_right_kernel():
-    ker = rl.rat_right_kernel([[Fraction(1), Fraction(1), Fraction(0)]])
+    ker = rat_right_kernel([[Fraction(1), Fraction(1), Fraction(0)]])
     assert len(ker) == 2
     for v in ker:
         assert v[0] + v[1] == 0 or (v[0] == -v[1])
