@@ -8,8 +8,8 @@ protection chains, and the iterated push-out drive.
 from .errors import (BudgetExceeded, DegreeOutOfRange, DependentVectors,
                      GrowthContractViolated, IncompleteSearch,
                      InternalInvariantViolation, NondivError, NotBelowEta0,
-                     NotUnimodular, ProtectionFailed, UnexpandableSubspace,
-                     ValidationError, WholeSpace)
+                     NotUnimodular, OutputTooLarge, ProtectionFailed,
+                     UnexpandableSubspace, ValidationError, WholeSpace)
 from .exterior import PureWedge, apply_torus_to_wedge, contraction_constant, wedge_scaling_range
 from .lattice import (RationalSubspace, Scenario, TorusElement,
                       UnimodularLattice, apply_group, apply_torus, covolume_sq,
@@ -28,7 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded", "DegreeOutOfRange", "DependentVectors",
     "GrowthContractViolated", "IncompleteSearch", "InternalInvariantViolation",
-    "NondivError", "NotBelowEta0", "NotUnimodular", "ProtectionFailed",
+    "NondivError", "NotBelowEta0", "NotUnimodular", "OutputTooLarge",
+    "ProtectionFailed",
     "UnexpandableSubspace", "ValidationError", "WholeSpace",
     "RationalSubspace", "Scenario", "TorusElement", "UnimodularLattice",
     "apply_group", "apply_torus", "contraction_constant", "covolume_sq",

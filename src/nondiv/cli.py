@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success (oracle: agreement), 1 oracle disagreement, 2 invalid
 input (an unwritable --output included), 3 enumeration budget exhausted
 (partial output still emitted), 4 drive stopped at the step cap, 5 drive
-could not certify a search complete.
+could not certify a search complete, 6 a number in the result is over the
+interpreter's limit of decimal digits (nothing is written).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 
 from . import serialize as se
 from .enumeration import delta_m, oracle_delta_m, short_vectors
-from .errors import BudgetExceeded, NondivError, ValidationError
+from .errors import BudgetExceeded, NondivError, OutputTooLarge, ValidationError
 from .lattice import check_dimensions, trivial_scenario
 from .pushout import PushoutConfig, Terminated, drive
 
@@ -35,6 +36,7 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_MAX_STEPS = 4
 EXIT_INCOMPLETE = 5
+EXIT_TOO_LARGE = 6
 
 ORACLE_MAX_DIM = 5
 
@@ -138,8 +140,8 @@ def cmd_oracle(args) -> int:
     doc = _with_seed({
         "verdict": verdict,
         "hnf_entry_bound": args.hnf_bound,
-        "search": se.delta_to_dict(d),
-        "oracle": se.delta_to_dict(o),
+        "search": se.delta_to_dict(d, "search"),
+        "oracle": se.delta_to_dict(o, "oracle"),
     }, args)
     _emit(se.dumps_json(doc), args.output)
     if args.output:
@@ -157,10 +159,10 @@ def cmd_shortvec(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     doc = _with_seed({
-        "bound_sq": se.rat_str(bound_sq),
+        "bound_sq": se.rat_str(bound_sq, "bound_sq"),
         "count": len(vecs),
         "vectors": [{"coords": list(v),
-                     "norm_sq": se.rat_str(lat.vector_norm_sq(v)),
+                     "norm_sq": se.rat_str(lat.vector_norm_sq(v), "norm_sq"),
                      "norm_float": math.sqrt(lat.vector_norm_sq(v))}
                     for v in vecs],
     }, args)
@@ -225,6 +227,9 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"error: {e.field}: {e.message}", file=sys.stderr)
         return EXIT_INVALID
+    except OutputTooLarge as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except NondivError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INVALID

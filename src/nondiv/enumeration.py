@@ -14,10 +14,17 @@ eigenspace of the generators on the quotient; only those sublattices are
 enumerated, which keeps heavily squashed instances cheap.
 
 The argument uses only covol²(Y) of the target, so each target dimension k
-has its own cap (`_stable_search`). `delta_m` searches dimension k under
-cap^k; `stable_subspaces_within` keeps one cap for every dimension, because
-`protect` needs every stable superspace below its cap, whatever its
-dimension.
+has its own cap, and with it its own bound at every node. `delta_m`
+searches dimension k under cap^k; `stable_subspaces_within` keeps one cap
+for every dimension, because `protect` needs every stable superspace below
+its cap, whatever its dimension. `_stable_search` runs all target
+dimensions in one pass: a node's quotient is enumerated once, under the
+largest bound its pending dimensions need, and each vector is handed only
+to the dimensions whose own bound it meets. So every dimension sees
+exactly the vectors its own search would, and the argument above holds
+for each k as it stands. When the group acts by scalars on the quotient,
+every quotient line is stable and the line dimension joins that one
+enumeration.
 
 Each quotient Λ/Λ_Z is built once per lattice and shared by `delta_m` and
 every `protect` search on it, with its LLL reduction, its eigen-line spaces
@@ -578,8 +585,25 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
                    base: RationalSubspace | None, bud: _Budget
                    ) -> tuple[list[tuple[RationalSubspace, Fraction]], bool]:
     """`stable_subspaces_within` with covol² ≤ caps[k] in each dimension k,
-    as (subspace, covol²) pairs; the chain search for target dimension k
-    runs under caps[k] alone.
+    as (subspace, covol²) pairs, in one chain search for every k.
+
+    A node Z is visited once with every target dimension still pending
+    there. k = dim Z + 1 is searched among the eigen-line spaces; every
+    larger k has its own Minkowski bound γ_r·(caps[k]/covol²(Z))^{1/r},
+    r = k − dim Z. The quotient is enumerated once, under the largest of
+    these bounds, and each primitive vector serves just the k whose own
+    bound it meets: its closure is emitted if its dimension is one of them,
+    and searched further for those above it, one visit per closure. So for
+    each k the visited nodes, the vectors that pass its bound and the
+    closures are those of a search under caps[k] alone, and the
+    completeness argument holds per k unchanged; only the repeated
+    enumerations and closures are gone.
+
+    When the action is scalar on the quotient (the trivial group, or −I),
+    its one eigen-line space is the whole quotient, and every primitive
+    vector spans a stable line, which is its own closure: k = dim Z + 1
+    then joins the same enumeration with bound caps[k]/covol²(Z), and no
+    `m_closure` is needed at that node.
 
     Quotients come from lat's memo, so they are shared with every other
     search on lat. A line Y = Z ⊕ lift(y) has covol²(Y) = covol²(Z)·
@@ -597,44 +621,67 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
             if covol <= caps[sub.dim]:
                 found[sub.rows] = (sub, covol)
 
-    def search(z_rows, k: int):
-        key = (z_rows, k)
-        if key in visited:
+    def line(quot: _Quotient, y) -> RationalSubspace:
+        # Z saturated and y primitive in Λ/Λ_Z: Λ_Z + Z·lift(y) is
+        # saturated, so its HNF is the line's canonical basis
+        rows = rl.hnf_rows(quot.z_rows + (quot.lift(y),))
+        if not any(rows[-1]):
+            raise InternalInvariantViolation("line lift lost a dimension")
+        return RationalSubspace._trusted(n, rows)
+
+    def search(z_rows, ks):
+        ks = [k for k in ks if (z_rows, k) not in visited]
+        if not ks:
             return
-        visited.add(key)
+        visited.update((z_rows, k) for k in ks)
         quot = _quotient(lat, sc, z_rows)
-        t_sq = caps[k] / quot.covol_sq
-        r = k - len(z_rows)
-        if r == 1:
-            for y, norm in _stable_quotient_lines(quot, t_sq, bud):
-                # Z saturated and y primitive in Λ/Λ_Z: Λ_Z + Z·lift(y) is
-                # saturated, so its HNF is the line's canonical basis
-                rows = rl.hnf_rows(z_rows + (quot.lift(y),))
-                if not any(rows[-1]):
-                    raise InternalInvariantViolation("line lift lost a dimension")
-                emit(RationalSubspace._trusted(n, rows),
-                     quot.covol_sq * norm / quot.scale)
+        dz = len(z_rows)
+        bounds = {}
+        fold = False
+        if dz + 1 in ks:
+            t_sq = caps[dz + 1] / quot.covol_sq
+            spaces = quot.eigen_lines
+            # one space of full rank: the action is scalar on the quotient
+            fold = len(spaces) == 1 and len(spaces[0][0]) == quot.rank
+            if fold:
+                bounds[dz + 1] = t_sq * quot.scale
+            else:
+                for y, norm in _stable_quotient_lines(quot, t_sq, bud):
+                    emit(line(quot, y), quot.covol_sq * norm / quot.scale)
+        for k in ks:
+            if k > dz + 1:
+                r = k - dz
+                bounds[k] = (_hermite_sq_bound(r) * quot.scale
+                             * rat_root_upper(caps[k] / quot.covol_sq, r))
+        if not bounds:
             return
-        bound = _hermite_sq_bound(r) * rat_root_upper(t_sq, r)
         u, g = quot.reduced
-        for _, w in _enumerate_gram(g, bound * quot.scale, bud, spanning=True):
+        deeper: dict = {}
+        for norm, w in _enumerate_gram(g, max(bounds.values()), bud, spanning=True):
+            met = [k for k, b in bounds.items() if norm <= b]
+            if not met:
+                continue
             y = tuple(sum(w[i] * u[i][j] for i in range(len(w)))
                       for j in range(quot.rank))
             if rl.primitive_part(y) != y:
                 continue
-            cl = m_closure(lat, sc, list(z_rows) + [quot.lift(y)])
-            d = cl.dim
-            if d > k:
-                continue
-            if d == k:
-                emit(cl, None)
-            elif d > len(z_rows):
-                search(cl.rows, k)
+            if fold:
+                cl = line(quot, y)
+                if dz + 1 in met:
+                    emit(cl, quot.covol_sq * norm / quot.scale)
+            else:
+                cl = m_closure(lat, sc, list(z_rows) + [quot.lift(y)])
+                if cl.dim in met:
+                    emit(cl, None)
+            above = [k for k in met if k > cl.dim]
+            if above:
+                deeper.setdefault(cl.rows, set()).update(above)
+        for rows, above in deeper.items():
+            search(rows, above)
 
     complete = True
     try:
-        for k in range(len(base_rows) + 1, n):
-            search(base_rows, k)
+        search(base_rows, range(len(base_rows) + 1, n))
     except BudgetExceeded:
         complete = False
     del search  # the recursive closure is a reference cycle; free it now

@@ -80,5 +80,18 @@ class GrowthContractViolated(NondivError):
     """A push-out step failed its a-posteriori growth check."""
 
 
+class OutputTooLarge(NondivError):
+    """A number to be written has more decimal digits than the interpreter
+    converts (`sys.get_int_max_str_digits()`); nothing is written.
+
+    `field` names the offending output entry, e.g. "final.delta_sq_pow".
+    """
+
+    def __init__(self, field: str, limit: int):
+        self.field = field
+        self.limit = limit
+        super().__init__(f"{field}: over the {limit}-digit limit for decimal output")
+
+
 class InternalInvariantViolation(NondivError):
     """A structural property that is supposed to be guaranteed failed."""

@@ -5,6 +5,12 @@ lowest terms with a positive denominator; floats appear only in *_float
 convenience fields. Lattice files carry the basis column by column (one
 generator per column) together with its determinant, which is verified
 once, on load; the loaded lattice carries it.
+
+A number over the interpreter's limit of decimal digits
+(`sys.get_int_max_str_digits()`, 4 300 by default) cannot be written, so
+emission raises `OutputTooLarge` naming the field before any text exists.
+`delta_sq_pow` = covol²^{L/dim} is refused from covol²'s bit lengths, so an
+oversized power is never built.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import ratlin as rl
-from .errors import ValidationError
+from .errors import OutputTooLarge, ValidationError
 from .lattice import Scenario, UnimodularLattice, make_scenario
 from .pushout import PushoutConfig, PushoutCertificate, Terminated
 
@@ -27,9 +33,34 @@ CSV_HEADER = ["step", "delta_num", "delta_den_pow", "delta_float",
               "case_tag", "torus_scalars", "witness_hnf"]
 
 
-def rat_str(x) -> str:
+def _refuse_digits(field: str, n: int) -> None:
+    """OutputTooLarge unless |n| has at most the interpreter's limit of
+    decimal digits. Below 2^b an integer has at most ⌊b·log₁₀2⌋ + 1 digits,
+    and 30103/10⁵ > log₁₀2, so the bit length clears nearly every number;
+    only one within a digit of the limit is compared with 10^limit."""
+    limit = sys.get_int_max_str_digits()
+    n = abs(n)
+    if limit and n.bit_length() * 30103 // 100000 >= limit and n >= 10 ** limit:
+        raise OutputTooLarge(field, limit)
+
+
+def rat_str(x, field: str = "value") -> str:
     x = F(x)
+    _refuse_digits(field, x.numerator)
+    _refuse_digits(field, x.denominator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _delta_sq_pow_str(d, field: str) -> str:
+    """rat_str(d.delta_sq_pow), refused before the power is built when it
+    is sure to be too long: c^e with c ≥ 2^(b−1) has at least
+    ⌊(b−1)·e·log₁₀2⌋ + 1 digits, and 30102/10⁵ < log₁₀2."""
+    limit = sys.get_int_max_str_digits()
+    c, e = d.witness_covol_sq, d.lcm_pow // d.witness.dim
+    for part in (c.numerator, c.denominator):
+        if limit and (part.bit_length() - 1) * e * 30102 // 100000 >= limit:
+            raise OutputTooLarge(field, limit)
+    return rat_str(d.delta_sq_pow, field)
 
 
 def _is_int(x) -> bool:
@@ -159,23 +190,23 @@ def load_lattice(path: str) -> UnimodularLattice:
     return UnimodularLattice._trusted(rows, det.numerator)
 
 
-def lattice_to_dict(lat: UnimodularLattice) -> dict:
+def lattice_to_dict(lat: UnimodularLattice, field: str = "basis_columns") -> dict:
     n = lat.n
     return {
         "dimension": n,
-        "basis_columns": [[rat_str(lat.basis[i][j]) for i in range(n)]
+        "basis_columns": [[rat_str(lat.basis[i][j], field) for i in range(n)]
                           for j in range(n)],
         "determinant": rat_str(lat.det_sign),
     }
 
 
-def delta_to_dict(d) -> dict:
+def delta_to_dict(d, field: str = "delta") -> dict:
     return {
-        "delta_sq_pow": rat_str(d.delta_sq_pow),
+        "delta_sq_pow": _delta_sq_pow_str(d, f"{field}.delta_sq_pow"),
         "lcm_pow": d.lcm_pow,
         "delta_float": d.delta_float,
         "witness_hnf": [list(r) for r in d.witness.rows],
-        "witness_covol_sq": rat_str(d.witness_covol_sq),
+        "witness_covol_sq": rat_str(d.witness_covol_sq, f"{field}.witness_covol_sq"),
         "complete": d.complete,
     }
 
@@ -186,10 +217,11 @@ def trajectory_rows(cert: PushoutCertificate) -> list[dict]:
         d = rec.delta_after
         rows.append({
             "step": i,
-            "delta_sq_pow": rat_str(d.delta_sq_pow),
+            "delta_sq_pow": _delta_sq_pow_str(d, f"steps[{i}].delta_sq_pow"),
             "delta_float": d.delta_float,
             "witness_hnf": [list(r) for r in d.witness.rows],
-            "torus_scalars": [rat_str(x) for x in rec.expansion.s.scalars],
+            "torus_scalars": [rat_str(x, f"steps[{i}].torus_scalars")
+                              for x in rec.expansion.s.scalars],
             "case_tag": rec.case_tag,
         })
     return rows
@@ -205,13 +237,14 @@ _TERMINAL_NAMES = {
 def certificate_to_dict(cert: PushoutCertificate) -> dict:
     return {
         "terminated": _TERMINAL_NAMES[cert.terminated],
-        "eta0_sq": None if cert.eta0_sq is None else rat_str(cert.eta0_sq),
-        "initial": delta_to_dict(cert.initial_delta),
-        "final": delta_to_dict(cert.final_delta),
+        "eta0_sq": None if cert.eta0_sq is None else rat_str(cert.eta0_sq, "eta0_sq"),
+        "initial": delta_to_dict(cert.initial_delta, "initial"),
+        "final": delta_to_dict(cert.final_delta, "final"),
         "steps": trajectory_rows(cert),
-        "composed_torus": [rat_str(x) for x in cert.composed.scalars],
+        "composed_torus": [rat_str(x, "composed_torus") for x in cert.composed.scalars],
         "step_bound": cert.step_bound,
-        "final_basis_columns": lattice_to_dict(cert.final_lattice)["basis_columns"],
+        "final_basis_columns": lattice_to_dict(
+            cert.final_lattice, "final_basis_columns")["basis_columns"],
     }
 
 

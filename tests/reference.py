@@ -11,13 +11,22 @@ The Fraction routines below are the references for the integer kernels of
 `fraction_det` for every determinant, and `real_rows` for the lattice's
 integer coordinates. `lpower_step_bound` is the L-power iteration that
 `pushout._step_count_bound` replaced.
+
+`per_dimension_stable_search` is the chain search that
+`enumeration._stable_search` replaced: it runs one search per target
+dimension k, so a node Z is enumerated, and each of its short vectors
+closed, once for every k that reaches it.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
 from nondiv import ratlin as rl
-from nondiv.errors import InternalInvariantViolation
+from nondiv.enumeration import (_Budget, _enumerate_gram, _hermite_sq_bound,
+                                _quotient, _stable_quotient_lines, rat_root_upper)
+from nondiv.errors import BudgetExceeded, InternalInvariantViolation
+from nondiv.lattice import (RationalSubspace, Scenario, UnimodularLattice,
+                            covolume_sq, is_m_stable, m_closure)
 from nondiv.ratlin import RatRows
 
 F = Fraction
@@ -185,3 +194,74 @@ def lpower_step_bound(q0: Fraction, factor_min: Fraction, target: Fraction) -> i
         if b > 10 ** 6:
             raise InternalInvariantViolation("step bound iteration diverged")
     return b
+
+
+def per_dimension_stable_search(lat: UnimodularLattice, sc: Scenario, caps,
+                                base: RationalSubspace | None, bud: _Budget
+                                ) -> tuple[list[tuple[RationalSubspace, Fraction]], bool]:
+    """`stable_subspaces_within` with covol² ≤ caps[k] in each dimension k,
+    as (subspace, covol²) pairs; the chain search for target dimension k
+    runs under caps[k] alone.
+
+    Quotients come from lat's memo, so they are shared with every other
+    search on lat. A line Y = Z ⊕ lift(y) has covol²(Y) = covol²(Z)·
+    (y·gram·yᵀ)/scale (a Schur complement), so only closures are measured.
+    """
+    n = lat.n
+    base_rows = base.rows if base is not None else ()
+    found: dict = {}
+    visited: set = set()
+
+    def emit(sub: RationalSubspace, covol: Fraction | None):
+        if sub.rows not in found:
+            if covol is None:
+                covol = covolume_sq(lat, sub)
+            if covol <= caps[sub.dim]:
+                found[sub.rows] = (sub, covol)
+
+    def search(z_rows, k: int):
+        key = (z_rows, k)
+        if key in visited:
+            return
+        visited.add(key)
+        quot = _quotient(lat, sc, z_rows)
+        t_sq = caps[k] / quot.covol_sq
+        r = k - len(z_rows)
+        if r == 1:
+            for y, norm in _stable_quotient_lines(quot, t_sq, bud):
+                # Z saturated and y primitive in Λ/Λ_Z: Λ_Z + Z·lift(y) is
+                # saturated, so its HNF is the line's canonical basis
+                rows = rl.hnf_rows(z_rows + (quot.lift(y),))
+                if not any(rows[-1]):
+                    raise InternalInvariantViolation("line lift lost a dimension")
+                emit(RationalSubspace._trusted(n, rows),
+                     quot.covol_sq * norm / quot.scale)
+            return
+        bound = _hermite_sq_bound(r) * rat_root_upper(t_sq, r)
+        u, g = quot.reduced
+        for _, w in _enumerate_gram(g, bound * quot.scale, bud, spanning=True):
+            y = tuple(sum(w[i] * u[i][j] for i in range(len(w)))
+                      for j in range(quot.rank))
+            if rl.primitive_part(y) != y:
+                continue
+            cl = m_closure(lat, sc, list(z_rows) + [quot.lift(y)])
+            d = cl.dim
+            if d > k:
+                continue
+            if d == k:
+                emit(cl, None)
+            elif d > len(z_rows):
+                search(cl.rows, k)
+
+    complete = True
+    try:
+        for k in range(len(base_rows) + 1, n):
+            search(base_rows, k)
+    except BudgetExceeded:
+        complete = False
+    del search  # the recursive closure is a reference cycle; free it now
+    out = sorted(found.values(), key=lambda p: (p[0].dim, p[0].rows))
+    for s, _ in out:
+        if not is_m_stable(s, lat, sc):
+            raise InternalInvariantViolation("closure produced an unstable subspace")
+    return out, complete

@@ -9,8 +9,9 @@ import pytest
 
 from nondiv import serialize as se
 from nondiv.cli import build_parser, main
-from nondiv.enumeration import _generator_eigenvalues
-from nondiv.lattice import make_lattice
+from nondiv.enumeration import DeltaResult, _generator_eigenvalues
+from nondiv.errors import OutputTooLarge
+from nondiv.lattice import full_subspace, make_lattice, subspace_from_rows
 
 F = Fraction
 
@@ -406,6 +407,92 @@ def test_drive_trivial_squash_family(capsys):
         s *= se.parse_rat(row["torus_scalars"][0], "s")
     b = [[se.parse_rat(x, "b") for x in col] for col in doc["final_basis_columns"]]
     assert b[0][0] == F(1, 64) * s
+
+
+def diagonal_lattice_file(tmp_path, diag):
+    n = len(diag)
+    path = tmp_path / f"diag_n{n}.json"
+    cols = [[se.rat_str(diag[j]) if i == j else "0" for i in range(n)] for j in range(n)]
+    path.write_text(json.dumps({"dimension": n, "basis_columns": cols,
+                                "determinant": "1/1"}), encoding="utf-8")
+    return str(path)
+
+
+def test_delta_sq_pow_at_the_digit_limit_is_written(tmp_path, capsys):
+    # (1/4)^2520 at N = 10 has 1 518 digits
+    path = diagonal_lattice_file(tmp_path, [F(1, 2), F(2)] + [F(1)] * 8)
+    code, out, _ = run(capsys, "delta", "--lattice", path)
+    assert code == 0
+    assert json.loads(out)["delta_sq_pow"] == se.rat_str(F(1, 4) ** 2520)
+
+
+@pytest.mark.parametrize("command,diag,field", [
+    ("delta", [F(1, 2), F(2)] + [F(1)] * 9, "delta.delta_sq_pow"),
+    ("delta", [F(1, 2), F(2)] + [F(1)] * 10, "delta.delta_sq_pow"),
+    ("drive", [F(1, 2), F(2)] + [F(1)] * 10, "initial.delta_sq_pow"),
+    ("delta", [F(1, 2 ** 200), F(2 ** 200), F(1), F(1), F(1)], "delta.delta_sq_pow"),
+], ids=["delta-n11", "delta-n12", "drive-n12", "delta-n5-2^200"])
+def test_oversized_output_exits_typed_and_writes_nothing(tmp_path, capsys, command,
+                                                         diag, field):
+    # (1/4)^27720 at N = 11 and 12, and (2^-400)^60 at N = 5, are over the
+    # 4 300-digit limit of int -> str
+    path = diagonal_lattice_file(tmp_path, diag)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--lattice", path)
+    assert time.perf_counter() - start < 5
+    assert code == 6
+    assert out == ""
+    assert err == (f"error: {field}: over the {sys.get_int_max_str_digits()}"
+                   "-digit limit for decimal output\n")
+    target = tmp_path / "out.json"
+    assert run(capsys, command, "--lattice", path, "--output", str(target))[0] == 6
+    assert not target.exists()
+
+
+def test_oversized_output_prints_no_traceback(tmp_path):
+    path = diagonal_lattice_file(tmp_path, [F(1, 2), F(2)] + [F(1)] * 9)
+    proc = subprocess.run([sys.executable, "-m", "nondiv", "delta", "--lattice", path],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 6
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "delta.delta_sq_pow" in proc.stderr
+
+
+def test_digit_limit_refuses_exactly_what_int_to_str_refuses():
+    """rat_str and the delta_sq_pow pre-check, which never builds a power it
+    refuses, agree with str() on both sides of the limit."""
+    saved = sys.get_int_max_str_digits()
+    limit = 640  # the smallest limit the interpreter accepts
+    try:
+        sys.set_int_max_str_digits(limit)
+        assert se.rat_str(10 ** limit - 1) == f"{10 ** limit - 1}/1"
+        with pytest.raises(OutputTooLarge, match="x: over the 640-digit limit"):
+            se.rat_str(F(1, 10 ** limit), "x")
+        small = (F(1, 2), F(3), F(2, 3), F(5, 7 ** 3), F(10 ** 20 - 1, 3 ** 40))
+        # with N = 2 the exponent L/dim is 1 or 2: powers of 640 and 641 digits
+        edge = (F(10 ** 639), F(10 ** 640), F(2 ** 2126), F(1, 2 ** 2127),
+                F(2 ** 1063), F(1, 2 ** 1064))
+        checked = set()
+        for n in range(2, 13):
+            for witness in (subspace_from_rows(n, [[1] + [0] * (n - 1)]),
+                            full_subspace(n)):
+                for c in small + (edge if n == 2 else ()):
+                    d = DeltaResult(witness=witness, witness_covol_sq=c, complete=True)
+                    try:
+                        str(d.delta_sq_pow.numerator), str(d.delta_sq_pow.denominator)
+                        fits = True
+                    except ValueError:
+                        fits = False
+                    if fits:
+                        assert (se.delta_to_dict(d)["delta_sq_pow"]
+                                == f"{d.delta_sq_pow.numerator}/{d.delta_sq_pow.denominator}")
+                    else:
+                        with pytest.raises(OutputTooLarge, match="delta.delta_sq_pow"):
+                            se.delta_to_dict(d)
+                    checked.add((fits, c in edge))
+        assert checked == {(True, False), (False, False), (True, True), (False, True)}
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # sha256 of the stdout of each run; certificate bytes must not change

@@ -10,6 +10,7 @@ the same order, on every quotient a search builds.
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import pytest
@@ -267,6 +268,7 @@ def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
     real_complete = enumeration.complete_to_basis
     real_search = enumeration.common_eigenspace_bases
     real_lines = enumeration._stable_quotient_lines
+    real_eigen_lines = _Quotient.eigen_lines.func
     real_inverse = rl.int_inverse
 
     def complete(rows, n):
@@ -274,12 +276,20 @@ def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
         return real_complete(rows, n)
 
     def lines(quot, t_sq, budget):
-        current.append(quot.full_basis[:quot.k])
-        line_searches.append(current[-1])
+        line_searches.append(quot.z_rows)
+        return real_lines(quot, t_sq, budget)
+
+    # the eigen-line spaces are built where the search first reads them, so
+    # each eigenspace search is charged to the Z of the quotient asking
+    def eigen_lines(quot):
+        current.append(quot.z_rows)
         try:
-            yield from real_lines(quot, t_sq, budget)
+            return real_eigen_lines(quot)
         finally:
             current.pop()
+
+    hooked_eigen_lines = cached_property(eigen_lines)
+    hooked_eigen_lines.__set_name__(_Quotient, "eigen_lines")
 
     def search(reps, eigenvalues, dim):
         searches[current[-1]] += 1
@@ -291,6 +301,7 @@ def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
 
     monkeypatch.setattr(enumeration, "complete_to_basis", complete)
     monkeypatch.setattr(enumeration, "_stable_quotient_lines", lines)
+    monkeypatch.setattr(_Quotient, "eigen_lines", hooked_eigen_lines)
     monkeypatch.setattr(enumeration, "common_eigenspace_bases", search)
     monkeypatch.setattr(rl, "int_inverse", inverse)
     cert = drive(lat, sc, PushoutConfig(eta0_override=F(1, 4)))

@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -25,6 +27,7 @@ from nondiv import ratlin as rl
 
 from conftest import (random_unimodular_int, random_unimodular_lattice,
                       real_coordinate_subspace)
+import reference
 from reference import rat_inverse, real_rows
 
 F = Fraction
@@ -698,10 +701,8 @@ def test_bareiss_rejects_non_positive_definite():
             rl.bareiss([list(r) for r in g], len(g))
 
 
-def constant_cap_delta(lat, sc):
-    """delta_m's seed and cap, minimized over the constant-cap family of
-    `stable_subspaces_within` instead of the per-dimension search: returns
-    ((covol², dim, rows) of the minimum, cap, family)."""
+def seed_cap(lat, sc):
+    """delta_m's seed candidates and the cap it derives from them."""
     u = lll_reduce_gram(lat.int_gram[0])
     seed = m_closure(lat, sc, [tuple(u[0])])
     cap = F(1)
@@ -711,6 +712,14 @@ def constant_cap_delta(lat, sc):
         c_seed = covolume_sq(lat, seed)
         if c_seed < 1:
             cap = rat_root_upper(c_seed, seed.dim)
+    return cands, cap
+
+
+def constant_cap_delta(lat, sc):
+    """delta_m's seed and cap, minimized over the constant-cap family of
+    `stable_subspaces_within` instead of the per-dimension search: returns
+    ((covol², dim, rows) of the minimum, cap, family)."""
+    cands, cap = seed_cap(lat, sc)
     family, complete = stable_subspaces_within(lat, sc, cap)
     assert complete
     best = (F(1), lat.n, full_subspace(lat.n).rows)
@@ -783,6 +792,84 @@ def test_per_dimension_caps_filter_constant_family():
             assert all(c == covolume_sq(lat, w) for w, c in pairs)
             per_dim = [w for w, _ in pairs]
             assert per_dim == [w for w in family if covolume_sq(lat, w) <= caps[w.dim]]
+
+
+# -I acts as a scalar on every quotient, as the trivial group does, but with
+# a generator: its line search runs inside the quotient enumeration
+NEGATION_2 = make_scenario(2, [[0, 2]], [[[-1, 0], [0, -1]]])
+NEGATION_4 = make_scenario(4, [[0, 4]], [[[-int(i == j) for j in range(4)]
+                                          for i in range(4)]])
+
+
+def one_pass_inputs():
+    yield from per_dimension_cap_inputs()
+    rng = random.Random(131)
+    for sc in (NEGATION_2, NEGATION_4):
+        for _ in range(6):
+            yield random_unimodular_lattice(rng, sc.n, shears=sc.n + 2,
+                                            dyadic_range=2), sc
+
+
+def test_one_pass_search_matches_per_dimension_reference(monkeypatch):
+    """One pass per node finds, per target dimension, what one search per
+    dimension finds, under delta_m's caps and under protect's (a base
+    witness, one cap for every dimension), and never spends more budget."""
+    line_searches = [0]
+    real_lines = enumeration._stable_quotient_lines
+
+    def lines(quot, t_sq, budget):
+        line_searches[0] += 1
+        return real_lines(quot, t_sq, budget)
+
+    monkeypatch.setattr(enumeration, "_stable_quotient_lines", lines)
+    monkeypatch.setattr(reference, "_stable_quotient_lines", lines)
+
+    def run(search, lat, sc, caps, base):
+        line_searches[0] = 0
+        bud = _Budget(enumeration.DEFAULT_VECTOR_BUDGET)
+        found, complete = search(lat, sc, caps, base, bud)
+        assert complete
+        return found, bud.used, line_searches[0]
+
+    folded = Counter()
+    saved = 0
+    for lat, sc in one_pass_inputs():
+        d = delta_m(lat, sc)
+        cap = seed_cap(lat, sc)[1]
+        modes = [(tuple(cap ** k for k in range(lat.n)), None)]
+        if not d.witness.is_full:
+            modes.append(((2 * d.witness_covol_sq,) * lat.n, d.witness))
+        for caps, base in modes:
+            got, used, got_lines = run(_stable_search, lat, sc, caps, base)
+            want, want_used, want_lines = run(
+                reference.per_dimension_stable_search, lat, sc, caps, base)
+            assert got == want
+            assert used <= want_used
+            saved += want_used - used
+            # each (Z, dim Z + 1) pair is visited by both; a folded visit
+            # finds its lines in the quotient enumeration instead
+            assert got_lines <= want_lines
+            folded[sc.m_generators] += want_lines - got_lines
+    assert saved > 0
+    assert folded[()] > 0
+    assert folded[NEGATION_2.m_generators] > 0 and folded[NEGATION_4.m_generators] > 0
+
+
+def test_budget_limited_one_pass_search_finds_a_subset():
+    # whatever a search finds before its budget runs out is in the full list
+    cut = 0
+    for lat, sc in itertools.islice(one_pass_inputs(), 0, None, 5):
+        caps = tuple(seed_cap(lat, sc)[1] ** k for k in range(lat.n))
+        bud = _Budget(enumeration.DEFAULT_VECTOR_BUDGET)
+        full, complete = _stable_search(lat, sc, caps, None, bud)
+        assert complete
+        if bud.used < 2:
+            continue
+        part, complete = _stable_search(lat, sc, caps, None, _Budget(bud.used // 2))
+        assert not complete
+        assert set(part) <= set(full)
+        cut += len(full) - len(part)
+    assert cut > 0
 
 
 def test_random_upper_triangular_lattices():
