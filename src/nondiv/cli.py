@@ -42,6 +42,8 @@ ORACLE_MAX_DIM = 5
 
 
 def _load_inputs(args):
+    """(lattice, scenario, config), the config checking every run setting.
+    Budget: the flag, then the environment, then the scenario, then the default."""
     lat = se.load_lattice(args.lattice)
     if args.scenario is not None:
         sc, cfg = se.load_scenario(args.scenario)
@@ -52,25 +54,19 @@ def _load_inputs(args):
         # fallback: trivial group, unit blocks; its isomorphy warnings are
         # vacuous (no generators to compare), so they are not surfaced
         sc, cfg = trivial_scenario(lat.n), PushoutConfig()
-    return lat, sc, cfg
-
-
-def _resolve_budget(args, cfg: PushoutConfig) -> int:
-    # precedence: flag, then environment, then scenario config, then default
+    updates = {}
     if args.vector_budget is not None:
-        if args.vector_budget <= 0:
-            raise ValidationError("--vector-budget", "must be positive")
-        return args.vector_budget
-    env = os.environ.get(ENV_BUDGET)
-    if env is not None:
+        updates["vector_budget"] = args.vector_budget
+    elif (env := os.environ.get(ENV_BUDGET)) is not None:
         try:
-            val = int(env)
+            updates["vector_budget"] = int(env)
         except ValueError:
             raise ValidationError(ENV_BUDGET, f"expected an integer, got {env!r}")
-        if val <= 0:
-            raise ValidationError(ENV_BUDGET, "must be positive")
-        return val
-    return cfg.vector_budget
+    if getattr(args, "max_steps", None) is not None:
+        updates["max_steps"] = args.max_steps
+    if getattr(args, "eta0", None) is not None:
+        updates["eta0_override"] = se.parse_rat(args.eta0, "--eta0")
+    return lat, sc, dataclasses.replace(cfg, **updates)
 
 
 def _emit(text: str, path) -> None:
@@ -100,19 +96,13 @@ def _with_seed(doc: dict, args) -> dict:
 def cmd_delta(args) -> int:
     _require_json(args)
     lat, sc, cfg = _load_inputs(args)
-    d = delta_m(lat, sc, budget=_resolve_budget(args, cfg))
+    d = delta_m(lat, sc, budget=cfg.vector_budget)
     _emit(se.dumps_json(_with_seed(se.delta_to_dict(d), args)), args.output)
     return EXIT_OK if d.complete else EXIT_BUDGET
 
 
 def cmd_drive(args) -> int:
     lat, sc, cfg = _load_inputs(args)
-    updates = {"vector_budget": _resolve_budget(args, cfg)}
-    if args.max_steps is not None:
-        updates["max_steps"] = args.max_steps
-    if args.eta0 is not None:
-        updates["eta0_override"] = se.parse_rat(args.eta0, "--eta0")
-    cfg = dataclasses.replace(cfg, **updates)
     cert = drive(lat, sc, cfg)
     if args.format == "csv":
         _emit(se.certificate_to_csv(cert), args.output)
@@ -133,7 +123,7 @@ def cmd_oracle(args) -> int:
             f"brute-force oracle supports dimension <= {ORACLE_MAX_DIM}, got {lat.n}")
     if args.hnf_bound < 1:
         raise ValidationError("--hnf-bound", "must be at least 1")
-    d = delta_m(lat, sc, budget=_resolve_budget(args, cfg))
+    d = delta_m(lat, sc, budget=cfg.vector_budget)
     o = oracle_delta_m(lat, sc, args.hnf_bound)
     agree = d.complete and d.delta_sq_vs(o.witness_covol_sq, o.witness.dim) == 0
     verdict = "AGREE" if agree else "DISAGREE"
@@ -154,7 +144,7 @@ def cmd_shortvec(args) -> int:
     lat, sc, cfg = _load_inputs(args)
     bound_sq = se.parse_rat(args.bound_sq, "--bound-sq")
     try:
-        vecs = short_vectors(lat, bound_sq, budget=_resolve_budget(args, cfg))
+        vecs = short_vectors(lat, bound_sq, budget=cfg.vector_budget)
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

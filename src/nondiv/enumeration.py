@@ -57,11 +57,14 @@ DEFAULT_VECTOR_BUDGET = 10 ** 6
 
 
 class _Budget:
-    """Node counter shared across one public operation."""
+    """Node counter, shared by the searches it is handed to (`protect`'s;
+    `drive` and `pushout_step` give each search its own). The one place a
+    vector budget is defaulted (None), made exact and checked (≥ 1)."""
 
     __slots__ = ("cap", "used")
 
-    def __init__(self, cap: int):
+    def __init__(self, cap=None):
+        cap = DEFAULT_VECTOR_BUDGET if cap is None else rl.exact_int(cap, "vector_budget")
         if cap < 1:
             raise ValidationError("vector_budget", "must be >= 1")
         self.cap = cap
@@ -74,11 +77,8 @@ class _Budget:
 
 
 def _as_budget(budget) -> _Budget:
-    if isinstance(budget, _Budget):
-        return budget
-    if budget is None:
-        return _Budget(DEFAULT_VECTOR_BUDGET)
-    return _Budget(rl.exact_int(budget, "vector_budget"))
+    """Share a `_Budget`, or build one from a cap (None: the default)."""
+    return budget if isinstance(budget, _Budget) else _Budget(budget)
 
 
 def _scaled_bareiss(a):
@@ -698,9 +698,10 @@ def eligible_subspaces(lat: UnimodularLattice, sc: Scenario, covol_sq_cap,
     cap = rl.exact_rational(covol_sq_cap, "covol_sq_cap")
     if cap <= 0:
         raise ValidationError("covol_sq_cap", "must be positive")
-    subs, complete = stable_subspaces_within(lat, sc, cap, budget=budget)
+    bud = _as_budget(budget)
+    subs, complete = stable_subspaces_within(lat, sc, cap, budget=bud)
     if not complete:
-        raise BudgetExceeded(_as_budget(budget).cap,
+        raise BudgetExceeded(bud.cap,
                              "budget exhausted before the subspace family was certified")
     return subs
 
@@ -724,7 +725,7 @@ class DeltaResult:
 
     @cached_property
     def lcm_pow(self) -> int:
-        return rl.lcm_upto(self.witness.ambient)
+        return lcm(*range(1, self.witness.ambient + 1))
 
     @cached_property
     def delta_sq_pow(self) -> Fraction:
@@ -775,6 +776,7 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
     dimension k is searched under cap^k ≤ cap; keeping ties keeps the
     smaller-dimension tie-break, and badly squashed inputs stay cheap.
     """
+    bud = _as_budget(budget)
     u = _quotient(lat, sc, ()).reduced[0]
     seed = m_closure(lat, sc, [tuple(u[0])])
     cap = F(1)
@@ -785,7 +787,7 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
         if c_seed < 1:
             cap = rat_root_upper(c_seed, seed.dim)
     caps = tuple(cap ** k for k in range(lat.n))
-    cands, complete = _stable_search(lat, sc, caps, None, _as_budget(budget))
+    cands, complete = _stable_search(lat, sc, caps, None, bud)
     witness = full_subspace(lat.n)
     best = (F(1), lat.n, witness.rows)
     for w, c in extra + cands:

@@ -63,13 +63,18 @@ class IncompleteSearch(NondivError):
 class NotBelowEta0(NondivError):
     """The lattice already satisfies the covolume floor; no step is needed.
 
-    Carries the squared floor `eta0_sq` that governed the comparison.
+    Carries the squared floor `eta0_sq` that governed the comparison and the
+    `DeltaResult` `delta` that met it.
     """
 
-    def __init__(self, eta0_sq, delta_sq_pow=None):
+    def __init__(self, eta0_sq, delta=None):
         self.eta0_sq = eta0_sq
-        self.delta_sq_pow = delta_sq_pow
+        self.delta = delta
         super().__init__("restricted minimal covolume already at or above the floor")
+
+    @property
+    def delta_sq_pow(self):
+        return None if self.delta is None else self.delta.delta_sq_pow
 
 
 class ProtectionFailed(NondivError):

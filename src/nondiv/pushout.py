@@ -23,10 +23,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import ratlin as rl
 from .enumeration import (DEFAULT_VECTOR_BUDGET, DeltaResult, _as_budget,
-                          _int_nthroot_floor, _roots_over, _shifted,
+                          _Budget, _int_nthroot_floor, _roots_over, _shifted,
                           _stable_search, char_poly, delta_m)
 from .errors import (GrowthContractViolated, IncompleteSearch,
                      InternalInvariantViolation, NotBelowEta0,
@@ -41,7 +42,8 @@ F = Fraction
 
 @dataclass(frozen=True)
 class PushoutConfig:
-    """Knobs for one run; defaults give the self-calibrating exact pipeline."""
+    """Knobs for one run, each checked here whatever its source (the budget
+    by `_Budget`); defaults give the self-calibrating exact pipeline."""
 
     lambda_multiplier: Fraction = F(2)
     eta0_override: Fraction | None = None
@@ -52,7 +54,7 @@ class PushoutConfig:
         exact = {"lambda_multiplier": rl.exact_rational(self.lambda_multiplier,
                                                         "lambda_multiplier"),
                  "max_steps": rl.exact_int(self.max_steps, "max_steps"),
-                 "vector_budget": rl.exact_int(self.vector_budget, "vector_budget")}
+                 "vector_budget": _Budget(self.vector_budget).cap}
         if self.eta0_override is not None:
             exact["eta0_override"] = rl.exact_rational(self.eta0_override, "eta0")
         for name, value in exact.items():
@@ -63,8 +65,6 @@ class PushoutConfig:
             raise ValidationError("eta0", "must lie strictly between 0 and 1")
         if self.max_steps < 0:
             raise ValidationError("max_steps", "must be >= 0")
-        if self.vector_budget < 1:
-            raise ValidationError("vector_budget", "must be >= 1")
 
 
 class _NotNeeded:
@@ -304,15 +304,14 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
     )
 
 
-def dyadic_guard(eta0_sq: Fraction, n: int, grid_bits: int = 8) -> Fraction:
-    """Largest c = t/2^grid_bits > 1 with c^n ≤ 1/eta0_sq."""
+def dyadic_guard(eta0_sq: Fraction, n: int) -> Fraction:
+    """Largest c = t/256 > 1 with c^n ≤ 1/eta0_sq."""
     eta0_sq = rl.exact_rational(eta0_sq, "eta0_sq")
     if not 0 < eta0_sq < 1:
         raise ValidationError("eta0", "squared floor must lie in (0, 1)")
-    denom = 1 << grid_bits
-    scaled = F(denom ** n) / eta0_sq
+    scaled = F(256 ** n) / eta0_sq
     t = _int_nthroot_floor(scaled.numerator // scaled.denominator, n)
-    c = F(t, denom)
+    c = F(t, 256)
     if c <= 1:
         raise ValidationError("eta0", "floor too close to 1 for a usable guard")
     return c
@@ -320,7 +319,8 @@ def dyadic_guard(eta0_sq: Fraction, n: int, grid_bits: int = 8) -> Fraction:
 
 @dataclass(frozen=True)
 class PushoutStep:
-    """Everything one step did, exact."""
+    """Everything one step did, exact. Derived for output only: the q-power
+    forms growth_qpow_factor = min(achieved_c2_sq, 4)^{L/N} and qpow_ratio."""
 
     delta_before: DeltaResult
     delta_after: DeltaResult
@@ -331,8 +331,16 @@ class PushoutStep:
     eta0_sq: Fraction
     guard_c: Fraction
     case_tag: str
-    growth_qpow_factor: Fraction
-    qpow_ratio: Fraction
+
+    @cached_property
+    def growth_qpow_factor(self) -> Fraction:
+        d0 = self.delta_before
+        m = min(self.expansion.achieved_c2_sq, F(4))
+        return m ** (d0.lcm_pow // d0.witness.ambient)
+
+    @cached_property
+    def qpow_ratio(self) -> Fraction:
+        return self.delta_after.delta_sq_pow / self.delta_before.delta_sq_pow
 
 
 def _resolve_protection(lat, sc, cfg, d0):
@@ -350,14 +358,14 @@ def _resolve_protection(lat, sc, cfg, d0):
     n, fixed = lat.n, cfg.eta0_override
     if d0.witness.is_full:
         # delta is exactly 1; every admissible floor is below it
-        raise NotBelowEta0(None if fixed is None else fixed ** 2, d0.delta_sq_pow)
+        raise NotBelowEta0(None if fixed is None else fixed ** 2, d0)
     w = d0.witness
     cert = None if fixed is not None else expansion_element(lat, w, sc, cfg)
     for _ in range(8 * n):
         eta0_sq = fixed ** 2 if fixed is not None else cert.c1c2_sq ** (-n)
         if d0.delta_sq_vs(eta0_sq) >= 0:
             # a larger guard only lowers a self-calibrated floor further
-            raise NotBelowEta0(eta0_sq, d0.delta_sq_pow)
+            raise NotBelowEta0(eta0_sq, d0)
         guard = dyadic_guard(eta0_sq, n) if fixed is not None else cert.c1c2_sq
         pres = protect(lat, sc, cfg, guard, eta0_sq=eta0_sq, delta=d0)
         if pres is NOT_NEEDED:
@@ -379,8 +387,6 @@ def _execute_step(lat, sc, cfg, d0, pres, cert):
     if not d1.complete:
         raise IncompleteSearch("moved lattice's delta could not be certified")
     m = min(cert.achieved_c2_sq, F(4))
-    factor = m ** (d0.lcm_pow // n)
-    ratio = d1.delta_sq_pow / d0.delta_sq_pow
     # δ₁² ≥ m^{1/N}·δ₀², by cross powers with exponents at most N²
     if d1.delta_sq_vs(m ** k0 * d0.witness_covol_sq ** n, n * k0) < 0:
         raise GrowthContractViolated(
@@ -403,8 +409,6 @@ def _execute_step(lat, sc, cfg, d0, pres, cert):
         eta0_sq=pres.eta0_sq,
         guard_c=pres.guard_c,
         case_tag=tag,
-        growth_qpow_factor=factor,
-        qpow_ratio=ratio,
     )
     return new_lat, rec
 

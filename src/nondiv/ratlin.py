@@ -325,14 +325,6 @@ def int_inverse_unimodular(m: Sequence[Sequence[int]]) -> IntRows:
     return u
 
 
-def lcm_upto(n: int) -> int:
-    """lcm(1, 2, ..., n); the shared exponent L for root-free comparisons."""
-    out = 1
-    for k in range(2, n + 1):
-        out = lcm(out, k)
-    return out
-
-
 def primitive_part(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (0 vector unchanged)."""
     g = 0

@@ -149,24 +149,18 @@ def load_scenario(path: str) -> tuple[Scenario, PushoutConfig]:
     for key in cfg_raw:
         if key not in known:
             raise ValidationError(f"config.{key}", "unknown config field")
-    kwargs: dict[str, Any] = {}
+    # integers pass straight through: PushoutConfig checks them, once
+    kwargs: dict[str, Any] = {k: cfg_raw[k] for k in ("max_steps", "vector_budget")
+                              if k in cfg_raw}
     if "lambda_multiplier" in cfg_raw:
         kwargs["lambda_multiplier"] = parse_rat(cfg_raw["lambda_multiplier"],
                                                 "config.lambda_multiplier")
     if cfg_raw.get("eta0") is not None:
         kwargs["eta0_override"] = parse_rat(cfg_raw["eta0"], "config.eta0")
-    if "max_steps" in cfg_raw:
-        ms = cfg_raw["max_steps"]
-        if not _is_int(ms):
-            raise ValidationError("config.max_steps", "expected an integer")
-        kwargs["max_steps"] = ms
-    if "vector_budget" in cfg_raw:
-        vb = cfg_raw["vector_budget"]
-        if not _is_int(vb):
-            raise ValidationError("config.vector_budget", "expected an integer")
-        kwargs["vector_budget"] = vb
-    cfg = PushoutConfig(**kwargs)
-    return sc, cfg
+    try:
+        return sc, PushoutConfig(**kwargs)
+    except ValidationError as e:
+        raise ValidationError(f"config.{e.field}", e.message) from None
 
 
 def load_lattice(path: str) -> UnimodularLattice:

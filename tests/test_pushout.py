@@ -11,7 +11,7 @@ from nondiv import enumeration, lattice, pushout
 from nondiv import ratlin as rl
 from nondiv import serialize as se
 from nondiv.cli import main
-from nondiv.enumeration import _shifted, char_poly, delta_m
+from nondiv.enumeration import DeltaResult, _shifted, char_poly, delta_m
 from nondiv.errors import (GrowthContractViolated, IncompleteSearch,
                            InternalInvariantViolation, NotBelowEta0, ProtectionFailed,
                            UnexpandableSubspace, ValidationError, WholeSpace)
@@ -279,6 +279,21 @@ def test_pushout_step_case_two():
     assert new_lat.basis == diagonal_lattice(F(1), F(2, 3), F(3, 2)).basis
 
 
+def test_drive_path_reads_no_lpower(monkeypatch):
+    """No step or drive decision reads delta_sq_pow: with it refused, an SL4
+    drive (6 steps at eta0 = 1/4) and a step on a fixture both complete."""
+    def refuse(self):
+        raise AssertionError("delta_sq_pow read on the drive path")
+
+    monkeypatch.setattr(DeltaResult, "delta_sq_pow", property(refuse))
+    cert = drive(sl4_torus_lattice(F(1, 64)), SC4, CFG_QUARTER)
+    assert cert.terminated is Terminated.REACHED_ETA0 and len(cert.steps) == 6
+    sc, _ = se.load_scenario("fixtures/sl4_so21.json")
+    new_lat, rec = pushout_step(se.load_lattice("fixtures/sl4_pushed_t_half.json"),
+                                sc, CFG_QUARTER)
+    assert new_lat.basis == Z4.basis and rec.case_tag == "I"
+
+
 def test_pushout_step_not_below_floor():
     with pytest.raises(NotBelowEta0) as e:
         pushout_step(Z4, SC4, CFG_QUARTER)
@@ -420,7 +435,7 @@ def test_step_bound_matches_lpower_reference():
         c0 = F(rng.randint(1, 9), rng.choice((1, 16, 2 ** 10)))
         m = rng.choice((F(101, 100), F(11, 10), F(3, 2), F(257, 256), F(4)))
         eta_sq = F(1, rng.choice((2, 4, 16)))
-        big_l = rl.lcm_upto(n)
+        big_l = math.lcm(*range(1, n + 1))
         want = lpower_step_bound(c0 ** (big_l // d0), m ** (big_l // n), eta_sq ** big_l)
         assert _step_count_bound(c0, d0, m, eta_sq, n) == want
 

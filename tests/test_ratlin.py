@@ -322,8 +322,6 @@ def test_validation():
     assert rl.rat_matrix([["1/2", 3]]) == ((Fraction(1, 2), Fraction(3)),)
 
 
-def test_primitive_part_and_lcm():
+def test_primitive_part():
     assert rl.primitive_part((4, 6, -2)) == (2, 3, -1)
     assert rl.primitive_part((0, 0)) == (0, 0)
-    assert rl.lcm_upto(4) == 12
-    assert rl.lcm_upto(5) == 60
