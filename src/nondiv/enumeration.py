@@ -9,9 +9,12 @@ closure. Completeness per node: a target Y ⊋ Z with r missing
 dimensions satisfies λ₁(Λ_Y/Λ_Z)² ≤ γ_r·(covol²(Y)/covol²(Z))^{1/r}, and the
 primitive form of that shortest vector is one of the enumerated vectors, so
 some enumerated vector leads into Y; induction on dim terminates the argument.
-When r = 1 the target line is M-stable, hence lies in a common rational
-eigenspace of the generators on the quotient; only those sublattices are
-enumerated, which keeps heavily squashed instances cheap.
+When r = 1 the target line Y is M-stable, and it is the closure of the
+primitive quotient vector spanning Y/Z, whose norm is covol²(Y)/covol²(Z).
+So wherever the node's enumeration already reaches that line bound, the
+lines come from it. Only where the line bound is the largest one pending
+are they searched apart, inside the common rational eigenspaces of the
+generators on the quotient, which keeps heavily squashed instances cheap.
 
 The argument uses only covol²(Y) of the target, so each target dimension k
 has its own cap, and with it its own bound at every node. `delta_m`
@@ -22,9 +25,8 @@ dimensions in one pass: a node's quotient is enumerated once, under the
 largest bound its pending dimensions need, and each vector is handed only
 to the dimensions whose own bound it meets. So every dimension sees
 exactly the vectors its own search would, and the argument above holds
-for each k as it stands. When the group acts by scalars on the quotient,
-every quotient line is stable and the line dimension joins that one
-enumeration.
+for each k as it stands. The line dimension joins that one enumeration
+unless its bound is the largest of the node's.
 
 Each quotient Λ/Λ_Z is built once per lattice and shared by `delta_m` and
 every `protect` search on it, with its LLL reduction, its eigen-line spaces
@@ -588,22 +590,28 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
     as (subspace, covol²) pairs, in one chain search for every k.
 
     A node Z is visited once with every target dimension still pending
-    there. k = dim Z + 1 is searched among the eigen-line spaces; every
-    larger k has its own Minkowski bound γ_r·(caps[k]/covol²(Z))^{1/r},
-    r = k − dim Z. The quotient is enumerated once, under the largest of
-    these bounds, and each primitive vector serves just the k whose own
-    bound it meets: its closure is emitted if its dimension is one of them,
-    and searched further for those above it, one visit per closure. So for
-    each k the visited nodes, the vectors that pass its bound and the
-    closures are those of a search under caps[k] alone, and the
-    completeness argument holds per k unchanged; only the repeated
+    there. Every k > dim Z + 1 has its own Minkowski bound
+    γ_r·(caps[k]/covol²(Z))^{1/r}, r = k − dim Z, and k = dim Z + 1 the
+    line bound caps[k]/covol²(Z). The quotient is enumerated once, under
+    the largest of these bounds, and each primitive vector serves just the
+    k whose own bound it meets: its closure is emitted if its dimension is
+    one of them, and searched further for those above it, one visit per
+    closure. So for each k the visited nodes, the vectors that pass its
+    bound and the closures are those of a search under caps[k] alone, and
+    the completeness argument holds per k unchanged; only the repeated
     enumerations and closures are gone.
 
-    When the action is scalar on the quotient (the trivial group, or −I),
-    its one eigen-line space is the whole quotient, and every primitive
-    vector spans a stable line, which is its own closure: k = dim Z + 1
-    then joins the same enumeration with bound caps[k]/covol²(Z), and no
-    `m_closure` is needed at that node.
+    The line bound joins that enumeration when the group is trivial or
+    another pending bound is at least as large: a stable line Y ⊋ Z under
+    its cap is spanned over Z by a primitive quotient vector of norm at
+    most the line bound, whose closure is Y, whatever the action (a line
+    is emitted with covol² from the Gram, below, not measured). A node
+    whose line bound is strictly the largest reads the eigen-line spaces
+    instead. If the action is scalar there (the trivial group, or −I), the
+    one space is the whole quotient: the line bound joins the enumeration
+    all the same, and every vector's closure is its own line, with no
+    `m_closure`. Otherwise `_stable_quotient_lines` searches the spaces
+    under the line bound.
 
     Quotients come from lat's memo, so they are shared with every other
     search on lat. A line Y = Z ⊕ lift(y) has covol²(Y) = covol²(Z)·
@@ -637,22 +645,24 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
         quot = _quotient(lat, sc, z_rows)
         dz = len(z_rows)
         bounds = {}
-        fold = False
-        if dz + 1 in ks:
-            t_sq = caps[dz + 1] / quot.covol_sq
-            spaces = quot.eigen_lines
-            # one space of full rank: the action is scalar on the quotient
-            fold = len(spaces) == 1 and len(spaces[0][0]) == quot.rank
-            if fold:
-                bounds[dz + 1] = t_sq * quot.scale
-            else:
-                for y, norm in _stable_quotient_lines(quot, t_sq, bud):
-                    emit(line(quot, y), quot.covol_sq * norm / quot.scale)
         for k in ks:
             if k > dz + 1:
                 r = k - dz
                 bounds[k] = (_hermite_sq_bound(r) * quot.scale
                              * rat_root_upper(caps[k] / quot.covol_sq, r))
+        fold = not sc.m_generators
+        if dz + 1 in ks:
+            t_sq = caps[dz + 1] / quot.covol_sq
+            merged = fold or t_sq * quot.scale <= max(bounds.values(), default=0)
+            if not merged:
+                spaces = quot.eigen_lines
+                # one space of full rank: the action is scalar on the quotient
+                merged = fold = len(spaces) == 1 and len(spaces[0][0]) == quot.rank
+            if merged:
+                bounds[dz + 1] = t_sq * quot.scale
+            else:
+                for y, norm in _stable_quotient_lines(quot, t_sq, bud):
+                    emit(line(quot, y), quot.covol_sq * norm / quot.scale)
         if not bounds:
             return
         u, g = quot.reduced
@@ -665,14 +675,10 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
                       for j in range(quot.rank))
             if rl.primitive_part(y) != y:
                 continue
-            if fold:
-                cl = line(quot, y)
-                if dz + 1 in met:
-                    emit(cl, quot.covol_sq * norm / quot.scale)
-            else:
-                cl = m_closure(lat, sc, list(z_rows) + [quot.lift(y)])
-                if cl.dim in met:
-                    emit(cl, None)
+            cl = (line(quot, y) if fold
+                  else m_closure(lat, sc, list(z_rows) + [quot.lift(y)]))
+            if cl.dim in met:
+                emit(cl, quot.covol_sq * norm / quot.scale if cl.dim == dz + 1 else None)
             above = [k for k in met if k > cl.dim]
             if above:
                 deeper.setdefault(cl.rows, set()).update(above)

@@ -43,17 +43,20 @@ F = Fraction
 @dataclass(frozen=True)
 class PushoutConfig:
     """Knobs for one run, each checked here whatever its source (the budget
-    by `_Budget`); defaults give the self-calibrating exact pipeline."""
+    by `_Budget`); defaults give the self-calibrating exact pipeline. None
+    means the default for every knob: lambda_multiplier 2, no eta0
+    override, max_steps 32 and the default vector budget."""
 
-    lambda_multiplier: Fraction = F(2)
+    lambda_multiplier: Fraction | None = None
     eta0_override: Fraction | None = None
-    max_steps: int = 32
-    vector_budget: int = DEFAULT_VECTOR_BUDGET
+    max_steps: int | None = None
+    vector_budget: int | None = DEFAULT_VECTOR_BUDGET
 
     def __post_init__(self):
-        exact = {"lambda_multiplier": rl.exact_rational(self.lambda_multiplier,
-                                                        "lambda_multiplier"),
-                 "max_steps": rl.exact_int(self.max_steps, "max_steps"),
+        lam, steps = self.lambda_multiplier, self.max_steps
+        exact = {"lambda_multiplier": (F(2) if lam is None
+                                       else rl.exact_rational(lam, "lambda_multiplier")),
+                 "max_steps": 32 if steps is None else rl.exact_int(steps, "max_steps"),
                  "vector_budget": _Budget(self.vector_budget).cap}
         if self.eta0_override is not None:
             exact["eta0_override"] = rl.exact_rational(self.eta0_override, "eta0")

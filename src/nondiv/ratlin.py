@@ -6,10 +6,12 @@ value computed here can sit on a branch decision.
 
 Program paths run on integers, with one elimination per job: spans,
 kernels and ranks through the Hermite form `_hnf` (`hnf`, `hnf_rows`,
-`right_kernel_int`, `saturate`); positive definite Grams, and with them
-covolumes and `gram_det`, through the fraction-free `bareiss`; inverses and
-general determinants (`rat_det`) through the fraction-free Gauss-Jordan
-`int_inverse`, and unimodular inverses through `int_inverse_unimodular`.
+`right_kernel_int`, `saturate`, which needs a single HNF when the span is
+already saturated); positive definite Grams, and with them covolumes and
+`gram_det`, through the fraction-free `bareiss`; general determinants
+through `rat_det`'s fraction-free elimination with row pivoting; inverses
+through the fraction-free Gauss-Jordan `int_inverse`, and unimodular
+inverses through `int_inverse_unimodular`.
 `int_or_scaled` uses a matrix of ints as given.
 """
 
@@ -205,12 +207,19 @@ def right_kernel_int(m: Sequence[Sequence[int]]) -> IntRows:
 def saturate(m: Sequence[Sequence[int]]) -> IntRows:
     """HNF basis of (Q-span of the rows of m) ∩ Z^cols.
 
-    Computed as the kernel of the kernel: the integer vectors orthogonal to
-    everything orthogonal to the row span.
+    When every pivot of the rows' own HNF is 1, that HNF is the answer: a
+    maximal minor is then 1, so the rows already span the saturation, and
+    the HNF of a lattice is unique. Otherwise it is the kernel of the
+    kernel: the integer vectors orthogonal to everything orthogonal to the
+    row span.
     """
     rows = [r for r in m if any(r)]
     if not rows:
         return ()
+    h = hnf_rows(rows)
+    h = h[:hnf_rank(h)]
+    if all(next(filter(None, r)) == 1 for r in h):
+        return h
     ncols = len(rows[0])
     ker = right_kernel_int(rows)
     if not ker:
@@ -274,14 +283,31 @@ def gram_det(vectors: Sequence[Sequence]) -> Fraction:
 
 
 def rat_det(m: Sequence[Sequence]) -> Fraction:
-    """det m = det(d·m)/d^n for a square matrix m of ints and Fractions,
-    read off `int_inverse` (0 when it finds m singular)."""
+    """det m = det(d·m)/d^n for a square matrix m of ints and Fractions.
+
+    Fraction-free elimination (Bareiss) with row pivoting on d·m: step k
+    replaces each row i > k by (p_k·row_i - a_ik·row_k)/p_{k-1}, an exact
+    division, and the last pivot is the determinant up to the sign of the
+    swaps. A column without a pivot means det m = 0.
+    """
     w, d = scale_to_int(m)
-    try:
-        det = int_inverse(w)[1]
-    except ValueError:
-        return Fraction(0)
-    return Fraction(det, d ** len(w))
+    n = len(w)
+    a = [list(r) for r in w]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        krow = a[k]
+        pk = krow[k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], krow)]
+        prev = pk
+    return Fraction(sign * prev, d ** n)
 
 
 def int_inverse(m: Sequence[Sequence[int]]) -> tuple[IntRows, int]:

@@ -149,10 +149,11 @@ def load_scenario(path: str) -> tuple[Scenario, PushoutConfig]:
     for key in cfg_raw:
         if key not in known:
             raise ValidationError(f"config.{key}", "unknown config field")
-    # integers pass straight through: PushoutConfig checks them, once
+    # integers and null pass straight through: PushoutConfig checks them,
+    # once, and null means the default
     kwargs: dict[str, Any] = {k: cfg_raw[k] for k in ("max_steps", "vector_budget")
                               if k in cfg_raw}
-    if "lambda_multiplier" in cfg_raw:
+    if cfg_raw.get("lambda_multiplier") is not None:
         kwargs["lambda_multiplier"] = parse_rat(cfg_raw["lambda_multiplier"],
                                                 "config.lambda_multiplier")
     if cfg_raw.get("eta0") is not None:

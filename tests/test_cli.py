@@ -286,6 +286,27 @@ def test_det_minus_one_lattice_file_round_trips(tmp_path):
     assert se.load_lattice(str(path)) == lat
 
 
+@pytest.mark.parametrize("key", ["lambda_multiplier", "eta0", "max_steps", "vector_budget"])
+def test_null_config_key_means_its_default(tmp_path, capsys, key):
+    # null and a missing key drive the SL4 fixture to the same certificate
+    with open(f"{FIX}/sl4_so21.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    outs = []
+    for value in ("null", "missing"):
+        cfg = dict(doc["config"])
+        if value == "null":
+            cfg[key] = None
+        else:
+            del cfg[key]
+        p = tmp_path / f"{value}.json"
+        p.write_text(json.dumps({**doc, "config": cfg}), encoding="utf-8")
+        code, out, err = run(capsys, "drive", "--scenario", str(p),
+                             "--lattice", f"{FIX}/sl4_t_eighth.json")
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 LATTICE_N2 = {"dimension": 2, "basis_columns": [["1", "0"], ["0", "1"]],
               "determinant": "1"}
 SCENARIO_N2 = {"dimension": 2, "blocks": [[1, 1], [2, 2]], "m_generators": []}

@@ -22,10 +22,11 @@ from nondiv.enumeration import (_generator_eigenvalues, _Quotient, char_poly,
                                 stable_subspaces_within)
 from nondiv.lattice import (conjugated_generators, int_generators,
                             make_lattice, make_scenario, trivial_scenario)
-from nondiv.pushout import PushoutConfig, drive
+from nondiv.pushout import PushoutConfig, drive, dyadic_guard, protect
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
 
-from conftest import random_unimodular_int, random_unimodular_lattice
+from conftest import (random_unimodular_int, random_unimodular_lattice,
+                      real_coordinate_subspace)
 from reference import rat_inverse, rat_right_kernel, reference_rational_roots
 
 F = Fraction
@@ -311,3 +312,35 @@ def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
     assert len(line_searches) > len(searches)  # repeated subspaces hit the frame
     # the push-out's other inverses are of Grams on a proper W, never 4x4
     assert inversions.count(4) == 1
+
+
+def test_delta_m_takes_sl4_lines_from_its_enumeration(monkeypatch):
+    """Under delta_m's caps a node's line bound is at most the bound of the
+    dimension above it, so its stable lines come from the node's one
+    enumeration and no eigen-line space is built. protect's one cap for
+    every dimension still needs them, from the e1 witness at t = 1/2."""
+    sc = sl4_so21_scenario()
+    calls = []
+    real_search = enumeration.common_eigenspace_bases
+
+    def search(reps, eigenvalues, dim):
+        calls.append(dim)
+        return real_search(reps, eigenvalues, dim)
+
+    monkeypatch.setattr(enumeration, "common_eigenspace_bases", search)
+    rng = random.Random(29)
+    for t in (F(2), F(4), F(1, 2), F(1, 4), F(1, 8), F(3, 2)):
+        lat = rebased(sl4_torus_lattice(t), rng, 1)
+        d = delta_m(lat, sc)
+        # the stable subspaces are the two blocks: e1 (covol² t⁶) and e2..e4
+        assert d.complete
+        assert d.witness == real_coordinate_subspace(lat, {0} if t < 1 else {1, 2, 3})
+        assert d.witness_covol_sq == (t ** 6 if t < 1 else t ** -6)
+    assert calls == []
+    lat = sl4_torus_lattice(F(1, 2))
+    d = delta_m(lat, sc)
+    assert d.witness.rows == ((1, 0, 0, 0),) and calls == []
+    guard = dyadic_guard(F(1, 16), 4)
+    assert guard == 2
+    protect(lat, sc, PushoutConfig(), guard, eta0_sq=F(1, 16), delta=d)
+    assert len(calls) == 1

@@ -801,13 +801,32 @@ NEGATION_4 = make_scenario(4, [[0, 4]], [[[-int(i == j) for j in range(4)]
                                           for i in range(4)]])
 
 
+# a 2x2 Jordan block beside a scalar block: an action that is not
+# semisimple, with an eigen-line space of rank 2 on some quotients
+JORDAN_4 = make_scenario(4, [[0, 2], [2, 4]], [[[2, 1, 0, 0], [0, 2, 0, 0],
+                                                [0, 0, F(1, 2), 0], [0, 0, 0, F(1, 2)]]])
+
+
+def drive_moved_lattices(rng):
+    """Every lattice that drives from rebased SL4 torus lattices move to;
+    each move keeps the frame of the lattice it starts from."""
+    sl4 = sl4_so21_scenario()
+    for t in (F(1, 4), F(1, 8)):
+        lat = rebase(sl4_torus_lattice(t), random_unimodular_int(rng, 4, shears=4, c=1))
+        cert = nondiv.drive(lat, sl4, nondiv.PushoutConfig(eta0_override=F(1, 4)))
+        for step in cert.steps:
+            lat = nondiv.apply_torus(step.expansion.s, lat)
+            yield lat, sl4
+
+
 def one_pass_inputs():
     yield from per_dimension_cap_inputs()
     rng = random.Random(131)
-    for sc in (NEGATION_2, NEGATION_4):
+    for sc in (NEGATION_2, NEGATION_4, JORDAN_4):
         for _ in range(6):
             yield random_unimodular_lattice(rng, sc.n, shears=sc.n + 2,
                                             dyadic_range=2), sc
+    yield from drive_moved_lattices(rng)
 
 
 def test_one_pass_search_matches_per_dimension_reference(monkeypatch):

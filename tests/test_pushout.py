@@ -82,6 +82,12 @@ def test_config_accepts_ints_and_fractions():
     assert cfg.vector_budget == 10 ** 4 and type(cfg.vector_budget) is int
     assert cfg == PushoutConfig(lambda_multiplier=F(3), eta0_override=F(1, 4),
                                 max_steps=5, vector_budget=10 ** 4)
+    # None means the default, for every field
+    cfg = PushoutConfig(lambda_multiplier=None, eta0_override=None, max_steps=None,
+                        vector_budget=None)
+    assert cfg == PushoutConfig()
+    assert (cfg.lambda_multiplier, cfg.max_steps, cfg.vector_budget) == \
+        (F(2), 32, enumeration.DEFAULT_VECTOR_BUDGET)
 
 
 def test_select_index_set_examples():

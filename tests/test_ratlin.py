@@ -106,6 +106,37 @@ def test_saturate_idempotent_and_span_preserving():
             assert span_contains(s, r)
 
 
+def test_saturate_matches_kernel_of_kernel():
+    """A span whose HNF has unit pivots is returned as that HNF, which must
+    be the bytes of the kernel of the kernel; any other span takes the
+    kernel route."""
+    def kernel_of_kernel(rows):
+        ker = rl.right_kernel_int(rows)
+        return rl.right_kernel_int(ker) if ker else rl.identity(len(rows[0]))
+
+    assert rl.saturate([(2, 0)]) == ((1, 0),)
+    assert rl.saturate([(1, 1), (1, -1)]) == ((1, 0), (0, 1))
+    assert rl.saturate([(0, 0, 0), (0, 0, 0)]) == ()
+    rng = random.Random(20261021)
+    kinds = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        roll = rng.random()
+        if roll < 0.2:  # a dependent row
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        elif roll < 0.4:  # a row scaled off the saturation
+            rows[-1] = [rng.choice((2, 3)) * x for x in rows[-1]]
+        elif roll < 0.5:
+            rows.insert(rng.randint(0, len(rows)), [0] * n)
+        rng.shuffle(rows)
+        h = rl.hnf_rows(rows)
+        kinds[all(next(filter(None, r)) == 1 for r in h if any(r))] += 1
+        assert rl.saturate(rows) == kernel_of_kernel(rows), rows
+    assert min(kinds.values()) > 300
+
+
 def test_gram_det_examples():
     assert rl.gram_det([[1, 0, 0], [0, 1, 0]]) == 1
     assert rl.gram_det([[1, 1, 0], [0, 1, 1]]) == 3
