@@ -34,6 +34,12 @@ and covol²(Z), which its Gram elimination yields. The search returns each
 subspace with its covol²: a line's comes from the quotient Gram, so only
 closures are measured.
 
+One integer elimination serves a node: integral LLL keeps the minors D_i
+and the λ_ij of the basis it reduces, and Fincke-Pohst reads them as they
+are, so the reduced Gram is never formed nor eliminated again. A quotient
+Gram is an integer matrix over `scale`, so every norm the node meets is an
+integer there, and its bounds are the integer floors `_node_bound` computes.
+
 Everything decision-bearing is exact; LLL here is only a preconditioner for
 the enumeration and never changes what is found.
 """
@@ -92,19 +98,24 @@ def _scaled_bareiss(a):
     return lam, [1] + [lam[i][i] for i in range(len(lam))], den
 
 
-def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
-    """Unimodular u with u·a·uᵀ LLL-reduced; exact arithmetic throughout.
+def _lll(a, delta: Fraction = F(3, 4)):
+    """(u, state): u unimodular with u·a·uᵀ LLL-reduced, and state the
+    elimination of the reduced Gram that `_enumerate_gram` reads.
 
     Integral LLL (Cohen, Alg. 2.6.7) on the Gram matrix scaled to integers by
-    the lcm of its denominators; a positive scalar changes no μ and no Lovász
-    test. With D_i (D_0 = 1) and λ_ij = D_{j+1}·μ_ij from `rl.bareiss`, every
-    size-reduction step and every swap is an O(n) exact integer update. The
-    decisions are those of the rational algorithm: row k is size-reduced
-    against rows k-1, ..., 0 with μ rounded half up, then tested against the
-    Lovász condition.
+    the lcm den of its denominators; a positive scalar changes no μ and no
+    Lovász test. With D_i (D_0 = 1) and λ_ij = D_{j+1}·μ_ij from
+    `rl.bareiss`, every size-reduction step and every swap is an O(n) exact
+    integer update. The decisions are those of the rational algorithm: row k
+    is size-reduced against rows k-1, ..., 0 with μ rounded half up, then
+    tested against the Lovász condition. The updates keep (λ_ij for j < i,
+    D) those of den·u·a·uᵀ, which a unimodular u leaves with the same den,
+    so state = (λ's strict lower triangle, (D_0, ..., D_n), den) is
+    `_scaled_bareiss(u·a·uᵀ)` without a product or a second elimination.
+    a must be a positive definite, symmetric int or Fraction matrix.
     """
     n = len(a)
-    lam, d, _ = _scaled_bareiss(a)
+    lam, d, den = _scaled_bareiss(a)
     delta = F(delta)
     p, q = delta.numerator, delta.denominator
     u = [list(r) for r in rl.identity(n)]
@@ -136,28 +147,62 @@ def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
             li[k - 1] = (b * t + lm * li[k]) // d[k + 1]
         d[k] = b
         k = max(k - 1, 1)
-    return tuple(tuple(r) for r in u)
+    # the diagonal and upper triangle of lam were not updated by the swaps
+    state = (tuple(tuple(row[:i]) for i, row in enumerate(lam)), tuple(d), den)
+    return tuple(tuple(r) for r in u), state
 
 
-def _enumerate_gram(g, bound: Fraction, budget: _Budget, spanning: bool):
+def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
+    """Unimodular u with u·a·uᵀ LLL-reduced; exact arithmetic throughout.
+
+    a must be a square, symmetric, positive definite matrix of ints and
+    Fractions, given as rows; anything else raises ValidationError("gram",
+    ...). delta must lie in (1/4, 1]: above 1 the Lovász test can fail for
+    ever. See `_lll` for the algorithm.
+    """
+    delta = rl.exact_rational(delta, "delta")
+    if not F(1, 4) < delta <= 1:
+        raise ValidationError("delta", f"must lie in (1/4, 1], got {delta}")
+    if not isinstance(a, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in a):
+        raise ValidationError("gram", "must be a list or tuple of rows")
+    n = len(a)
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValidationError("gram", f"must be square: row {i} has {len(row)} "
+                                          f"entries, not {n}")
+        for x in row:
+            rl.exact_rational(x, "gram")
+    for i in range(n):
+        for j in range(i):
+            if a[i][j] != a[j][i]:
+                raise ValidationError("gram", f"must be symmetric: entry [{i}][{j}] "
+                                              f"differs from [{j}][{i}]")
+    try:
+        return _lll(a, delta)[0]
+    except InternalInvariantViolation:
+        raise ValidationError("gram", "must be positive definite") from None
+
+
+def _enumerate_gram(state, bound: Fraction, budget: _Budget, spanning: bool):
     """All x ≠ 0 with x·g·xᵀ ≤ bound, canonical sign (highest nonzero positive).
 
-    Fincke-Pohst on integers, depth first, t ascending at every level: D_l
-    and λ_il come from `rl.bareiss` on den·g. With num = Σ_{i>l} λ_il·x_i,
-    x_l = t adds (D_{l+1}·t + num)²/(den·D_l·D_{l+1}) to x·g·xᵀ, so the range
-    of t needs only isqrt(⌊rem·den·D_l·D_{l+1}⌋). The remaining bound rem is
-    one int over Q = lcm(bound's denominator, every den·D_l·D_{l+1}), so a
-    node does integer work only; outputs are (x·g·xᵀ as an exact Fraction,
-    x).
+    g is given by its elimination state = (λ, D, den), as `_lll` or
+    `_scaled_bareiss` return it: D_l and λ_il (i > l) are those of
+    `rl.bareiss` on den·g. Fincke-Pohst on integers, depth first, t
+    ascending at every level. With num = Σ_{i>l} λ_il·x_i, x_l = t adds
+    (D_{l+1}·t + num)²/(den·D_l·D_{l+1}) to x·g·xᵀ, so the range of t needs
+    only isqrt(⌊rem·den·D_l·D_{l+1}⌋). The remaining bound rem is one int
+    over Q = lcm(bound's denominator, every den·D_l·D_{l+1}), so a node does
+    integer work only; outputs are (x·g·xᵀ as an exact Fraction, x).
 
     spanning mode collapses multiples along the first basis direction (only
     x = (1,0,..,0) survives of the pure-axis family); used by subspace search
     where only spans matter.
     """
-    n = len(g)
+    lam, d, den = state
+    n = len(d) - 1
     if bound <= 0:
         return []
-    lam, d, den = _scaled_bareiss(g)
     bound = F(bound)
     scale = [den * d[l] * d[l + 1] for l in range(n)]
     q = lcm(bound.denominator, *scale)
@@ -220,9 +265,8 @@ def short_vectors(lat: UnimodularLattice, bound_sq, budget=None) -> list[tuple[i
         raise ValidationError("bound_sq", "must be positive")
     bud = _as_budget(budget)
     a, den = lat.int_gram
-    u = lll_reduce_gram(a)
-    g = rl.mat_mul(rl.mat_mul(u, a), rl.transpose(u))
-    raw = _enumerate_gram(g, bound_sq * den, bud, spanning=False)
+    u, state = _lll(a)
+    raw = _enumerate_gram(state, bound_sq * den, bud, spanning=False)
     mapped = []
     for qv, xs in raw:
         v = tuple(sum(xs[i] * u[i][j] for i in range(len(u))) for j in range(lat.n))
@@ -235,10 +279,10 @@ def shortest_vector_sq(lat: UnimodularLattice, budget=None) -> Fraction:
     """Exact squared length of a shortest nonzero lattice vector."""
     bud = _as_budget(budget)
     a, den = lat.int_gram
-    u = lll_reduce_gram(a)
-    g = rl.mat_mul(rl.mat_mul(u, a), rl.transpose(u))
-    bound = F(min(g[i][i] for i in range(len(g))))
-    raw = _enumerate_gram(g, bound, bud, spanning=False)
+    u, state = _lll(a)
+    # the shortest reduced row bounds the search
+    bound = min(sum(map(mul, row, rl.mat_vec(a, row))) for row in u)
+    raw = _enumerate_gram(state, bound, bud, spanning=False)
     return min(qv for qv, _ in raw) / den
 
 
@@ -263,6 +307,20 @@ def _int_nthroot_floor(m: int, r: int) -> int:
     return t
 
 
+def _dyadic_root(num: int, den: int, r: int) -> tuple[int, int]:
+    """(root, bits): root/2^bits is the least point ≥ (num/den)^{1/r} on
+    `rat_root_upper`'s grid, for num/den > 0 in lowest terms and r ≥ 2."""
+    bits = 8
+    if num < den:
+        # widen the grid so tiny roots keep ~2^-bits relative slack
+        bits += (den.bit_length() - num.bit_length()) // r + 1
+    m = -(-(num << (r * bits)) // den)  # ceil
+    root = _int_nthroot_floor(m, r)
+    if root ** r < m:
+        root += 1
+    return root, bits
+
+
 def rat_root_upper(x: Fraction, r: int) -> Fraction:
     """A rational ≥ x^{1/r} on a dyadic grid (slack only loosens search bounds)."""
     x = F(x)
@@ -270,21 +328,26 @@ def rat_root_upper(x: Fraction, r: int) -> Fraction:
         raise ValueError("positive input required")
     if r == 1:
         return x
-    bits = 8
-    if x < 1:
-        # widen the grid so tiny roots keep ~2^-bits relative slack
-        bits += max(0, (x.denominator.bit_length() - x.numerator.bit_length()) // r + 1)
-    scaled = x * (1 << (r * bits))
-    m = -(-scaled.numerator // scaled.denominator)  # ceil
-    root = _int_nthroot_floor(m, r)
-    if root ** r < m:
-        root += 1
+    root, bits = _dyadic_root(x.numerator, x.denominator, r)
     return F(root, 1 << bits)
 
 
-def _hermite_sq_bound(r: int) -> Fraction:
-    """Rational upper bound for the Hermite constant γ_r: (4/3)^{ceil((r-1)/2)}."""
-    return F(4, 3) ** (r // 2)
+def _node_bound(cap: Fraction, covol_sq: Fraction, scale: int, r: int) -> int:
+    """⌊(4/3)^⌊r/2⌋·scale·rat_root_upper(cap/covol_sq, r)⌋, in integers.
+
+    (4/3)^⌊r/2⌋ bounds the Hermite constant γ_r, so this is a node's bound
+    for r missing dimensions on its quotient's integer scale (for r = 1,
+    the line bound scale·cap/covol_sq). Every norm there is an integer, so
+    a norm meets the bound exactly when it meets its floor.
+    """
+    num = cap.numerator * covol_sq.denominator
+    den = cap.denominator * covol_sq.numerator
+    if r == 1:
+        return scale * num // den
+    g = gcd(num, den)
+    root, bits = _dyadic_root(num // g, den // g, r)
+    h = r // 2
+    return 4 ** h * scale * root // (3 ** h << bits)
 
 
 class _Quotient:
@@ -352,23 +415,25 @@ class _Quotient:
 
     @cached_property
     def reduced(self):
-        """(u, u·gram·uᵀ) with u the LLL transform; one reduction per quotient.
+        """(u, state) from `_lll` on `gram`; one reduction per quotient.
 
-        Both are integer; the reduced quotient Gram is the second over `scale`.
+        u is the LLL transform, and state the elimination of the reduced
+        Gram u·gram·uᵀ (integer, over `scale`) that `_enumerate_gram` reads,
+        so the reduced Gram itself is never formed.
         """
-        u = lll_reduce_gram(self.gram)
-        return u, rl.mat_mul(rl.mat_mul(u, self.gram), rl.transpose(u))
+        return _lll(self.gram)
 
     @cached_property
     def eigen_lines(self):
-        """(comp, g) per space in which `_stable_quotient_lines` searches.
+        """(comp, state) per space in which `_stable_quotient_lines` searches.
 
-        comp is a basis of the space in quotient coordinates and g its Gram
-        on that basis, integer over `scale`: a line keeps its canonical
-        generator and 1×1 Gram, a larger space its LLL-reduced basis. The
-        whole quotient (the trivial group's one space) is `reduced`. The
-        spaces depend on Z and the action alone, so the frame holds them
-        along the torus orbit.
+        comp is a basis of the space in quotient coordinates and state the
+        elimination (`_lll`'s) of its Gram on that basis, integer over
+        `scale`: a line keeps its canonical generator, with its norm as its
+        one minor D_1, a larger space its LLL-reduced basis. The whole
+        quotient (the trivial group's one space) is `reduced`. The spaces
+        depend on Z and the action alone, so the frame holds them along the
+        torus orbit.
         """
         m = self.rank
         if not self.sc.m_generators:
@@ -386,14 +451,12 @@ class _Quotient:
                 y = _canon_sign(s_e[0])
                 norm = sum(yi * sum(self.gram[i][j] * yj for j, yj in enumerate(y))
                            for i, yi in enumerate(y) if yi)
-                out.append(((y,), ((norm,),)))
+                out.append(((y,), (((),), (1, norm), 1)))  # `_lll`'s state of (norm)
             elif len(s_e) == m:
                 out.append(self.reduced)
             else:
-                gram_e = rl.mat_mul(rl.mat_mul(s_e, self.gram), rl.transpose(s_e))
-                u = lll_reduce_gram(gram_e)
-                out.append((rl.mat_mul(u, s_e),
-                            rl.mat_mul(rl.mat_mul(u, gram_e), rl.transpose(u))))
+                u, state = _lll(rl.mat_mul(rl.mat_mul(s_e, self.gram), rl.transpose(s_e)))
+                out.append((rl.mat_mul(u, s_e), state))
         return tuple(out)
 
     def lift(self, y) -> tuple[int, ...]:
@@ -545,19 +608,18 @@ def common_eigenspace_bases(reps, eigenvalues, dim: int):
     return spaces
 
 
-def _stable_quotient_lines(quot: _Quotient, t_sq: Fraction, budget: _Budget):
+def _stable_quotient_lines(quot: _Quotient, bound, budget: _Budget):
     """(y, y·gram·yᵀ) for the primitive quotient vectors y spanning M-stable
-    lines with norm² y·gram·yᵀ/scale ≤ t_sq."""
-    t_scaled = t_sq * quot.scale
+    lines with y·gram·yᵀ ≤ bound, on the quotient's integer scale."""
     seen = set()
-    for comp, g in quot.eigen_lines:
+    for comp, state in quot.eigen_lines:
         if len(comp) == 1:
-            y, norm = comp[0], g[0][0]
-            if norm <= t_scaled and y not in seen:
+            y, norm = comp[0], state[1][1]
+            if norm <= bound and y not in seen:
                 seen.add(y)
                 yield y, norm
             continue
-        for norm, w in _enumerate_gram(g, t_scaled, budget, spanning=True):
+        for norm, w in _enumerate_gram(state, bound, budget, spanning=True):
             y = tuple(sum(w[i] * comp[i][j] for i in range(len(w)))
                       for j in range(quot.rank))
             c = gcd(*y)
@@ -592,20 +654,24 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
     A node Z is visited once with every target dimension still pending
     there. Every k > dim Z + 1 has its own Minkowski bound
     γ_r·(caps[k]/covol²(Z))^{1/r}, r = k − dim Z, and k = dim Z + 1 the
-    line bound caps[k]/covol²(Z). The quotient is enumerated once, under
-    the largest of these bounds, and each primitive vector serves just the
-    k whose own bound it meets: its closure is emitted if its dimension is
-    one of them, and searched further for those above it, one visit per
-    closure. So for each k the visited nodes, the vectors that pass its
-    bound and the closures are those of a search under caps[k] alone, and
-    the completeness argument holds per k unchanged; only the repeated
-    enumerations and closures are gone.
+    line bound caps[k]/covol²(Z). Each is held as the integer floor of its
+    value on the quotient's scale (`_node_bound`), which an integer norm
+    meets exactly when it meets the value. The quotient is enumerated once,
+    from the state of its one LLL reduction, under the largest of these
+    bounds, and each primitive vector serves just the k whose own bound it
+    meets: its closure is emitted if its dimension is one of them, and
+    searched further for those above it, one visit per closure. So for each
+    k the visited nodes, the vectors that pass its bound and the closures
+    are those of a search under caps[k] alone, and the completeness
+    argument holds per k unchanged; only the repeated enumerations and
+    closures are gone.
 
     The line bound joins that enumeration when the group is trivial or
-    another pending bound is at least as large: a stable line Y ⊋ Z under
-    its cap is spanned over Z by a primitive quotient vector of norm at
-    most the line bound, whose closure is Y, whatever the action (a line
-    is emitted with covol² from the Gram, below, not measured). A node
+    another pending bound is at least as large, floors compared: a stable
+    line Y ⊋ Z under its cap is spanned over Z by a primitive quotient
+    vector of norm at most the line bound, whose closure is Y, whatever the
+    action (a line is emitted with covol² from the Gram, below, not
+    measured). A node
     whose line bound is strictly the largest reads the eigen-line spaces
     instead. If the action is scalar there (the trivial group, or −I), the
     one space is the whole quotient: the line bound joins the enumeration
@@ -644,30 +710,26 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
         visited.update((z_rows, k) for k in ks)
         quot = _quotient(lat, sc, z_rows)
         dz = len(z_rows)
-        bounds = {}
-        for k in ks:
-            if k > dz + 1:
-                r = k - dz
-                bounds[k] = (_hermite_sq_bound(r) * quot.scale
-                             * rat_root_upper(caps[k] / quot.covol_sq, r))
+        bounds = {k: _node_bound(caps[k], quot.covol_sq, quot.scale, k - dz)
+                  for k in ks if k > dz + 1}
         fold = not sc.m_generators
         if dz + 1 in ks:
-            t_sq = caps[dz + 1] / quot.covol_sq
-            merged = fold or t_sq * quot.scale <= max(bounds.values(), default=0)
+            t = _node_bound(caps[dz + 1], quot.covol_sq, quot.scale, 1)
+            merged = fold or t <= max(bounds.values(), default=0)
             if not merged:
                 spaces = quot.eigen_lines
                 # one space of full rank: the action is scalar on the quotient
                 merged = fold = len(spaces) == 1 and len(spaces[0][0]) == quot.rank
             if merged:
-                bounds[dz + 1] = t_sq * quot.scale
+                bounds[dz + 1] = t
             else:
-                for y, norm in _stable_quotient_lines(quot, t_sq, bud):
+                for y, norm in _stable_quotient_lines(quot, t, bud):
                     emit(line(quot, y), quot.covol_sq * norm / quot.scale)
         if not bounds:
             return
-        u, g = quot.reduced
+        u, state = quot.reduced
         deeper: dict = {}
-        for norm, w in _enumerate_gram(g, max(bounds.values()), bud, spanning=True):
+        for norm, w in _enumerate_gram(state, max(bounds.values()), bud, spanning=True):
             met = [k for k, b in bounds.items() if norm <= b]
             if not met:
                 continue

@@ -75,6 +75,15 @@ class Scenario:
             if rl.rat_det(g) != 1:
                 raise ValidationError(f"m_generators[{gi}]", "determinant must be 1")
 
+    @cached_property
+    def int_m_generators(self) -> tuple[tuple[rl.IntRows, int], ...]:
+        """(e·g, e) per generator g, e the lcm of g's denominators.
+
+        Computed on first use and held on the instance, outside the fields,
+        so equality and hashing are unchanged.
+        """
+        return tuple(map(rl.scale_to_int, self.m_generators))
+
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
@@ -382,8 +391,7 @@ class _Frame:
         b_int, _ = lat.int_basis
         adj, det = rl.int_inverse(b_int)
         out = []
-        for g in sc.m_generators:
-            g_int, e = rl.scale_to_int(g)
+        for g_int, e in sc.int_m_generators:
             p = rl.mat_mul(rl.mat_mul(adj, g_int), b_int)
             den = det * e
             h = gcd(den, *(x for row in p for x in row))

@@ -15,15 +15,17 @@ integer coordinates. `lpower_step_bound` is the L-power iteration that
 `per_dimension_stable_search` is the chain search that
 `enumeration._stable_search` replaced: it runs one search per target
 dimension k, so a node Z is enumerated, and each of its short vectors
-closed, once for every k that reaches it.
+closed, once for every k that reaches it. It keeps the Fraction node bounds
+of `_hermite_sq_bound`, and forms and eliminates each reduced quotient
+Gram itself instead of reading the LLL state.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
 from nondiv import ratlin as rl
-from nondiv.enumeration import (_Budget, _enumerate_gram, _hermite_sq_bound,
-                                _quotient, _stable_quotient_lines, rat_root_upper)
+from nondiv.enumeration import (_Budget, _enumerate_gram, _quotient, _scaled_bareiss,
+                                _stable_quotient_lines, rat_root_upper)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation
 from nondiv.lattice import (RationalSubspace, Scenario, UnimodularLattice,
                             covolume_sq, is_m_stable, m_closure)
@@ -196,6 +198,11 @@ def lpower_step_bound(q0: Fraction, factor_min: Fraction, target: Fraction) -> i
     return b
 
 
+def _hermite_sq_bound(r: int) -> Fraction:
+    """Rational upper bound for the Hermite constant γ_r: (4/3)^{ceil((r-1)/2)}."""
+    return F(4, 3) ** (r // 2)
+
+
 def per_dimension_stable_search(lat: UnimodularLattice, sc: Scenario, caps,
                                 base: RationalSubspace | None, bud: _Budget
                                 ) -> tuple[list[tuple[RationalSubspace, Fraction]], bool]:
@@ -228,7 +235,7 @@ def per_dimension_stable_search(lat: UnimodularLattice, sc: Scenario, caps,
         t_sq = caps[k] / quot.covol_sq
         r = k - len(z_rows)
         if r == 1:
-            for y, norm in _stable_quotient_lines(quot, t_sq, bud):
+            for y, norm in _stable_quotient_lines(quot, t_sq * quot.scale, bud):
                 # Z saturated and y primitive in Λ/Λ_Z: Λ_Z + Z·lift(y) is
                 # saturated, so its HNF is the line's canonical basis
                 rows = rl.hnf_rows(z_rows + (quot.lift(y),))
@@ -238,8 +245,10 @@ def per_dimension_stable_search(lat: UnimodularLattice, sc: Scenario, caps,
                      quot.covol_sq * norm / quot.scale)
             return
         bound = _hermite_sq_bound(r) * rat_root_upper(t_sq, r)
-        u, g = quot.reduced
-        for _, w in _enumerate_gram(g, bound * quot.scale, bud, spanning=True):
+        u = quot.reduced[0]
+        g = rl.mat_mul(rl.mat_mul(u, quot.gram), rl.transpose(u))
+        for _, w in _enumerate_gram(_scaled_bareiss(g), bound * quot.scale, bud,
+                                    spanning=True):
             y = tuple(sum(w[i] * u[i][j] for i in range(len(w)))
                       for j in range(quot.rank))
             if rl.primitive_part(y) != y:

@@ -10,8 +10,9 @@ import pytest
 import nondiv
 from nondiv import enumeration
 from nondiv.enumeration import (_as_budget, _Budget, _enumerate_gram,
-                                _int_nthroot_floor, _Quotient, _root_lt,
-                                _stable_search, delta_m, eligible_subspaces,
+                                _int_nthroot_floor, _lll, _node_bound, _Quotient,
+                                _root_lt, _scaled_bareiss, _stable_search,
+                                delta_m, eligible_subspaces,
                                 lll_reduce_gram, oracle_delta_m,
                                 rat_root_upper, short_vectors,
                                 shortest_vector_sq, stable_subspaces_within)
@@ -405,8 +406,102 @@ def test_lll_small_and_tie_grams():
 def test_lll_rejects_non_positive_definite():
     for g in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]]):
         for gram in (g, rl.rat_matrix(g)):
-            with pytest.raises(InternalInvariantViolation):
+            with pytest.raises(ValidationError) as err:
                 lll_reduce_gram(gram)
+            assert err.value.field == "gram"
+            assert "positive definite" in err.value.message
+
+
+def assert_gram_rejected(gram, words):
+    with pytest.raises(ValidationError) as err:
+        lll_reduce_gram(gram)
+    assert err.value.field == "gram" and words in err.value.message
+
+
+def test_lll_rejects_non_square_gram():
+    assert_gram_rejected([[4, 1, 0]], "square")
+
+
+def test_lll_rejects_non_symmetric_gram():
+    # one triangle alone would read as the positive definite [[10, 7], [7, 10]]
+    assert_gram_rejected([[10, 0], [7, 10]], "symmetric")
+    assert_gram_rejected([[F(10), F(7)], [F(7, 2), F(10)]], "symmetric")
+
+
+def test_lll_rejects_ragged_gram():
+    assert_gram_rejected([[2, 1], [1]], "square")
+    assert_gram_rejected([[2], [1, 2]], "square")
+    assert_gram_rejected([[2, 1], 1], "rows")
+    assert_gram_rejected(4, "rows")
+
+
+@pytest.mark.parametrize("delta", [2, F(1, 4), 0, -1, 0.75, True])
+def test_lll_rejects_delta_outside_its_range(delta):
+    # above 1 the Lovász test fails for ever on the identity Gram
+    with pytest.raises(ValidationError) as err:
+        lll_reduce_gram([[1, 0], [0, 1]], delta)
+    assert err.value.field == "delta"
+
+
+@pytest.mark.parametrize("entry", ["1", 1.0, 0.5])
+def test_lll_rejects_str_and_float_entries(entry):
+    assert_gram_rejected([[2, entry], [entry, 2]], "int or Fraction")
+    assert_gram_rejected([[2, 1], [1, entry]], "int or Fraction")
+
+
+def test_lll_rejects_bool_entries():
+    assert_gram_rejected([[True, 0], [0, 1]], "bool")
+    assert_gram_rejected([[2, True], [True, 2]], "bool")
+
+
+def test_lll_rejects_indefinite_gram():
+    assert_gram_rejected([[1, 0], [0, -1]], "positive definite")
+    assert_gram_rejected(rl.rat_matrix([[1, 3], [3, F(1, 2)]]), "positive definite")
+
+
+def elimination_state(g):
+    """`_scaled_bareiss(g)` in the frozen form of `_lll`'s state: the strict
+    lower triangle of λ, the minors D_0..D_n and den."""
+    lam, d, den = _scaled_bareiss(g)
+    return tuple(tuple(row[:i]) for i, row in enumerate(lam)), tuple(d), den
+
+
+def test_lll_state_is_the_elimination_of_the_reduced_gram():
+    kinds = Counter()
+    for g, _, _, _ in enumerator_cases():
+        u, state = _lll(g)
+        assert u == lll_reduce_gram(g)
+        assert state == elimination_state(rl.mat_mul(rl.mat_mul(u, g), rl.transpose(u)))
+        kinds[type(g[0][0])] += 1
+    assert kinds[int] == kinds[F] == 120
+
+
+def fraction_node_bound(cap, covol_sq, scale, r):
+    """The node bound as a Fraction, the Hermite factor (4/3)^⌊r/2⌋ apart."""
+    return F(4, 3) ** (r // 2) * scale * rat_root_upper(cap / covol_sq, r)
+
+
+def test_node_bound_is_the_floored_fraction_bound():
+    rng = random.Random(97)
+    below = above = 0
+    for trial in range(2400):
+        r = 2 + trial % 11
+        size = rng.choice((4, 30, 200, 1000))
+        cap = F(rng.randint(1, 2 ** size), rng.randint(1, 2 ** rng.choice((4, 30, 200, 1000))))
+        covol_sq = F(rng.randint(1, 2 ** rng.choice((4, 30, 200))), rng.randint(1, 2 ** 30))
+        scale = rng.randint(1, 2 ** rng.choice((1, 20, 100)))
+        want = fraction_node_bound(cap, covol_sq, scale, r)
+        got = _node_bound(cap, covol_sq, scale, r)
+        assert type(got) is int and got == want.numerator // want.denominator, \
+            (cap, covol_sq, scale, r)
+        if cap < covol_sq:
+            below += 1
+        elif cap > covol_sq:
+            above += 1
+    assert below > 500 and above > 500
+    # r = 1 is the line bound scale·cap/covol², floored
+    for cap, covol_sq, scale in ((F(7, 3), F(2, 5), 3), (F(1, 2 ** 90), F(3), 2 ** 95)):
+        assert _node_bound(cap, covol_sq, scale, 1) == scale * cap / covol_sq // 1
 
 
 def test_lll_accepts_int_gram():
@@ -623,8 +718,8 @@ def test_enumerate_int_gram_matches_fraction_copy():
         bound = F(rng.randint(1, 9), rng.randint(1, 3))
         for spanning in (False, True):
             bud_int, bud_rat = _Budget(10 ** 6), _Budget(10 ** 6)
-            got = _enumerate_gram(g_int, bound * den, bud_int, spanning)
-            want = _enumerate_gram(g_rat, bound, bud_rat, spanning)
+            got = _enumerate_gram(_scaled_bareiss(g_int), bound * den, bud_int, spanning)
+            want = _enumerate_gram(_scaled_bareiss(g_rat), bound, bud_rat, spanning)
             assert [(qv / den, x) for qv, x in got] == want
             assert bud_int.used == bud_rat.used
 
@@ -648,13 +743,15 @@ def random_pd_gram(rng, n, rational):
             return g if rational else tuple(tuple(int(x) for x in r) for r in g)
 
 
-def test_enumerate_matches_reference_enumerator():
+def enumerator_cases():
+    """240 seeded (Gram, searched Gram, bound, caps): a random positive
+    definite Gram, int and Fraction in turn, and the Gram the enumerator
+    comparison searches, the first one or its LLL reduction."""
     rng = random.Random(83)
-    seen_exceeded = seen_complete = 0
     for trial in range(240):
         n = 1 + trial % 6
         rational = trial % 2 == 0
-        g = random_pd_gram(rng, n, rational)
+        pd = g = random_pd_gram(rng, n, rational)
         # unreduced Grams only where the node count stays small
         if n > 3 or rng.random() < 0.5:
             u = lll_reduce_gram(g)
@@ -664,9 +761,16 @@ def test_enumerate_matches_reference_enumerator():
         bound = sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
         if bound <= 0 or rng.random() < 0.3:
             bound = min(g[i][i] for i in range(n)) * F(rng.randint(2, 6), rng.randint(1, 2))
-        for cap in (rng.randint(1, 200), 10 ** 6):
+        yield pd, g, bound, (rng.randint(1, 200), 10 ** 6)
+
+
+def test_enumerate_matches_reference_enumerator():
+    seen_exceeded = seen_complete = 0
+    for _, g, bound, caps in enumerator_cases():
+        for cap in caps:
             for spanning in (False, True):
-                got = run_enumerator(_enumerate_gram, g, bound, cap, spanning)
+                got = run_enumerator(_enumerate_gram, _scaled_bareiss(g), bound, cap,
+                                     spanning)
                 want = run_enumerator(reference_enumerate_gram, g, bound, cap, spanning)
                 assert got == want, (g, bound, cap, spanning)
                 if got[0] == "exceeded":
@@ -972,11 +1076,13 @@ def reference_eigen_lines(q):
     for s_e in spaces:
         if len(s_e) == 1:
             y = enumeration._canon_sign(s_e[0])
-            out.append(((y,), rl.mat_mul(rl.mat_mul([y], q.gram), rl.transpose([y]))))
+            out.append(((y,), elimination_state(
+                rl.mat_mul(rl.mat_mul([y], q.gram), rl.transpose([y])))))
             continue
         gram_e = rl.mat_mul(rl.mat_mul(s_e, q.gram), rl.transpose(s_e))
         u = lll_reduce_gram(gram_e)
-        out.append((rl.mat_mul(u, s_e), rl.mat_mul(rl.mat_mul(u, gram_e), rl.transpose(u))))
+        out.append((rl.mat_mul(u, s_e), elimination_state(
+            rl.mat_mul(rl.mat_mul(u, gram_e), rl.transpose(u)))))
     return tuple(out)
 
 
@@ -1036,13 +1142,13 @@ def test_search_covolumes_equal_covolume_sq():
         pairs, complete = _stable_search(lat, sc, (cap,) * lat.n, None, _as_budget(None))
         assert complete
         for i, (w, c) in enumerate(pairs):
-            assert c == covolume_sq(lat, w)
+            assert type(c) is F and c == covolume_sq(lat, w)
             checked += 1
             if i < 3 and w.dim < lat.n - 1:
                 above, complete = _stable_search(lat, sc, (cap,) * lat.n, w,
                                                  _as_budget(None))
                 assert complete
-                assert all(c == covolume_sq(lat, y) for y, c in above)
+                assert all(type(c) is F and c == covolume_sq(lat, y) for y, c in above)
                 checked += len(above)
     assert checked > 1000
 

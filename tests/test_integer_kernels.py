@@ -230,7 +230,8 @@ def test_enumerate_gram_matches_fraction_remainder():
         bound = min(g[i][i] for i in range(n)) * F(rng.randint(1, 8), rng.randint(1, 3))
         for cap in (rng.randint(1, 150), 10 ** 6):
             for spanning in (False, True):
-                got = run_enumerator(_enumerate_gram, g, bound, cap, spanning)
+                got = run_enumerator(_enumerate_gram, _scaled_bareiss(g), bound, cap,
+                                     spanning)
                 want = run_enumerator(reference_enumerate_gram, g, bound, cap, spanning)
                 assert got == want, (g, bound, cap, spanning)
                 if got[0] == "exceeded":
