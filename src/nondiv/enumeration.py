@@ -26,7 +26,8 @@ largest bound its pending dimensions need, and each vector is handed only
 to the dimensions whose own bound it meets. So every dimension sees
 exactly the vectors its own search would, and the argument above holds
 for each k as it stands. The line dimension joins that one enumeration
-unless its bound is the largest of the node's.
+unless its bound is the largest of the node's and some generator is not
+scalar.
 
 Each quotient Λ/Λ_Z is built once per lattice and shared by `delta_m` and
 every `protect` search on it, with its LLL reduction, its eigen-line spaces
@@ -666,18 +667,19 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
     argument holds per k unchanged; only the repeated enumerations and
     closures are gone.
 
-    The line bound joins that enumeration when the group is trivial or
+    When every generator is scalar (`Scenario.scalar_action`: the trivial
+    group, or −I) every line is stable, so the line bound always joins the
+    enumeration and every vector's closure is its own line: no `m_closure`
+    and no eigen-line spaces. Otherwise the line bound joins it when
     another pending bound is at least as large, floors compared: a stable
     line Y ⊋ Z under its cap is spanned over Z by a primitive quotient
     vector of norm at most the line bound, whose closure is Y, whatever the
     action (a line is emitted with covol² from the Gram, below, not
-    measured). A node
-    whose line bound is strictly the largest reads the eigen-line spaces
-    instead. If the action is scalar there (the trivial group, or −I), the
-    one space is the whole quotient: the line bound joins the enumeration
-    all the same, and every vector's closure is its own line, with no
-    `m_closure`. Otherwise `_stable_quotient_lines` searches the spaces
-    under the line bound.
+    measured). A node whose line bound is strictly the largest reads the
+    eigen-line spaces instead. If the action is scalar on that quotient,
+    the one space is the whole quotient: the line bound joins the
+    enumeration all the same, and closures are lines as above. Otherwise
+    `_stable_quotient_lines` searches the spaces under the line bound.
 
     Quotients come from lat's memo, so they are shared with every other
     search on lat. A line Y = Z ⊕ lift(y) has covol²(Y) = covol²(Z)·
@@ -712,7 +714,7 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
         dz = len(z_rows)
         bounds = {k: _node_bound(caps[k], quot.covol_sq, quot.scale, k - dz)
                   for k in ks if k > dz + 1}
-        fold = not sc.m_generators
+        fold = sc.scalar_action
         if dz + 1 in ks:
             t = _node_bound(caps[dz + 1], quot.covol_sq, quot.scale, 1)
             merged = fold or t <= max(bounds.values(), default=0)
@@ -779,10 +781,10 @@ class DeltaResult:
     """Exact certificate for the restricted minimal covolume.
 
     δ² = witness_covol_sq^{1/dim} for the witness W, dim = dim W; searches
-    and decisions compare such roots by cross powers (`_root_cmp`), and
-    drive's step bound works from witness_covol_sq and dim as well. The
-    reported root-free form is derived for output only, and no decision
-    reads it: delta_sq_pow = witness_covol_sq^{L/dim} with
+    and decisions compare such roots by integer cross products
+    (`_root_cmp`), and drive's step bound works from witness_covol_sq and
+    dim as well. The reported root-free form is derived for output only,
+    and no decision reads it: delta_sq_pow = witness_covol_sq^{L/dim} with
     L = lcm(1..N) = lcm_pow, and delta_float = delta_sq_pow^{1/(2L)}.
     complete=False marks an upper bound obtained under an exhausted budget.
     """
@@ -817,10 +819,12 @@ def _float_root(x: Fraction, power: int) -> float:
 def _root_cmp(c, d: int, c2, d2: int) -> int:
     """The sign of c^{1/d} − c2^{1/d2} for rationals c, c2 ≥ 0: -1, 0, or 1.
 
-    The roots are compared by cross powers, c^{d2} against c2^{d}, so no
-    exponent exceeds the larger of the two root indices.
+    c^{d2} is compared with c2^{d} as the integer cross products
+    num^{d2}·den2^{d} and num2^{d}·den^{d2} (denominators are positive), so
+    no exponent exceeds the larger of the two root indices.
     """
-    x, y = c ** d2, c2 ** d
+    x = c.numerator ** d2 * c2.denominator ** d
+    y = c2.numerator ** d * c.denominator ** d2
     return (x > y) - (x < y)
 
 

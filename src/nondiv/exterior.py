@@ -61,10 +61,12 @@ def contraction_constant(s: TorusElement) -> Fraction:
 
     The worst degree-k factor is the product of the k smallest scalars, and
     the smallest such prefix product is the product of the scalars below 1
-    (det s = 1 keeps it ≤ 1), so C₁(s) = ∏_{x<1} 1/x.
+    (det s = 1 keeps it ≤ 1), so C₁(s) = ∏_{x<1} 1/x, each block scalar x
+    taken to its block dimension: one Fraction of two integer products.
     """
-    out = Fraction(1)
-    for x in s.diagonal():
-        if x < 1:
-            out /= x
-    return out
+    num = den = 1
+    for x, d in zip(s.scalars, s.block_dims):
+        if x.numerator < x.denominator:
+            num *= x.denominator ** d
+            den *= x.numerator ** d
+    return Fraction(num, den)

@@ -84,6 +84,14 @@ class Scenario:
         """
         return tuple(map(rl.scale_to_int, self.m_generators))
 
+    @cached_property
+    def scalar_action(self) -> bool:
+        """Whether every generator is a scalar matrix (with determinant 1 and
+        rational entries, ±I), so that M fixes every line; true for the
+        trivial group. Cached like `int_m_generators`."""
+        return all(g[i][j] == (g[0][0] if i == j else 0)
+                   for g in self.m_generators for i in range(self.n) for j in range(self.n))
+
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
@@ -163,6 +171,16 @@ class TorusElement:
         if num != den:
             raise ValidationError("scalars", f"determinant {Fraction(num, den)} != 1")
 
+    @classmethod
+    def _trusted(cls, scalars: tuple[Fraction, ...],
+                 block_dims: tuple[int, ...]) -> "TorusElement":
+        """Skip validation: scalars must be positive Fractions, one per block
+        of the positive int block_dims, with determinant 1."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "scalars", scalars)
+        object.__setattr__(s, "block_dims", block_dims)
+        return s
+
     def diagonal(self) -> tuple[Fraction, ...]:
         out = []
         for s, d in zip(self.scalars, self.block_dims):
@@ -175,8 +193,9 @@ class TorusElement:
     def compose(self, other: "TorusElement") -> "TorusElement":
         if self.block_dims != other.block_dims:
             raise ValidationError("block_dims", "mismatched block structures")
-        return TorusElement(tuple(a * b for a, b in zip(self.scalars, other.scalars)),
-                            self.block_dims)
+        # a product of determinant-one elements on the same blocks
+        return TorusElement._trusted(
+            tuple(a * b for a, b in zip(self.scalars, other.scalars)), self.block_dims)
 
 
 @dataclass(frozen=True)
@@ -557,8 +576,9 @@ def apply_torus(s: TorusElement, lat: UnimodularLattice) -> UnimodularLattice:
     action, closures and quotient data hold for sΛ unchanged. Any other s
     leaves sΛ to build its own frame.
 
-    `TorusElement` checks det s = 1, so det(sB) = det B and sΛ is built
-    without recomputing a determinant.
+    det s = 1 (`TorusElement` checks it, and its `_trusted` products hold it
+    by construction), so det(sB) = det B and sΛ is built without
+    recomputing a determinant.
     """
     diag = s.diagonal()
     if len(diag) != lat.n:

@@ -4,7 +4,9 @@ One round: find the minimal-covolume eligible subspace, protect it (grow a
 chain until every competing eligible subspace has large joint covolume), pick
 the block-scalar torus element that expands the protected subspace, apply it,
 and certify the resulting growth of the restricted minimal covolume exactly.
-Iterating rounds drives the lattice above a covolume floor eta0.
+Iterating rounds drives the lattice above a covolume floor eta0. The torus
+element scales by powers of ρ = 2^e, with e found by integer shifts, so its
+scalars are built as shifted integers, not as Fraction powers.
 
 Constants policy. The squared guard c and the floor eta0 are coupled:
 eta0_sq ≤ c^(-N) keeps the protection chain proper. One loop settles both:
@@ -158,6 +160,14 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
     return roots[-1] if roots and ok(roots[-1]) else hi
 
 
+def _dyadic_exponent(t: Fraction, k: int) -> int:
+    """Least e ≥ 1 with 2^{e·k} ≥ t > 0, by shifts: t.den·2^{e·k} ≥ t.num."""
+    e = 1
+    while t.denominator << e * k < t.numerator:
+        e += 1
+    return e
+
+
 @dataclass(frozen=True)
 class ExpansionCertificate:
     """Torus element expanding W, with the exact constants it achieves.
@@ -182,7 +192,7 @@ class ExpansionCertificate:
         if not self.achieved_c1 >= 1:
             raise InternalInvariantViolation("contraction constant must be >= 1")
 
-    @property
+    @cached_property
     def c1c2_sq(self) -> Fraction:
         return self.achieved_c1 ** 2 * self.achieved_c2_sq
 
@@ -194,8 +204,11 @@ def expansion_element(lat: UnimodularLattice, w: RationalSubspace, sc: Scenario,
     W is treated as the graph of a map from its I-coordinate projection to the
     remaining coordinates; C_W² = 1 + σ² with σ² a certified upper bound for
     the largest squared singular value of that map. λ = ρ^{N-d_I} for the
-    smallest power of two ρ with λ ≥ lambda_multiplier·C_W²; s scales
-    I-blocks by λ and the rest by ρ^{-d_I}, keeping determinant one exactly.
+    smallest power of two ρ = 2^e, e ≥ 1, with λ ≥ t = lambda_multiplier·C_W²:
+    e is the least with t.den·2^{e(N-d_I)} ≥ t.num, found by shifts
+    (`_dyadic_exponent`). s scales I-blocks by λ = 2^{e(N-d_I)} and the rest
+    by μ = 2^{-e·d_I}, keeping determinant one exactly, so it is built
+    without a second check.
 
     Both Grams of the map are taken on the integer rows w.rows·b_intᵀ, b
     times the real rows; σ² is a ratio of the two, so b² cancels.
@@ -217,14 +230,11 @@ def expansion_element(lat: UnimodularLattice, w: RationalSubspace, sc: Scenario,
     g_i = rl.mat_mul(a, rl.transpose(a))
     g_c = rl.mat_mul(b, rl.transpose(b))
     c_w_sq = 1 + _sigma_sq_upper(g_i, g_c)
-    target = cfg.lambda_multiplier * c_w_sq
-    rho = F(2)
-    while rho ** (n - d_i) < target:
-        rho *= 2
-    lam = rho ** (n - d_i)
-    mu = F(1) / rho ** d_i
+    e = _dyadic_exponent(cfg.lambda_multiplier * c_w_sq, n - d_i)
+    lam = F(1 << e * (n - d_i))
+    mu = F(1, 1 << e * d_i)
     scalars = tuple(lam if i in picked else mu for i in range(sc.num_blocks))
-    s = TorusElement(scalars=scalars, block_dims=sc.block_dims)
+    s = TorusElement._trusted(scalars, sc.block_dims)
     return ExpansionCertificate(
         s=s,
         index_set=picked,

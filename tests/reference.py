@@ -12,6 +12,13 @@ The Fraction routines below are the references for the integer kernels of
 integer coordinates. `lpower_step_bound` is the L-power iteration that
 `pushout._step_count_bound` replaced.
 
+`fraction_root_cmp`, `doubling_rho`, `fraction_contraction_constant` and
+`fraction_expansion_certificate` are the Fraction forms of the push-out
+step's bookkeeping: root comparisons by Fraction powers, ρ by doubling, C₁
+by per-coordinate division, and a torus element that is validated.
+`enumeration._root_cmp`, `pushout._dyadic_exponent`,
+`exterior.contraction_constant` and `TorusElement._trusted` replaced them.
+
 `per_dimension_stable_search` is the chain search that
 `enumeration._stable_search` replaced: it runs one search per target
 dimension k, so a node Z is enumerated, and each of its short vectors
@@ -27,8 +34,9 @@ from nondiv import ratlin as rl
 from nondiv.enumeration import (_Budget, _enumerate_gram, _quotient, _scaled_bareiss,
                                 _stable_quotient_lines, rat_root_upper)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation
-from nondiv.lattice import (RationalSubspace, Scenario, UnimodularLattice,
-                            covolume_sq, is_m_stable, m_closure)
+from nondiv.lattice import (RationalSubspace, Scenario, TorusElement,
+                            UnimodularLattice, covolume_sq, is_m_stable, m_closure)
+from nondiv.pushout import ExpansionCertificate
 from nondiv.ratlin import RatRows
 
 F = Fraction
@@ -196,6 +204,45 @@ def lpower_step_bound(q0: Fraction, factor_min: Fraction, target: Fraction) -> i
         if b > 10 ** 6:
             raise InternalInvariantViolation("step bound iteration diverged")
     return b
+
+
+def fraction_root_cmp(c, d: int, c2, d2: int) -> int:
+    """The sign of c^{1/d} − c2^{1/d2}, by the Fraction powers c^{d2}, c2^{d}."""
+    x, y = c ** d2, c2 ** d
+    return (x > y) - (x < y)
+
+
+def doubling_rho(target: Fraction, k: int) -> Fraction:
+    """Smallest power of two ρ ≥ 2 with ρ^k ≥ target, by doubling."""
+    rho = F(2)
+    while rho ** k < target:
+        rho *= 2
+    return rho
+
+
+def fraction_contraction_constant(s: TorusElement) -> Fraction:
+    """C₁(s) = ∏ 1/x over the diagonal entries x < 1, one division each."""
+    out = F(1)
+    for x in s.diagonal():
+        if x < 1:
+            out /= x
+    return out
+
+
+def fraction_expansion_certificate(sc: Scenario, index_set: tuple[int, ...],
+                                   c_w_sq: Fraction, lambda_multiplier: Fraction
+                                   ) -> ExpansionCertificate:
+    """The certificate `expansion_element` builds for index set I and C_W²,
+    by Fraction powers of ρ and with a validated torus element."""
+    d_i = sum(sc.block_dims[i] for i in index_set)
+    rho = doubling_rho(lambda_multiplier * c_w_sq, sc.n - d_i)
+    lam = rho ** (sc.n - d_i)
+    mu = F(1) / rho ** d_i
+    s = TorusElement(tuple(lam if i in index_set else mu for i in range(sc.num_blocks)),
+                     sc.block_dims)
+    return ExpansionCertificate(s=s, index_set=index_set, c_w_sq=c_w_sq, lam=lam,
+                                achieved_c1=fraction_contraction_constant(s),
+                                achieved_c2_sq=(lam / c_w_sq) ** 2)
 
 
 def _hermite_sq_bound(r: int) -> Fraction:

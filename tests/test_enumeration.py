@@ -17,7 +17,7 @@ from nondiv.enumeration import (_as_budget, _Budget, _enumerate_gram,
                                 rat_root_upper, short_vectors,
                                 shortest_vector_sq, stable_subspaces_within)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation, ValidationError
-from nondiv.lattice import (_quotient_memo, apply_group, covolume_sq,
+from nondiv.lattice import (Scenario, _quotient_memo, apply_group, covolume_sq,
                             full_subspace, m_closure, make_lattice,
                             make_scenario, standard_lattice,
                             subspace_from_rows, trivial_scenario)
@@ -976,6 +976,40 @@ def test_one_pass_search_matches_per_dimension_reference(monkeypatch):
     assert saved > 0
     assert folded[()] > 0
     assert folded[NEGATION_2.m_generators] > 0 and folded[NEGATION_4.m_generators] > 0
+
+
+def test_scalar_generators_fold_without_closures(monkeypatch):
+    """Under -I every line is stable: delta_m closes only its seed vector and
+    reads no eigen-line space, and finds what the search that closes every
+    vector finds, with the same budget."""
+    assert NEGATION_2.scalar_action and NEGATION_4.scalar_action
+    assert make_scenario(2, [[0, 2]], [[[1, 0], [0, 1]]]).scalar_action
+    assert not any(sc.scalar_action for sc in (JORDAN_4, UNIPOTENT, sl4_so21_scenario()))
+    inputs = [(lat, sc) for lat, sc in one_pass_inputs() if sc in (NEGATION_2, NEGATION_4)]
+    calls = Counter()
+    for name in ("m_closure", "common_eigenspace_bases"):
+        def counted(*args, real=getattr(enumeration, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(enumeration, name, counted)
+
+    def run():
+        calls.clear()
+        out = []
+        for lat, sc in inputs:
+            bud = _Budget(enumeration.DEFAULT_VECTOR_BUDGET)
+            d = delta_m(make_lattice(lat.basis), sc, budget=bud)
+            out.append((d, bud.used))
+        return out, dict(calls)
+
+    folded, folded_calls = run()
+    # fold the trivial group only, so -I closes every vector with m_closure
+    monkeypatch.setattr(Scenario, "scalar_action", property(lambda sc: not sc.m_generators))
+    unfolded, unfolded_calls = run()
+    assert folded == unfolded
+    assert len(inputs) == 12
+    assert folded_calls == {"m_closure": 12}
+    assert unfolded_calls["m_closure"] == 21 and unfolded_calls["common_eigenspace_bases"] > 0
 
 
 def test_budget_limited_one_pass_search_finds_a_subset():
