@@ -57,8 +57,8 @@ from operator import mul
 from . import ratlin as rl
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from .lattice import (RationalSubspace, Scenario, UnimodularLattice, _frame,
-                      _quotient_memo, covolume_sq, full_subspace, is_m_stable,
-                      m_closure)
+                      _quotient_memo, check_dimensions, covolume_sq,
+                      full_subspace, is_m_stable, m_closure)
 
 F = Fraction
 
@@ -90,33 +90,23 @@ def _as_budget(budget) -> _Budget:
     return budget if isinstance(budget, _Budget) else _Budget(budget)
 
 
-def _scaled_bareiss(a):
-    """(λ, D, den) for den·a, den the lcm of a's denominators (1 for ints):
-    the matrix after n `rl.bareiss` steps and its minors [1, D_1, ..., D_n]."""
-    scaled, den = rl.int_or_scaled(a)
-    lam = [list(row) for row in scaled]
-    rl.bareiss(lam, len(lam))
-    return lam, [1] + [lam[i][i] for i in range(len(lam))], den
-
-
 def _lll(a, delta: Fraction = F(3, 4)):
     """(u, state): u unimodular with u·a·uᵀ LLL-reduced, and state the
     elimination of the reduced Gram that `_enumerate_gram` reads.
 
-    Integral LLL (Cohen, Alg. 2.6.7) on the Gram matrix scaled to integers by
-    the lcm den of its denominators; a positive scalar changes no μ and no
-    Lovász test. With D_i (D_0 = 1) and λ_ij = D_{j+1}·μ_ij from
+    Integral LLL (Cohen, Alg. 2.6.7) on a positive definite, symmetric
+    integer Gram a. With D_i (D_0 = 1) and λ_ij = D_{j+1}·μ_ij from
     `rl.bareiss`, every size-reduction step and every swap is an O(n) exact
     integer update. The decisions are those of the rational algorithm: row k
     is size-reduced against rows k-1, ..., 0 with μ rounded half up, then
-    tested against the Lovász condition. The updates keep (λ_ij for j < i,
-    D) those of den·u·a·uᵀ, which a unimodular u leaves with the same den,
-    so state = (λ's strict lower triangle, (D_0, ..., D_n), den) is
-    `_scaled_bareiss(u·a·uᵀ)` without a product or a second elimination.
-    a must be a positive definite, symmetric int or Fraction matrix.
+    tested against the Lovász condition. The updates keep λ_ij (j < i) and
+    D those of u·a·uᵀ, so state = (λ's strict lower triangle, (D_0, ...,
+    D_n)) is the elimination of u·a·uᵀ without a product or a second one.
     """
     n = len(a)
-    lam, d, den = _scaled_bareiss(a)
+    lam = [list(row) for row in a]
+    rl.bareiss(lam, n)
+    d = [1] + [lam[i][i] for i in range(n)]
     delta = F(delta)
     p, q = delta.numerator, delta.denominator
     u = [list(r) for r in rl.identity(n)]
@@ -149,7 +139,7 @@ def _lll(a, delta: Fraction = F(3, 4)):
         d[k] = b
         k = max(k - 1, 1)
     # the diagonal and upper triangle of lam were not updated by the swaps
-    state = (tuple(tuple(row[:i]) for i, row in enumerate(lam)), tuple(d), den)
+    state = (tuple(tuple(row[:i]) for i, row in enumerate(lam)), tuple(d))
     return tuple(tuple(r) for r in u), state
 
 
@@ -159,7 +149,8 @@ def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
     a must be a square, symmetric, positive definite matrix of ints and
     Fractions, given as rows; anything else raises ValidationError("gram",
     ...). delta must lie in (1/4, 1]: above 1 the Lovász test can fail for
-    ever. See `_lll` for the algorithm.
+    ever. A positive scalar changes no μ and no Lovász test, so `_lll` runs
+    on a times the lcm of its denominators; see there for the algorithm.
     """
     delta = rl.exact_rational(delta, "delta")
     if not F(1, 4) < delta <= 1:
@@ -179,7 +170,7 @@ def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
                 raise ValidationError("gram", f"must be symmetric: entry [{i}][{j}] "
                                               f"differs from [{j}][{i}]")
     try:
-        return _lll(a, delta)[0]
+        return _lll(rl.scale_to_int(a)[0], delta)[0]
     except InternalInvariantViolation:
         raise ValidationError("gram", "must be positive definite") from None
 
@@ -187,25 +178,25 @@ def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
 def _enumerate_gram(state, bound: Fraction, budget: _Budget, spanning: bool):
     """All x ≠ 0 with x·g·xᵀ ≤ bound, canonical sign (highest nonzero positive).
 
-    g is given by its elimination state = (λ, D, den), as `_lll` or
-    `_scaled_bareiss` return it: D_l and λ_il (i > l) are those of
-    `rl.bareiss` on den·g. Fincke-Pohst on integers, depth first, t
-    ascending at every level. With num = Σ_{i>l} λ_il·x_i, x_l = t adds
-    (D_{l+1}·t + num)²/(den·D_l·D_{l+1}) to x·g·xᵀ, so the range of t needs
-    only isqrt(⌊rem·den·D_l·D_{l+1}⌋). The remaining bound rem is one int
-    over Q = lcm(bound's denominator, every den·D_l·D_{l+1}), so a node does
-    integer work only; outputs are (x·g·xᵀ as an exact Fraction, x).
+    The integer Gram g is given by its elimination state = (λ, D), as `_lll`
+    returns it: D_l and λ_il (i > l) are those of `rl.bareiss` on g.
+    Fincke-Pohst on integers, depth first, t ascending at every level. With
+    num = Σ_{i>l} λ_il·x_i, x_l = t adds (D_{l+1}·t + num)²/(D_l·D_{l+1})
+    to x·g·xᵀ, so the range of t needs only isqrt(⌊rem·D_l·D_{l+1}⌋). The
+    remaining bound rem is one int over Q = lcm(bound's denominator, every
+    D_l·D_{l+1}), so a node does integer work only; outputs are (x·g·xᵀ as
+    an exact Fraction, x).
 
     spanning mode collapses multiples along the first basis direction (only
     x = (1,0,..,0) survives of the pure-axis family); used by subspace search
     where only spans matter.
     """
-    lam, d, den = state
+    lam, d = state
     n = len(d) - 1
     if bound <= 0:
         return []
     bound = F(bound)
-    scale = [den * d[l] * d[l + 1] for l in range(n)]
+    scale = [d[l] * d[l + 1] for l in range(n)]
     q = lcm(bound.denominator, *scale)
     # x_l = t takes (D_{l+1}·t + num)²·step[l] off rem·Q
     step = [q // m for m in scale]
@@ -418,9 +409,9 @@ class _Quotient:
     def reduced(self):
         """(u, state) from `_lll` on `gram`; one reduction per quotient.
 
-        u is the LLL transform, and state the elimination of the reduced
-        Gram u·gram·uᵀ (integer, over `scale`) that `_enumerate_gram` reads,
-        so the reduced Gram itself is never formed.
+        u is the LLL transform, and state = (λ, D) the elimination of the
+        reduced Gram u·gram·uᵀ (integer, over `scale`) that `_enumerate_gram`
+        reads, so the reduced Gram itself is never formed.
         """
         return _lll(self.gram)
 
@@ -428,32 +419,21 @@ class _Quotient:
     def eigen_lines(self):
         """(comp, state) per space in which `_stable_quotient_lines` searches.
 
-        comp is a basis of the space in quotient coordinates and state the
-        elimination (`_lll`'s) of its Gram on that basis, integer over
-        `scale`: a line keeps its canonical generator, with its norm as its
-        one minor D_1, a larger space its LLL-reduced basis. The whole
-        quotient (the trivial group's one space) is `reduced`. The spaces
-        depend on Z and the action alone, so the frame holds them along the
-        torus orbit.
+        comp is an LLL-reduced basis of the space in quotient coordinates
+        and state `_lll`'s elimination of its Gram on that basis, integer
+        over `scale`; a line's one minor D_1 is its norm. The whole quotient
+        (the one space of the trivial group, or of an action scalar on the
+        quotient) is `reduced`. The spaces depend on Z and the action alone,
+        so the frame holds them along the torus orbit.
         """
-        m = self.rank
-        if not self.sc.m_generators:
-            spaces = [rl.identity(m)]
-        else:
-            held = self.frame.eigenspaces
-            if self.z_rows not in held:
-                held[self.z_rows] = common_eigenspace_bases(
-                    self.rep_matrices,
-                    [_generator_eigenvalues(g) for g in self.sc.m_generators], m)
-            spaces = held[self.z_rows]
+        held = self.frame.eigenspaces
+        if self.z_rows not in held:
+            held[self.z_rows] = common_eigenspace_bases(
+                self.rep_matrices,
+                [_generator_eigenvalues(g) for g in self.sc.m_generators], self.rank)
         out = []
-        for s_e in spaces:
-            if len(s_e) == 1:
-                y = _canon_sign(s_e[0])
-                norm = sum(yi * sum(self.gram[i][j] * yj for j, yj in enumerate(y))
-                           for i, yi in enumerate(y) if yi)
-                out.append(((y,), (((),), (1, norm), 1)))  # `_lll`'s state of (norm)
-            elif len(s_e) == m:
+        for s_e in held[self.z_rows]:
+            if len(s_e) == self.rank:
                 out.append(self.reduced)
             else:
                 u, state = _lll(rl.mat_mul(rl.mat_mul(s_e, self.gram), rl.transpose(s_e)))
@@ -611,23 +591,18 @@ def common_eigenspace_bases(reps, eigenvalues, dim: int):
 
 def _stable_quotient_lines(quot: _Quotient, bound, budget: _Budget):
     """(y, y·gram·yᵀ) for the primitive quotient vectors y spanning M-stable
-    lines with y·gram·yᵀ ≤ bound, on the quotient's integer scale."""
-    seen = set()
+    lines with y·gram·yᵀ ≤ bound, on the quotient's integer scale. The
+    spaces are saturated, so y = w·comp is primitive exactly when w is, and
+    meet only in 0, so no line comes twice."""
     for comp, state in quot.eigen_lines:
         if len(comp) == 1:
-            y, norm = comp[0], state[1][1]
-            if norm <= bound and y not in seen:
-                seen.add(y)
-                yield y, norm
+            if state[1][1] <= bound:
+                yield comp[0], state[1][1]
             continue
         for norm, w in _enumerate_gram(state, bound, budget, spanning=True):
-            y = tuple(sum(w[i] * comp[i][j] for i in range(len(w)))
-                      for j in range(quot.rank))
-            c = gcd(*y)
-            y = _canon_sign(tuple(x // c for x in y))
-            if y not in seen:
-                seen.add(y)
-                yield y, norm / (c * c)
+            if rl.primitive_part(w) == w:
+                yield tuple(sum(w[i] * comp[i][j] for i in range(len(w)))
+                            for j in range(quot.rank)), norm
 
 
 def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
@@ -636,11 +611,17 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
     """All M-stable proper subspaces Y (⊋ base when given) with covol² ≤ cap_sq.
 
     Returns (sorted list, complete flag); complete is False when the budget
-    ran out, in which case the list is whatever was found before that.
+    ran out, in which case the list is whatever was found before that. A
+    base of another dimension raises ValidationError("ambient", ...), and
+    one that is not M-stable ValidationError("base", ...).
     """
     cap_sq = rl.exact_rational(cap_sq, "cap_sq")
     if cap_sq <= 0:
         raise ValidationError("cap_sq", "must be positive")
+    if base is not None:
+        check_dimensions(lat, sc, base)
+        if not is_m_stable(base, lat, sc):
+            raise ValidationError("base", "must be M-stable")
     found, complete = _stable_search(lat, sc, (cap_sq,) * lat.n, base,
                                      _as_budget(budget))
     return [sub for sub, _ in found], complete
@@ -733,8 +714,6 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
         deeper: dict = {}
         for norm, w in _enumerate_gram(state, max(bounds.values()), bud, spanning=True):
             met = [k for k, b in bounds.items() if norm <= b]
-            if not met:
-                continue
             y = tuple(sum(w[i] * u[i][j] for i in range(len(w)))
                       for j in range(quot.rank))
             if rl.primitive_part(y) != y:

@@ -530,7 +530,9 @@ def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]
     the worklist is empty (the images of a basis span the image of the span)
     or the rank reaches N. The result is the saturated HNF of the basis,
     which is canonical for the span. It depends only on the rows and the
-    action, so the frame memoizes it on the exact input rows.
+    action, so the frame memoizes it on the exact input rows. Entries must
+    be integers (`rl.exact_int`); they are checked on a memo miss, so no
+    bad key enters the memo.
     """
     frame = _frame(lat, sc)
     key = tuple(map(tuple, rows))
@@ -539,6 +541,8 @@ def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]
     held = frame.closures.get(key)
     if held is not None:
         return held
+    if any(type(x) is not int for r in key for x in r):
+        key = tuple(tuple(rl.exact_int(x, "rows") for x in r) for r in key)
     gens = [g for g, _ in frame.gens]
     echelon: list = []
     work = [row for row in (_insert(echelon, r) for r in key) if row]

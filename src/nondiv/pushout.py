@@ -125,8 +125,9 @@ def _index_set(rows: rl.IntRows, sc: Scenario) -> tuple[int, ...]:
 def _sigma_sq_upper(g_i, g_c) -> Fraction:
     """Certified rational upper bound for max_x (x·g_c·x)/(x·g_i·x), g_i PD.
 
-    The bound is the largest root λ_max of the integer characteristic
-    polynomial p of g_i⁻¹·g_c (g_i⁻¹ = s·adj(g)/det(g) for g_i = g/s), with
+    g_i is an integer matrix (`expansion_element` builds both Grams from
+    integer rows). The bound is the largest root λ_max of the integer
+    characteristic polynomial p of g_i⁻¹·g_c (g_i⁻¹ = adj(g_i)/det(g_i)), with
     leading coefficient a > 0, when it is rational; otherwise a dyadic
     overshoot, which only strengthens downstream certificates. The pencil is
     symmetric-definite, so p is real-rooted, and x ≥ λ_max exactly when
@@ -137,9 +138,8 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
     """
     if all(x == 0 for row in g_c for x in row):
         return F(0)
-    g, s = rl.int_or_scaled(g_i)
-    adj, det = rl.int_inverse(g)
-    m = tuple(tuple(F(s * x, det) for x in row) for row in rl.mat_mul(adj, g_c))
+    adj, det = rl.int_inverse(g_i)
+    m = tuple(tuple(F(x, det) for x in row) for row in rl.mat_mul(adj, g_c))
     p = rl.scale_to_int([char_poly(m)])[0][0]
     a = p[-1]
 

@@ -11,8 +11,9 @@ already saturated); positive definite Grams, and with them covolumes and
 `gram_det`, through the fraction-free `bareiss`; general determinants
 through `rat_det`'s fraction-free elimination with row pivoting; inverses
 through the fraction-free Gauss-Jordan `int_inverse`, and unimodular
-inverses through `int_inverse_unimodular`.
-`int_or_scaled` uses a matrix of ints as given.
+inverses through `int_inverse_unimodular`. A rational matrix is scaled to
+integers once, with `scale_to_int`, where it enters: the search kernels of
+`enumeration` take integer Grams only.
 """
 
 from __future__ import annotations
@@ -233,13 +234,6 @@ def scale_to_int(m: Sequence[Sequence]) -> tuple[IntRows, int]:
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
 
 
-def int_or_scaled(m: Sequence[Sequence]) -> tuple[IntRows, int]:
-    """(m, 1) for a matrix of ints, used as given; otherwise `scale_to_int(m)`."""
-    if all(type(x) is int for row in m for x in row):
-        return m, 1
-    return scale_to_int(m)
-
-
 def bareiss(g, k: int) -> int:
     """k in-place fraction-free elimination steps on a positive definite
     integer matrix g; returns the last pivot (1 when k = 0).
@@ -344,6 +338,11 @@ def int_inverse_unimodular(m: Sequence[Sequence[int]]) -> IntRows:
 
     The HNF of a unimodular matrix is the identity, so the HNF transform u
     (with u·m = I) is the inverse; any other HNF means m is not unimodular.
+    `complete_to_basis` inverts every new completion with it. On the 5×5
+    transforms of rebased N = 5 `delta_m` calls (perfbench trivial-hd) it
+    takes about 9 µs against 38 µs for `int_inverse` (Python 3.11, 2-core
+    Xeon); such a call builds about 2.3 completions, so `int_inverse` would
+    add about 10% to it.
     """
     h, u = hnf(m)
     if h != identity(len(m)):

@@ -25,13 +25,19 @@ dimension k, so a node Z is enumerated, and each of its short vectors
 closed, once for every k that reaches it. It keeps the Fraction node bounds
 of `_hermite_sq_bound`, and forms and eliminates each reduced quotient
 Gram itself instead of reading the LLL state.
+
+`scaled_bareiss` is the elimination of a rational Gram scaled to integers,
+and `elimination_state` puts it in the form `enumeration._lll` returns.
+`enumerate_rational_gram` runs `enumeration._enumerate_gram`, which takes
+integer Grams only, on a rational one scaled once, as `lll_reduce_gram`
+scales its input.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
 from nondiv import ratlin as rl
-from nondiv.enumeration import (_Budget, _enumerate_gram, _quotient, _scaled_bareiss,
+from nondiv.enumeration import (_Budget, _enumerate_gram, _quotient,
                                 _stable_quotient_lines, rat_root_upper)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation
 from nondiv.lattice import (RationalSubspace, Scenario, TorusElement,
@@ -245,6 +251,31 @@ def fraction_expansion_certificate(sc: Scenario, index_set: tuple[int, ...],
                                 achieved_c2_sq=(lam / c_w_sq) ** 2)
 
 
+def scaled_bareiss(g):
+    """(λ, D, den) for den·g, den the lcm of g's denominators (1 for ints):
+    the matrix after n `rl.bareiss` steps and its minors [1, D_1, ..., D_n]."""
+    scaled, den = rl.scale_to_int(g)
+    lam = [list(row) for row in scaled]
+    rl.bareiss(lam, len(lam))
+    return lam, [1] + [lam[i][i] for i in range(len(lam))], den
+
+
+def elimination_state(g):
+    """`scaled_bareiss(g)` in the frozen form of `_lll`'s state: the strict
+    lower triangle of λ and the minors D_0..D_n; den is dropped, so g must be
+    an integer Gram for the state to be g's."""
+    lam, d, _ = scaled_bareiss(g)
+    return tuple(tuple(row[:i]) for i, row in enumerate(lam)), tuple(d)
+
+
+def enumerate_rational_gram(g, bound, budget, spanning):
+    """`_enumerate_gram` on a rational Gram g: den·g under bound·den, with
+    den the lcm of g's denominators, and each norm divided by den again."""
+    scaled, den = rl.scale_to_int(g)
+    return [(qv / den, x) for qv, x in _enumerate_gram(elimination_state(scaled),
+                                                         F(bound) * den, budget, spanning)]
+
+
 def _hermite_sq_bound(r: int) -> Fraction:
     """Rational upper bound for the Hermite constant γ_r: (4/3)^{ceil((r-1)/2)}."""
     return F(4, 3) ** (r // 2)
@@ -294,7 +325,7 @@ def per_dimension_stable_search(lat: UnimodularLattice, sc: Scenario, caps,
         bound = _hermite_sq_bound(r) * rat_root_upper(t_sq, r)
         u = quot.reduced[0]
         g = rl.mat_mul(rl.mat_mul(u, quot.gram), rl.transpose(u))
-        for _, w in _enumerate_gram(_scaled_bareiss(g), bound * quot.scale, bud,
+        for _, w in _enumerate_gram(elimination_state(g), bound * quot.scale, bud,
                                     spanning=True):
             y = tuple(sum(w[i] * u[i][j] for i in range(len(w)))
                       for j in range(quot.rank))

@@ -11,7 +11,7 @@ import nondiv
 from nondiv import enumeration
 from nondiv.enumeration import (_as_budget, _Budget, _enumerate_gram,
                                 _int_nthroot_floor, _lll, _node_bound, _Quotient,
-                                _root_lt, _scaled_bareiss, _stable_search,
+                                _root_lt, _stable_search,
                                 delta_m, eligible_subspaces,
                                 lll_reduce_gram, oracle_delta_m,
                                 rat_root_upper, short_vectors,
@@ -29,7 +29,8 @@ from nondiv import ratlin as rl
 from conftest import (random_unimodular_int, random_unimodular_lattice,
                       real_coordinate_subspace)
 import reference
-from reference import rat_inverse, real_rows
+from reference import (elimination_state, enumerate_rational_gram, rat_inverse,
+                       real_rows)
 
 F = Fraction
 
@@ -459,19 +460,15 @@ def test_lll_rejects_indefinite_gram():
     assert_gram_rejected(rl.rat_matrix([[1, 3], [3, F(1, 2)]]), "positive definite")
 
 
-def elimination_state(g):
-    """`_scaled_bareiss(g)` in the frozen form of `_lll`'s state: the strict
-    lower triangle of λ, the minors D_0..D_n and den."""
-    lam, d, den = _scaled_bareiss(g)
-    return tuple(tuple(row[:i]) for i, row in enumerate(lam)), tuple(d), den
-
-
 def test_lll_state_is_the_elimination_of_the_reduced_gram():
+    """`_lll` on the integer Gram that `lll_reduce_gram` scales its input to:
+    the same transform, and the state of the reduced integer Gram."""
     kinds = Counter()
     for g, _, _, _ in enumerator_cases():
-        u, state = _lll(g)
+        g_int = rl.scale_to_int(g)[0]
+        u, state = _lll(g_int)
         assert u == lll_reduce_gram(g)
-        assert state == elimination_state(rl.mat_mul(rl.mat_mul(u, g), rl.transpose(u)))
+        assert state == elimination_state(rl.mat_mul(rl.mat_mul(u, g_int), rl.transpose(u)))
         kinds[type(g[0][0])] += 1
     assert kinds[int] == kinds[F] == 120
 
@@ -718,8 +715,8 @@ def test_enumerate_int_gram_matches_fraction_copy():
         bound = F(rng.randint(1, 9), rng.randint(1, 3))
         for spanning in (False, True):
             bud_int, bud_rat = _Budget(10 ** 6), _Budget(10 ** 6)
-            got = _enumerate_gram(_scaled_bareiss(g_int), bound * den, bud_int, spanning)
-            want = _enumerate_gram(_scaled_bareiss(g_rat), bound, bud_rat, spanning)
+            got = _enumerate_gram(elimination_state(g_int), bound * den, bud_int, spanning)
+            want = reference_enumerate_gram(g_rat, bound, bud_rat, spanning)
             assert [(qv / den, x) for qv, x in got] == want
             assert bud_int.used == bud_rat.used
 
@@ -769,8 +766,7 @@ def test_enumerate_matches_reference_enumerator():
     for _, g, bound, caps in enumerator_cases():
         for cap in caps:
             for spanning in (False, True):
-                got = run_enumerator(_enumerate_gram, _scaled_bareiss(g), bound, cap,
-                                     spanning)
+                got = run_enumerator(enumerate_rational_gram, g, bound, cap, spanning)
                 want = run_enumerator(reference_enumerate_gram, g, bound, cap, spanning)
                 assert got == want, (g, bound, cap, spanning)
                 if got[0] == "exceeded":
@@ -1096,10 +1092,29 @@ def test_stable_subspaces_within_rejects_inexact_cap(cap):
     assert err.value.field == "cap_sq"
 
 
+@pytest.mark.parametrize("cap", [4, 64])
+def test_stable_subspaces_within_checks_its_base(cap):
+    """A base of another dimension is refused as every entry point refuses
+    such a subspace, and a base that is not M-stable is refused at every cap."""
+    lat, sc = sl4_torus_lattice(F(1, 4)), sl4_so21_scenario()
+    for ambient in (3, 5):
+        base = subspace_from_rows(ambient, [[1] + [0] * (ambient - 1)])
+        with pytest.raises(ValidationError) as err:
+            stable_subspaces_within(lat, sc, cap, base=base)
+        assert err.value.field == "ambient"
+    with pytest.raises(ValidationError) as err:
+        stable_subspaces_within(lat, sc, cap, base=subspace_from_rows(4, [[0, 1, 0, 0]]))
+    assert err.value.field == "base"
+    # e1 is stable, and SO(2,1) fixes no proper subspace of the 3-block
+    assert stable_subspaces_within(lat, sc, cap, base=subspace_from_rows(4, [[1, 0, 0, 0]])) \
+        == ([], True)
+
+
 # -- per-lattice quotients ------------------------------------------------------
 
 def reference_eigen_lines(q):
-    """(comp, g) per eigen-line space, each space reduced on its own."""
+    """(comp, state) per eigen-line space, each space reduced on its own,
+    lines included."""
     if q.sc.m_generators:
         spaces = enumeration.common_eigenspace_bases(
             q.rep_matrices,
@@ -1108,11 +1123,6 @@ def reference_eigen_lines(q):
         spaces = [rl.identity(q.rank)]
     out = []
     for s_e in spaces:
-        if len(s_e) == 1:
-            y = enumeration._canon_sign(s_e[0])
-            out.append(((y,), elimination_state(
-                rl.mat_mul(rl.mat_mul([y], q.gram), rl.transpose([y])))))
-            continue
         gram_e = rl.mat_mul(rl.mat_mul(s_e, q.gram), rl.transpose(s_e))
         u = lll_reduce_gram(gram_e)
         out.append((rl.mat_mul(u, s_e), elimination_state(

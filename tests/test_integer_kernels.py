@@ -7,20 +7,26 @@ Fincke-Pohst enumerator. Outputs (and budget use) must be identical.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
+from nondiv import enumeration
 from nondiv import ratlin as rl
-from nondiv.enumeration import (_Budget, _enumerate_gram, _scaled_bareiss,
-                                complete_to_basis, lll_reduce_gram)
+from nondiv import serialize as se
+from nondiv.enumeration import (_Budget, complete_to_basis, delta_m, lll_reduce_gram,
+                                stable_subspaces_within)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation
 from nondiv.lattice import (ZERO_SUBSPACE, make_scenario, subspace_from_rows,
                             subspace_sum, trivial_scenario)
-from nondiv.pushout import select_index_set
+from nondiv.pushout import PushoutConfig, drive, select_index_set
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
-from reference import fraction_det, rat_inverse
+from reference import (enumerate_rational_gram, fraction_det, rat_inverse,
+                       scaled_bareiss)
 
 from conftest import random_unimodular_lattice
+from test_enumeration import one_pass_inputs
+from test_pushout_integers import FIXTURE_DRIVES
 
 F = Fraction
 
@@ -167,7 +173,7 @@ def reference_enumerate_gram(g, bound, budget, spanning):
     n = len(g)
     if bound <= 0:
         return []
-    lam, d, den = _scaled_bareiss(g)
+    lam, d, den = scaled_bareiss(g)
     scale = [den * d[l] * d[l + 1] for l in range(n)]
     out = []
     x = [0] * n
@@ -230,8 +236,7 @@ def test_enumerate_gram_matches_fraction_remainder():
         bound = min(g[i][i] for i in range(n)) * F(rng.randint(1, 8), rng.randint(1, 3))
         for cap in (rng.randint(1, 150), 10 ** 6):
             for spanning in (False, True):
-                got = run_enumerator(_enumerate_gram, _scaled_bareiss(g), bound, cap,
-                                     spanning)
+                got = run_enumerator(enumerate_rational_gram, g, bound, cap, spanning)
                 want = run_enumerator(reference_enumerate_gram, g, bound, cap, spanning)
                 assert got == want, (g, bound, cap, spanning)
                 if got[0] == "exceeded":
@@ -240,3 +245,51 @@ def test_enumerate_gram_matches_fraction_remainder():
                     complete += 1
                     assert all(type(qv) is F for qv, _ in got[0])
     assert exceeded > 30 and complete > 30
+
+
+# -- the search kernels see integers only ----------------------------------------
+
+def all_ints(*rows) -> bool:
+    return all(type(x) is int for r in rows for x in r)
+
+
+def test_search_kernels_take_integer_grams_only(monkeypatch):
+    """`_lll` gets an integer Gram and hands on integer (λ, D), and
+    `_enumerate_gram` reads integer states only, on every search of the
+    fixture drives and of delta_m and protect's search above the witness on
+    the one-pass inputs (seeded SL4 and the lattices its drives move to,
+    UNIPOTENT, a Jordan block, -I and the trivial group); a Fraction Gram
+    enters only through `lll_reduce_gram`, scaled once."""
+    seen = Counter()
+    real_lll, real_enumerate = enumeration._lll, enumeration._enumerate_gram
+
+    def lll(a, delta=F(3, 4)):
+        assert all_ints(*a), a
+        u, (lam, d) = out = real_lll(a, delta)
+        assert all_ints(*u, *lam, d)
+        seen["lll", min(len(a), 3)] += 1
+        return out
+
+    def enumerate_gram(state, bound, budget, spanning):
+        lam, d = state
+        assert all_ints(*lam, d)
+        seen["enumerate"] += 1
+        return real_enumerate(state, bound, budget, spanning)
+
+    monkeypatch.setattr(enumeration, "_lll", lll)
+    monkeypatch.setattr(enumeration, "_enumerate_gram", enumerate_gram)
+    for scen, name in FIXTURE_DRIVES:
+        lat = se.load_lattice(f"fixtures/{name}.json")
+        sc, cfg = (se.load_scenario(f"fixtures/{scen}.json") if scen
+                   else (trivial_scenario(lat.n), PushoutConfig()))
+        drive(lat, sc, cfg)
+    for lat, sc in one_pass_inputs():
+        d = delta_m(lat, sc)
+        if not d.witness.is_full:
+            stable_subspaces_within(lat, sc, 2 * d.witness_covol_sq, base=d.witness)
+    searched = seen.copy()
+    g = ((F(5, 3), F(1, 2)), (F(1, 2), F(7, 4)))
+    assert lll_reduce_gram(g) == lll_reduce_gram(rl.scale_to_int(g)[0])
+    assert seen["lll", 2] == searched["lll", 2] + 2
+    # lines, planes and larger spaces were all reduced, and searches enumerated
+    assert min(searched["lll", r] for r in (1, 2, 3)) > 0 and searched["enumerate"] > 100

@@ -201,6 +201,22 @@ def test_m_closure_edge_inputs():
     assert m_closure(z4, sc, cases[4]).is_full
 
 
+@pytest.mark.parametrize("entry, message", [(F(1, 2), "integer"), (1.0, "float"),
+                                            ("1", "str"), (True, "bool")])
+def test_m_closure_rejects_inexact_rows(entry, message):
+    """A row entry that is not an integer raises ValidationError("rows"), and
+    the bad key never enters the frame's closure memo."""
+    for sc in (sl4_so21_scenario(), trivial_scenario(4)):
+        lat = standard_lattice(4)
+        with pytest.raises(ValidationError) as err:
+            m_closure(lat, sc, [[0, entry, 0, 0]])
+        assert err.value.field == "rows" and message in str(err.value)
+        assert _frame(lat, sc).closures == {}
+    # an integral Fraction is an integer
+    assert m_closure(standard_lattice(4), sl4_so21_scenario(), [[F(2), 0, 0, 0]]).rows == \
+        ((1, 0, 0, 0),)
+
+
 def test_stable_family_non_semisimple():
     # a unipotent generator: a vector inside a larger closure can have a strictly
     # smaller closure of its own, so no enumerated vector may be skipped on the

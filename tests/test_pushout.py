@@ -661,6 +661,14 @@ def real_grams(lat, w, sc, picked):
     return rl.mat_mul(a, rl.transpose(a)), rl.mat_mul(b, rl.transpose(b))
 
 
+def integer_sigma_sq_upper(g_i, g_c):
+    """`_sigma_sq_upper` on rational Grams: both are scaled by one common
+    denominator into the integer Grams it takes, which leaves their ratio,
+    and with it the bound, unchanged."""
+    ints, _ = rl.scale_to_int(tuple(g_i) + tuple(g_c))
+    return _sigma_sq_upper(ints[:len(g_i)], ints[len(g_i):])
+
+
 def test_sigma_sq_upper_matches_interpolation_route():
     rng = random.Random(71)
     snapped = bracketed = 0
@@ -678,7 +686,7 @@ def test_sigma_sq_upper_matches_interpolation_route():
         else:
             c = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 3))]
             g_c = rl.mat_mul(rl.transpose(c), c)
-        got = _sigma_sq_upper(g_i, g_c)
+        got = integer_sigma_sq_upper(g_i, g_c)
         assert got == reference_sigma_sq_upper(g_i, g_c), (g_i, g_c)
         singular = rl.rat_det([[got * x - y for x, y in zip(ri, rc)]
                                for ri, rc in zip(g_i, g_c)]) == 0
@@ -691,7 +699,7 @@ def reference_sigma_sq_bisect(g_i, g_c):
     """`_sigma_sq_upper` before it shared the root engine: its own integer bisection."""
     if all(x == 0 for row in g_c for x in row):
         return F(0)
-    g, s = rl.int_or_scaled(g_i)
+    g, s = rl.scale_to_int(g_i)
     adj, det = rl.int_inverse(g)
     m = tuple(tuple(F(s * x, det) for x in row) for row in rl.mat_mul(adj, g_c))
     p = rl.scale_to_int([char_poly(m)])[0][0]
@@ -738,7 +746,7 @@ def test_sigma_sq_upper_matches_integer_bisection():
         else:
             c = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(rng.randint(1, k))]
             g_c = rl.mat_mul(rl.transpose(c), c)
-        got = _sigma_sq_upper(g_i, g_c)
+        got = integer_sigma_sq_upper(g_i, g_c)
         assert got == reference_sigma_sq_bisect(g_i, g_c), (g_i, g_c)
         if rl.rat_det([[got * x - y for x, y in zip(ri, rc)]
                        for ri, rc in zip(g_i, g_c)]) == 0:
