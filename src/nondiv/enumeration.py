@@ -43,6 +43,12 @@ integer there, and its bounds are the integer floors `_node_bound` computes.
 
 Everything decision-bearing is exact; LLL here is only a preconditioner for
 the enumeration and never changes what is found.
+
+None of this runs when the generators span the whole block algebra
+⊕ M_{d_β}(Q) (`Scenario.full_block_algebra`, true for SL4/SO(2,1)). Then
+the stable subspaces are exactly the 2^b − 2 proper block sums and the
+whole space, so every search measures the block sums it needs, one budget
+unit each, and δ is their least covol^{1/dim} in closed form.
 """
 
 from __future__ import annotations
@@ -57,8 +63,9 @@ from operator import mul
 from . import ratlin as rl
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from .lattice import (RationalSubspace, Scenario, UnimodularLattice, _frame,
-                      _quotient_memo, check_dimensions, covolume_sq,
-                      full_subspace, is_m_stable, m_closure)
+                      _block_sums, _m_closure, _quotient_memo,
+                      check_dimensions, covolume_sq, full_subspace,
+                      is_m_stable, m_closure)
 
 F = Fraction
 
@@ -613,7 +620,10 @@ def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
     Returns (sorted list, complete flag); complete is False when the budget
     ran out, in which case the list is whatever was found before that. A
     base of another dimension raises ValidationError("ambient", ...), and
-    one that is not M-stable ValidationError("base", ...).
+    one that is not M-stable ValidationError("base", ...). When the
+    generators span the block algebra (`Scenario.full_block_algebra`) the
+    answer is the block sums ⊋ base under the cap, each charged one budget
+    unit; otherwise the chain search runs (`_stable_search`).
     """
     cap_sq = rl.exact_rational(cap_sq, "cap_sq")
     if cap_sq <= 0:
@@ -631,7 +641,47 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
                    base: RationalSubspace | None, bud: _Budget
                    ) -> tuple[list[tuple[RationalSubspace, Fraction]], bool]:
     """`stable_subspaces_within` with covol² ≤ caps[k] in each dimension k,
-    as (subspace, covol²) pairs, in one chain search for every k.
+    as (subspace, covol²) pairs sorted by (dim, rows), and the complete flag.
+
+    When `Scenario.full_block_algebra` holds, the M-stable subspaces are
+    exactly the block sums V_T, so the answer is the block sums (`_block_sums`)
+    that strictly contain base and meet their cap: no enumeration, closure
+    or quotient. The budget is charged one unit per block sum measured, so
+    it bounds this path too. Otherwise `_chain_search` finds them. Either
+    way every subspace returned is checked to be M-stable.
+    """
+    if sc.full_block_algebra:
+        found, complete = _block_sum_search(lat, sc, caps, base, bud)
+    else:
+        found, complete = _chain_search(lat, sc, caps, base, bud)
+    out = sorted(found, key=lambda p: (p[0].dim, p[0].rows))
+    for s, _ in out:
+        if not is_m_stable(s, lat, sc):
+            raise InternalInvariantViolation("search produced an unstable subspace")
+    return out, complete
+
+
+def _block_sum_search(lat: UnimodularLattice, sc: Scenario, caps,
+                      base: RationalSubspace | None, bud: _Budget):
+    """The block sums V_T ⊋ base with covol² ≤ caps[dim V_T], each with its
+    covol², and the complete flag."""
+    found = []
+    try:
+        for v in _block_sums(lat, sc):
+            if base is None or (v.dim > base.dim and v.contains(base)):
+                bud.consume()
+                c = covolume_sq(lat, v)
+                if c <= caps[v.dim]:
+                    found.append((v, c))
+    except BudgetExceeded:
+        return found, False
+    return found, True
+
+
+def _chain_search(lat: UnimodularLattice, sc: Scenario, caps,
+                  base: RationalSubspace | None, bud: _Budget):
+    """`_stable_search` by chains of closures, for every action: the found
+    (subspace, covol²) pairs, unsorted, and the complete flag.
 
     A node Z is visited once with every target dimension still pending
     there. Every k > dim Z + 1 has its own Minkowski bound
@@ -719,7 +769,7 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
             if rl.primitive_part(y) != y:
                 continue
             cl = (line(quot, y) if fold
-                  else m_closure(lat, sc, list(z_rows) + [quot.lift(y)]))
+                  else _m_closure(lat, sc, z_rows + (quot.lift(y),)))
             if cl.dim in met:
                 emit(cl, quot.covol_sq * norm / quot.scale if cl.dim == dz + 1 else None)
             above = [k for k in met if k > cl.dim]
@@ -734,11 +784,7 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
     except BudgetExceeded:
         complete = False
     del search  # the recursive closure is a reference cycle; free it now
-    out = sorted(found.values(), key=lambda p: (p[0].dim, p[0].rows))
-    for s, _ in out:
-        if not is_m_stable(s, lat, sc):
-            raise InternalInvariantViolation("closure produced an unstable subspace")
-    return out, complete
+    return list(found.values()), complete
 
 
 def eligible_subspaces(lat: UnimodularLattice, sc: Scenario, covol_sq_cap,
@@ -820,7 +866,11 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
     Ties break to smaller dimension, then lexicographically smallest basis.
     Budget exhaustion degrades to an upper bound with complete=False.
 
-    The covolume cap for the exhaustive search is seeded from the stable
+    When `Scenario.full_block_algebra` holds, the stable subspaces are the
+    block sums, and every one of them is measured: δ is then the least
+    covol²(Λ∩V_T)^{1/dim V_T} over the proper block sums and the whole
+    space, in closed form, under caps 1, with no seed. Otherwise the
+    covolume cap for the exhaustive chain search is seeded from the stable
     closure of one LLL-short vector with covol² c_s and dim d_s: cap is a
     rational upper bound of c_s^{1/d_s} (1 when c_s ≥ 1), and a
     k-dimensional W that beats or ties the seed has covol²(W) ≤ cap^k. So
@@ -828,15 +878,16 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
     smaller-dimension tie-break, and badly squashed inputs stay cheap.
     """
     bud = _as_budget(budget)
-    u = _quotient(lat, sc, ()).reduced[0]
-    seed = m_closure(lat, sc, [tuple(u[0])])
     cap = F(1)
     extra = []
-    if not seed.is_full:
-        c_seed = covolume_sq(lat, seed)
-        extra.append((seed, c_seed))
-        if c_seed < 1:
-            cap = rat_root_upper(c_seed, seed.dim)
+    if not sc.full_block_algebra:
+        u = _quotient(lat, sc, ()).reduced[0]
+        seed = m_closure(lat, sc, [tuple(u[0])])
+        if not seed.is_full:
+            c_seed = covolume_sq(lat, seed)
+            extra.append((seed, c_seed))
+            if c_seed < 1:
+                cap = rat_root_upper(c_seed, seed.dim)
     caps = tuple(cap ** k for k in range(lat.n))
     cands, complete = _stable_search(lat, sc, caps, None, bud)
     witness = full_subspace(lat.n)

@@ -92,6 +92,32 @@ class Scenario:
         return all(g[i][j] == (g[0][0] if i == j else 0)
                    for g in self.m_generators for i in range(self.n) for j in range(self.n))
 
+    @cached_property
+    def full_block_algebra(self) -> bool:
+        """Whether the unital Q-algebra A the generators span is all of
+        ⊕_β M_{d_β}(Q). Cached like `int_m_generators`.
+
+        A lies in that product, so this holds iff dim A = Σ d_β². Then every
+        block is absolutely irreducible and no two are isomorphic, and by
+        Burnside and Wedderburn–Artin the M-stable subspaces are exactly the
+        block sums V_T (A holds g⁻¹ by Cayley–Hamilton, so they are the
+        A-submodules). A is found by closing {I} under right multiplication
+        by the generators, as `m_closure` closes rows, on flattened N×N
+        matrices, until it reaches that dimension or is closed.
+        """
+        n, target = self.n, sum(d * d for d in self.block_dims)
+        gens = [g for g, _ in self.int_m_generators]
+        echelon: list = []
+        work = [_insert(echelon, [int(i == j) for i in range(n) for j in range(n)])]
+        while work and len(echelon) < target:
+            x = work.pop()
+            rows = [x[i * n:(i + 1) * n] for i in range(n)]
+            for g in gens:
+                row = _insert(echelon, [v for r in rl.mat_mul(rows, g) for v in r])
+                if row:
+                    work.append(row)
+        return len(echelon) == target
+
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
@@ -388,14 +414,17 @@ class _Frame:
     gens is (ĝ_int, d) per generator g of M, with B⁻¹·g·B = ĝ_int/d exactly
     and d the lcm of the denominators of B⁻¹·g·B, from one fraction-free
     inverse of the integer basis and integer products. closures memoizes
-    `m_closure` on its exact input rows; bases and eigenspaces hold, per
-    stable subspace Z (its saturated rows), the basis completion and the
-    eigen-line spaces of `enumeration`'s quotients. Each entry is a pure
-    function of gens and its key, so it holds for every lattice that shares
-    gens.
+    `_m_closure` on its exact integer input rows; bases and eigenspaces
+    hold, per stable subspace Z (its saturated rows), the basis completion
+    and the eigen-line spaces of `enumeration`'s quotients. Each entry is a
+    pure function of gens and its key, so it holds for every lattice that
+    shares gens.
+
+    block_sums holds Λ∩V_T for the proper block sums V_T, from the first
+    call of `_block_sums` (None before).
     """
 
-    __slots__ = ("sc", "gens", "closures", "bases", "eigenspaces")
+    __slots__ = ("sc", "gens", "closures", "bases", "eigenspaces", "block_sums")
 
     def __init__(self, lat: UnimodularLattice, sc: Scenario):
         check_dimensions(lat, sc)
@@ -403,6 +432,7 @@ class _Frame:
         self.closures: dict = {}
         self.bases: dict = {}
         self.eigenspaces: dict = {}
+        self.block_sums = None
         if not sc.m_generators:
             self.gens = ()
             return
@@ -440,6 +470,26 @@ def _hold_frame(lat: UnimodularLattice, frame: _Frame) -> None:
     """
     object.__setattr__(lat, "_m_frame", frame)
     object.__setattr__(lat, "_quotients", {})
+
+
+def _block_sums(lat: UnimodularLattice, sc: Scenario) -> tuple[RationalSubspace, ...]:
+    """Λ∩V_T for the 2^b − 2 proper block sums V_T of sc, held in the frame.
+
+    Λ∩V_T is the saturated integer kernel of the integer basis rows outside
+    T, since x·Bᵀ vanishes there. A block-scalar s only rescales those rows,
+    so the kernels hold along the torus orbit, and a lattice there pays only
+    for the covolumes. T runs over the bit masks 1 … 2^b − 2, bit β for
+    block β.
+    """
+    frame = _frame(lat, sc)
+    if frame.block_sums is None:
+        b_int = lat.int_basis[0]
+        frame.block_sums = tuple(
+            RationalSubspace._trusted(lat.n, rl.right_kernel_int(
+                [b_int[i] for j, (lo, hi) in enumerate(sc.blocks)
+                 if not t >> j & 1 for i in range(lo, hi)]))
+            for t in range(1, 2 ** sc.num_blocks - 1))
+    return frame.block_sums
 
 
 def _quotient_memo(lat: UnimodularLattice, sc: Scenario) -> dict:
@@ -529,20 +579,29 @@ def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]
     integer-scaled generators, reduced the same way. The span is closed once
     the worklist is empty (the images of a basis span the image of the span)
     or the rank reaches N. The result is the saturated HNF of the basis,
-    which is canonical for the span. It depends only on the rows and the
-    action, so the frame memoizes it on the exact input rows. Entries must
-    be integers (`rl.exact_int`); they are checked on a memo miss, so no
-    bad key enters the memo.
+    which is canonical for the span. Entries must be integers
+    (`rl.exact_int`), and every call checks them, memoized or not.
     """
-    frame = _frame(lat, sc)
+    _frame(lat, sc)  # refuses a scenario of another dimension before the rows
     key = tuple(map(tuple, rows))
     if any(len(r) != lat.n for r in key):
         raise ValidationError("rows", f"row length must equal the dimension {lat.n}")
+    if any(type(x) is not int for r in key for x in r):
+        key = tuple(tuple(rl.exact_int(x, "rows") for x in r) for r in key)
+    return _m_closure(lat, sc, key)
+
+
+def _m_closure(lat: UnimodularLattice, sc: Scenario, key: rl.IntRows):
+    """`m_closure` of key, a tuple of int tuples of length N, unchecked.
+
+    The closure depends only on the rows and the action, so the frame
+    memoizes it on key; the search's hot path calls this, and a memo hit
+    costs one lookup.
+    """
+    frame = _frame(lat, sc)
     held = frame.closures.get(key)
     if held is not None:
         return held
-    if any(type(x) is not int for r in key for x in r):
-        key = tuple(tuple(rl.exact_int(x, "rows") for x in r) for r in key)
     gens = [g for g, _ in frame.gens]
     echelon: list = []
     work = [row for row in (_insert(echelon, r) for r in key) if row]

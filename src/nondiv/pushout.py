@@ -271,6 +271,9 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
     joint-covolume loop over subspaces W' ⊄ W_i: the saturated sum W' + W_i is
     itself an eligible strict superspace with covolume no larger than the
     joint one, and conversely any cheap superspace violates in its own name.
+    Each round's superspaces come from `_stable_search`: when the generators
+    span the block algebra they are the block sums containing W_i, measured
+    at one budget unit each, and otherwise the chain search above W_i.
     """
     c = rl.exact_rational(c1c2_sq, "c1c2_sq")
     if c <= 1:

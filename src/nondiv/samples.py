@@ -2,9 +2,13 @@
 
 The 4-dimensional scenario couples a one-dimensional block with a
 three-dimensional block carrying a rational orthogonal-group action that
-preserves the form diag(1, 1, -1). Its only stable proper nonzero subspaces
-are the two coordinate blocks, which makes it the canonical nontrivial test
-bed for the whole push-out pipeline.
+preserves the form diag(1, 1, -1). Its generators span the whole block
+algebra Q ⊕ M_3(Q) (`Scenario.full_block_algebra`), so its only stable
+proper nonzero subspaces are the two coordinate blocks, and `delta_m`,
+`stable_subspaces_within` and `protect` measure those two in closed form
+instead of running the chain search. It is the canonical nontrivial test
+bed for the whole push-out pipeline; the tests force the chain search on it
+by patching that flag.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nondiv.lattice import TorusElement, UnimodularLattice, make_lattice
+from nondiv.lattice import Scenario, TorusElement, UnimodularLattice, make_lattice
 from nondiv import ratlin as rl
 from reference import rat_right_kernel
 
@@ -61,3 +61,10 @@ def real_coordinate_subspace(lat, coords):
 @pytest.fixture
 def rng():
     return random.Random(20260815)
+
+
+@pytest.fixture
+def chain_search(monkeypatch):
+    """Every scenario takes the chain search: `Scenario.full_block_algebra`
+    reads False, so SL4/SO(2,1) enumerates, closes and builds quotients."""
+    monkeypatch.setattr(Scenario, "full_block_algebra", property(lambda sc: False))

@@ -153,7 +153,7 @@ def test_drive_eta0_flag_checks_floor_first(tmp_path, capsys):
     assert doc["steps"] == []
 
 
-def test_drive_budget_flag_incomplete(capsys):
+def test_drive_budget_flag_incomplete(capsys, chain_search):
     code, out, _ = run(capsys, "drive",
                        "--scenario", f"{FIX}/sl4_so21.json",
                        "--lattice", f"{FIX}/sl4_pushed_t_half.json",
@@ -162,7 +162,7 @@ def test_drive_budget_flag_incomplete(capsys):
     assert json.loads(out)["terminated"] == "IncompleteSearch"
 
 
-def test_budget_env_and_flag_precedence(capsys, monkeypatch):
+def test_budget_env_and_flag_precedence(capsys, monkeypatch, chain_search):
     monkeypatch.setenv("NONDIV_VECTOR_BUDGET", "5")
     code, _, _ = run(capsys, "delta",
                      "--scenario", f"{FIX}/sl4_so21.json",
@@ -181,7 +181,7 @@ def test_budget_env_and_flag_precedence(capsys, monkeypatch):
     assert code == 2 and "NONDIV_VECTOR_BUDGET" in err
 
 
-def test_delta_incomplete_prints_partial(capsys):
+def test_delta_incomplete_prints_partial(capsys, chain_search):
     code, out, _ = run(capsys, "delta",
                        "--scenario", f"{FIX}/sl4_so21.json",
                        "--lattice", f"{FIX}/sl4_pushed_t_half.json",
@@ -190,6 +190,17 @@ def test_delta_incomplete_prints_partial(capsys):
     doc = json.loads(out)
     assert doc["complete"] is False
     assert se.parse_rat(doc["delta_sq_pow"], "x") <= 1
+
+
+def test_delta_block_sums_budget(capsys):
+    # SL4/SO(2,1) spans its block algebra: one budget unit per block sum,
+    # so a budget of 1 stops after the first of the two, and 2 completes
+    argv = ("delta", "--scenario", f"{FIX}/sl4_so21.json",
+            "--lattice", f"{FIX}/sl4_pushed_t_half.json", "--vector-budget")
+    code, out, _ = run(capsys, *argv, "1")
+    assert code == 3 and json.loads(out)["complete"] is False
+    code, out, _ = run(capsys, *argv, "2")
+    assert code == 0 and json.loads(out)["witness_hnf"] == [[1, 0, 0, 0]]
 
 
 def test_overlapping_blocks_fixture(capsys):

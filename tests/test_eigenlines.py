@@ -169,7 +169,7 @@ def assert_search_matches_reference(quots):
 
 # -- equivalence ------------------------------------------------------------------
 
-def test_eigen_search_matches_reference_sl4(monkeypatch):
+def test_eigen_search_matches_reference_sl4(monkeypatch, chain_search):
     rng = random.Random(83)
     sc = sl4_so21_scenario()
     quots = []
@@ -241,7 +241,7 @@ def test_int_generators_match_reference():
 
 # -- regression guard -------------------------------------------------------------
 
-def test_drive_factors_each_generator_once(monkeypatch):
+def test_drive_factors_each_generator_once(monkeypatch, chain_search):
     """Characteristic polynomials are computed per generator, never per quotient."""
     sc = sl4_so21_scenario()
     seen = Counter()
@@ -259,7 +259,7 @@ def test_drive_factors_each_generator_once(monkeypatch):
     assert max(seen.values()) == 1
 
 
-def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
+def test_drive_builds_quotient_data_once_per_subspace(monkeypatch, chain_search):
     """Along a drive the torus moves share one frame: the basis is inverted
     once for the generator action, and each stable subspace Z is completed
     to a basis and searched for eigen-lines once."""
@@ -314,7 +314,7 @@ def test_drive_builds_quotient_data_once_per_subspace(monkeypatch):
     assert inversions.count(4) == 1
 
 
-def test_delta_m_takes_sl4_lines_from_its_enumeration(monkeypatch):
+def test_delta_m_takes_sl4_lines_from_its_enumeration(monkeypatch, chain_search):
     """Under delta_m's caps a node's line bound is at most the bound of the
     dimension above it, so its stable lines come from the node's one
     enumeration and no eigen-line space is built. protect's one cap for

@@ -983,8 +983,9 @@ def test_scalar_generators_fold_without_closures(monkeypatch):
     assert not any(sc.scalar_action for sc in (JORDAN_4, UNIPOTENT, sl4_so21_scenario()))
     inputs = [(lat, sc) for lat, sc in one_pass_inputs() if sc in (NEGATION_2, NEGATION_4)]
     calls = Counter()
-    for name in ("m_closure", "common_eigenspace_bases"):
-        def counted(*args, real=getattr(enumeration, name), name=name):
+    # the search's own closures (`_m_closure`) count as "m_closure" too
+    for name in ("m_closure", "_m_closure", "common_eigenspace_bases"):
+        def counted(*args, real=getattr(enumeration, name), name=name.lstrip("_")):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(enumeration, name, counted)
@@ -1143,7 +1144,7 @@ def memo_inputs():
                 trivial_scenario(n)
 
 
-def test_memoized_quotients_equal_fresh_ones():
+def test_memoized_quotients_equal_fresh_ones(chain_search):
     k_seen, spaces_seen = set(), set()
     for lat, sc in memo_inputs():
         d = delta_m(lat, sc)
@@ -1164,7 +1165,7 @@ def test_memoized_quotients_equal_fresh_ones():
     assert {0, 1, 2} <= k_seen and {1, 2} <= spaces_seen
 
 
-def test_alternating_scenarios_get_their_own_quotients():
+def test_alternating_scenarios_get_their_own_quotients(chain_search):
     rng = random.Random(223)
     lat = rebase(sl4_torus_lattice(F(2)), random_unimodular_int(rng, 4, shears=4, c=1))
     scenarios = (sl4_so21_scenario(), trivial_scenario(4))

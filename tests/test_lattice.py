@@ -7,7 +7,8 @@ import pytest
 from nondiv import ratlin as rl
 from nondiv.errors import NotUnimodular, ValidationError
 from nondiv.lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
-                            TorusElement, UnimodularLattice, _frame, apply_group, apply_torus,
+                            TorusElement, UnimodularLattice, _frame, _m_closure,
+                            apply_group, apply_torus,
                             conjugated_generators, covolume_sq,
                             full_subspace, int_generators,
                             is_m_stable, m_closure, make_lattice,
@@ -215,6 +216,24 @@ def test_m_closure_rejects_inexact_rows(entry, message):
     # an integral Fraction is an integer
     assert m_closure(standard_lattice(4), sl4_so21_scenario(), [[F(2), 0, 0, 0]]).rows == \
         ((1, 0, 0, 0),)
+
+
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_m_closure_checks_rows_on_memo_hits(entry):
+    """Every call checks its entries: a bool or float row is refused whether
+    or not the closure of the equal integer row is held, and the search's
+    unchecked `_m_closure` serves that held closure."""
+    sc = trivial_scenario(4)
+    for closed_first in (False, True):
+        lat = standard_lattice(4)
+        if closed_first:
+            line = m_closure(lat, sc, [[1, 0, 0, 0]])
+            assert _m_closure(lat, sc, ((1, 0, 0, 0),)) is line
+        with pytest.raises(ValidationError) as err:
+            m_closure(lat, sc, [[entry, 0, 0, 0]])
+        assert err.value.field == "rows"
+        assert m_closure(lat, sc, [[1, 0, 0, 0]]).rows == ((1, 0, 0, 0),)
+        assert list(_frame(lat, sc).closures) == [((1, 0, 0, 0),)]
 
 
 def test_stable_family_non_semisimple():

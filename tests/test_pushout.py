@@ -252,7 +252,7 @@ def test_protect_rejects_inconsistent_floor():
         protect(lat, SC4, CFG_QUARTER, F(1))
 
 
-def test_protect_budget():
+def test_protect_budget(chain_search):
     lat = sl4_torus_lattice(F(1, 2))
     with pytest.raises(IncompleteSearch):
         protect(lat, SC4, CFG_QUARTER, F(2), budget=2)
@@ -534,7 +534,7 @@ def test_drive_full_witness_adaptive():
     assert cert.final_delta.witness.is_full
 
 
-def test_drive_incomplete_budget():
+def test_drive_incomplete_budget(chain_search):
     cert = drive(sl4_torus_lattice(F(1, 2)), SC4,
                  PushoutConfig(eta0_override=F(1, 4), vector_budget=3))
     assert cert.terminated is Terminated.INCOMPLETE
