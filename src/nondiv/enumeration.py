@@ -63,7 +63,7 @@ from operator import mul
 from . import ratlin as rl
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from .lattice import (RationalSubspace, Scenario, UnimodularLattice, _frame,
-                      _block_sums, _m_closure, _quotient_memo,
+                      _block_sum, _m_closure, _quotient_memo,
                       check_dimensions, covolume_sq, full_subspace,
                       is_m_stable, m_closure)
 
@@ -644,11 +644,12 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
     as (subspace, covol²) pairs sorted by (dim, rows), and the complete flag.
 
     When `Scenario.full_block_algebra` holds, the M-stable subspaces are
-    exactly the block sums V_T, so the answer is the block sums (`_block_sums`)
-    that strictly contain base and meet their cap: no enumeration, closure
-    or quotient. The budget is charged one unit per block sum measured, so
-    it bounds this path too. Otherwise `_chain_search` finds them. Either
-    way every subspace returned is checked to be M-stable.
+    exactly the block sums V_T, so the answer is the block sums that
+    strictly contain base and meet their cap (`_block_sum_search`): no
+    enumeration, closure or quotient. The budget is charged one unit per
+    block sum measured, before its kernel is built, so it bounds this path
+    too. Otherwise `_chain_search` finds them. Either way every subspace
+    returned is checked to be M-stable.
     """
     if sc.full_block_algebra:
         found, complete = _block_sum_search(lat, sc, caps, base, bud)
@@ -664,15 +665,33 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
 def _block_sum_search(lat: UnimodularLattice, sc: Scenario, caps,
                       base: RationalSubspace | None, bud: _Budget):
     """The block sums V_T ⊋ base with covol² ≤ caps[dim V_T], each with its
-    covol², and the complete flag."""
+    covol², and the complete flag.
+
+    V_T contains base iff T holds every block that base's real span meets,
+    so T runs over the supersets of those blocks' bit mask s, in increasing
+    order. A V_T of larger dimension than base is charged its budget unit
+    before its kernel is built (`_block_sum`), so the budget bounds the
+    work however many blocks there are.
+    """
+    dims = sc.block_dims
+    full = (1 << len(dims)) - 1
+    floor = s = 0
+    if base is not None:
+        coords = [rl.mat_vec(lat.int_basis[0], x) for x in base.rows]
+        floor = base.dim
+        s = sum(1 << j for j, (lo, hi) in enumerate(sc.blocks)
+                if any(c[i] for c in coords for i in range(lo, hi)))
     found = []
+    t = s
     try:
-        for v in _block_sums(lat, sc):
-            if base is None or (v.dim > base.dim and v.contains(base)):
+        while t < full:
+            if sum(d for j, d in enumerate(dims) if t >> j & 1) > floor:
                 bud.consume()
+                v = _block_sum(lat, sc, t)
                 c = covolume_sq(lat, v)
                 if c <= caps[v.dim]:
                     found.append((v, c))
+            t = (t + 1) | s
     except BudgetExceeded:
         return found, False
     return found, True

@@ -102,21 +102,18 @@ class Scenario:
         Burnside and Wedderburn–Artin the M-stable subspaces are exactly the
         block sums V_T (A holds g⁻¹ by Cayley–Hamilton, so they are the
         A-submodules). A is found by closing {I} under right multiplication
-        by the generators, as `m_closure` closes rows, on flattened N×N
-        matrices, until it reaches that dimension or is closed.
+        by the generators (`_close`, as `m_closure` closes rows) on flattened
+        N×N matrices, until it reaches that dimension or is closed.
         """
         n, target = self.n, sum(d * d for d in self.block_dims)
         gens = [g for g, _ in self.int_m_generators]
-        echelon: list = []
-        work = [_insert(echelon, [int(i == j) for i in range(n) for j in range(n)])]
-        while work and len(echelon) < target:
-            x = work.pop()
+
+        def image(x):
             rows = [x[i * n:(i + 1) * n] for i in range(n)]
-            for g in gens:
-                row = _insert(echelon, [v for r in rl.mat_mul(rows, g) for v in r])
-                if row:
-                    work.append(row)
-        return len(echelon) == target
+            return ([v for r in rl.mat_mul(rows, g) for v in r] for g in gens)
+
+        identity = [int(i == j) for i in range(n) for j in range(n)]
+        return len(_close([identity], image, target)) == target
 
     @property
     def num_blocks(self) -> int:
@@ -420,8 +417,8 @@ class _Frame:
     pure function of gens and its key, so it holds for every lattice that
     shares gens.
 
-    block_sums holds Λ∩V_T for the proper block sums V_T, from the first
-    call of `_block_sums` (None before).
+    block_sums holds Λ∩V_T per block sum V_T that `_block_sum` was asked
+    for, keyed by T's bit mask.
     """
 
     __slots__ = ("sc", "gens", "closures", "bases", "eigenspaces", "block_sums")
@@ -432,7 +429,7 @@ class _Frame:
         self.closures: dict = {}
         self.bases: dict = {}
         self.eigenspaces: dict = {}
-        self.block_sums = None
+        self.block_sums: dict = {}
         if not sc.m_generators:
             self.gens = ()
             return
@@ -472,24 +469,23 @@ def _hold_frame(lat: UnimodularLattice, frame: _Frame) -> None:
     object.__setattr__(lat, "_quotients", {})
 
 
-def _block_sums(lat: UnimodularLattice, sc: Scenario) -> tuple[RationalSubspace, ...]:
-    """Λ∩V_T for the 2^b − 2 proper block sums V_T of sc, held in the frame.
+def _block_sum(lat: UnimodularLattice, sc: Scenario, t: int) -> RationalSubspace:
+    """Λ∩V_T for the block sum V_T of sc, T the bit mask t (bit β for block
+    β), memoized in the frame.
 
     Λ∩V_T is the saturated integer kernel of the integer basis rows outside
     T, since x·Bᵀ vanishes there. A block-scalar s only rescales those rows,
     so the kernels hold along the torus orbit, and a lattice there pays only
-    for the covolumes. T runs over the bit masks 1 … 2^b − 2, bit β for
-    block β.
+    for the covolumes.
     """
     frame = _frame(lat, sc)
-    if frame.block_sums is None:
+    held = frame.block_sums.get(t)
+    if held is None:
         b_int = lat.int_basis[0]
-        frame.block_sums = tuple(
-            RationalSubspace._trusted(lat.n, rl.right_kernel_int(
-                [b_int[i] for j, (lo, hi) in enumerate(sc.blocks)
-                 if not t >> j & 1 for i in range(lo, hi)]))
-            for t in range(1, 2 ** sc.num_blocks - 1))
-    return frame.block_sums
+        held = frame.block_sums[t] = RationalSubspace._trusted(lat.n, rl.right_kernel_int(
+            [b_int[i] for j, (lo, hi) in enumerate(sc.blocks)
+             if not t >> j & 1 for i in range(lo, hi)]))
+    return held
 
 
 def _quotient_memo(lat: UnimodularLattice, sc: Scenario) -> dict:
@@ -552,6 +548,26 @@ def _insert(echelon: list[tuple[int, tuple[int, ...]]], v: Sequence[int]) -> tup
     return row
 
 
+def _close(seeds, image, limit: int) -> list:
+    """The echelon basis (`_insert`) of the span of seeds closed under image.
+
+    Each seed is reduced into the basis, and every row that enlarges it
+    goes on a worklist; image(x) yields the vectors a worklist row x
+    contributes, reduced the same way. The span is closed once the worklist
+    is empty (the images of a basis span the image of the span) or the rank
+    reaches limit.
+    """
+    echelon: list = []
+    work = [row for row in (_insert(echelon, r) for r in seeds) if row]
+    while work and len(echelon) < limit:
+        x = work.pop()
+        for y in image(x):
+            row = _insert(echelon, y)
+            if row:
+                work.append(row)
+    return echelon
+
+
 def is_m_stable(w, lat: UnimodularLattice, sc: Scenario) -> bool:
     """Whether every generator of M maps the real span of w into itself.
 
@@ -603,14 +619,7 @@ def _m_closure(lat: UnimodularLattice, sc: Scenario, key: rl.IntRows):
     if held is not None:
         return held
     gens = [g for g, _ in frame.gens]
-    echelon: list = []
-    work = [row for row in (_insert(echelon, r) for r in key) if row]
-    while work and len(echelon) < lat.n:
-        x = work.pop()
-        for gen in gens:
-            row = _insert(echelon, rl.mat_vec(gen, x))
-            if row:
-                work.append(row)
+    echelon = _close(key, lambda x: (rl.mat_vec(g, x) for g in gens), lat.n)
     out = frame.closures[key] = subspace_from_rows(lat.n, [row for _, row in echelon])
     return out
 

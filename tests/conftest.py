@@ -63,8 +63,12 @@ def rng():
     return random.Random(20260815)
 
 
-@pytest.fixture
-def chain_search(monkeypatch):
+def force_chain_search(monkeypatch):
     """Every scenario takes the chain search: `Scenario.full_block_algebra`
     reads False, so SL4/SO(2,1) enumerates, closes and builds quotients."""
     monkeypatch.setattr(Scenario, "full_block_algebra", property(lambda sc: False))
+
+
+@pytest.fixture
+def chain_search(monkeypatch):
+    force_chain_search(monkeypatch)

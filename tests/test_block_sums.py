@@ -14,17 +14,16 @@ from fractions import Fraction
 
 import pytest
 
-from nondiv import enumeration
 from nondiv.enumeration import (_Budget, delta_m, oracle_delta_m,
                                 stable_subspaces_within)
 from nondiv.errors import IncompleteSearch, NondivError
-from nondiv.lattice import (Scenario, _frame, apply_torus, covolume_sq,
+from nondiv.lattice import (_block_sum, _frame, apply_torus, covolume_sq,
                             make_lattice, make_scenario, trivial_scenario)
 from nondiv.pushout import PushoutConfig, drive, protect
 from nondiv.samples import (random_upper_triangular_lattices, sl4_so21_scenario,
                             sl4_torus, sl4_torus_lattice, so21_generators_3d)
 
-from conftest import random_unimodular_int, real_coordinate_subspace
+from conftest import force_chain_search, random_unimodular_int, real_coordinate_subspace
 from test_enumeration import (JORDAN_4, NEGATION_4, UNIPOTENT, drive_moved_lattices,
                               rebase)
 
@@ -62,7 +61,7 @@ DIAGONAL_PAIR = scenario_1_3_3((B13, B23, R12), (B13, B23, R12))
 def chain(monkeypatch, call):
     """call() with the chain search forced on every scenario."""
     with monkeypatch.context() as m:
-        m.setattr(Scenario, "full_block_algebra", property(lambda sc: False))
+        force_chain_search(m)
         return call()
 
 
@@ -133,7 +132,7 @@ def test_block_sums_match_the_chain_search(monkeypatch, inputs):
                                               eta0_sq=F(1), delta=d))
                 assert got == chain(monkeypatch, lambda: outcome(
                     lambda: protect(fresh, sc, PushoutConfig(), c, eta0_sq=F(1), delta=d)))
-        assert _frame(lat, sc).block_sums is not None
+        assert _frame(lat, sc).block_sums
         assert lat.__dict__["_quotients"] == {}  # no quotient was built
     assert checked >= 10
 
@@ -145,7 +144,7 @@ def test_block_sums_are_the_coordinate_blocks():
     want = [real_coordinate_subspace(lat, set().union(*(blocks[j] for j in range(3)
                                                        if t >> j & 1)))
             for t in range(1, 7)]
-    assert list(enumeration._block_sums(lat, PRODUCT_1_3_3)) == want
+    assert [_block_sum(lat, PRODUCT_1_3_3, t) for t in range(1, 7)] == want
 
 
 def test_block_sums_follow_the_torus_orbit():
@@ -183,6 +182,25 @@ def test_block_sum_budget():
     bud = _Budget(10)
     assert delta_m(lat7, PRODUCT_1_3_3, budget=bud).complete and bud.used == 6
     assert covolume_sq(lat7, delta_m(lat7, PRODUCT_1_3_3).witness) == F(1, 4096)
+
+
+def test_budget_bounds_many_blocks():
+    """16 one-dim blocks under diag(2, ½, 3, ⅓, …, 19, 1/19) have 2^16 − 2
+    block sums, but the budget is charged before each kernel is built, so a
+    budget of k builds at most k of them."""
+    n = 16
+    diag = [x for p in (2, 3, 5, 7, 11, 13, 17, 19) for x in (F(p), F(1, p))]
+    sc = make_scenario(n, [[i, i + 1] for i in range(n)],
+                       [[[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]])
+    assert sc.full_block_algebra
+    lat = random_upper_triangular_lattices(n, 1)[0]
+    assert not delta_m(lat, sc, budget=1).complete
+    assert len(_frame(lat, sc).block_sums) == 1
+    # above the line of block 0, only the sums holding block 0 are built
+    lat = make_lattice(lat.basis)
+    base = real_coordinate_subspace(lat, {0})
+    assert not stable_subspaces_within(lat, sc, 1, base=base, budget=3)[1]
+    assert sorted(_frame(lat, sc).block_sums) == [0b11, 0b101, 0b111]
 
 
 def test_protect_budget_on_block_sums():
