@@ -70,6 +70,7 @@ from .lattice import (RationalSubspace, Scenario, UnimodularLattice, _frame,
 F = Fraction
 
 DEFAULT_VECTOR_BUDGET = 10 ** 6
+ORACLE_MAX_DIM = 5
 
 
 class _Budget:
@@ -265,12 +266,8 @@ def short_vectors(lat: UnimodularLattice, bound_sq, budget=None) -> list[tuple[i
     bud = _as_budget(budget)
     a, den = lat.int_gram
     u, state = _lll(a)
-    raw = _enumerate_gram(state, bound_sq * den, bud, spanning=False)
-    mapped = []
-    for qv, xs in raw:
-        v = tuple(sum(xs[i] * u[i][j] for i in range(len(u))) for j in range(lat.n))
-        mapped.append((qv, _canon_sign(v)))
-    mapped.sort()
+    mapped = sorted((qv, _canon_sign(tuple(sum(map(mul, xs, col)) for col in zip(*u))))
+                    for qv, xs in _enumerate_gram(state, bound_sq * den, bud, spanning=False))
     return [v for _, v in mapped]
 
 
@@ -847,17 +844,12 @@ class DeltaResult:
 
     @cached_property
     def delta_float(self) -> float:
-        return _float_root(self.delta_sq_pow, 2 * self.lcm_pow)
+        x = self.delta_sq_pow
+        return 1.0 if x == 1 else exp((log(x.numerator) - log(x.denominator)) / (2 * self.lcm_pow))
 
     def delta_sq_vs(self, c: Fraction, d: int = 1) -> int:
         """The sign of δ² − c^{1/d}, c ≥ 0 rational: -1, 0, or 1 (`_root_cmp`)."""
         return _root_cmp(self.witness_covol_sq, self.witness.dim, F(c), d)
-
-
-def _float_root(x: Fraction, power: int) -> float:
-    if x == 1:
-        return 1.0
-    return exp((log(x.numerator) - log(x.denominator)) / power)
 
 
 def _root_cmp(c, d: int, c2, d2: int) -> int:
@@ -918,60 +910,72 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
     return DeltaResult(witness=witness, witness_covol_sq=best[0], complete=complete)
 
 
-@lru_cache(maxsize=64)
-def _hnf_candidates(n: int, k: int, bound: int) -> tuple[rl.IntRows, ...]:
-    """Every saturated HNF k×n matrix with entries bounded by `bound`."""
-    out = []
-    for pivots in itertools.combinations(range(n), k):
-        pivot_index = {c: i for i, c in enumerate(pivots)}
-        for vals in itertools.product(range(1, bound + 1), repeat=k):
-            positions = []
-            ranges = []
-            for i in range(k):
-                for j in range(pivots[i] + 1, n):
-                    if j in pivot_index:
-                        m_i = pivot_index[j]
-                        ranges.append(range(0, min(vals[m_i], bound + 1)))
-                    else:
-                        ranges.append(range(-bound, bound + 1))
-                    positions.append((i, j))
-            for combo in itertools.product(*ranges):
-                mat = [[0] * n for _ in range(k)]
-                for i in range(k):
-                    mat[i][pivots[i]] = vals[i]
-                for (i, j), val in zip(positions, combo):
-                    mat[i][j] = val
-                frozen = tuple(tuple(r) for r in mat)
-                if rl.saturate(frozen) == frozen:
-                    out.append(frozen)
-    out.sort()
-    return tuple(out)
+def _compound(m, k: int) -> rl.IntRows:
+    """The k×k minors of the integer matrix m, rows and columns indexed by
+    k-subsets in lexicographic order (for k rows: the one Plücker row)."""
+    rs, cs = (list(itertools.combinations(range(c), k)) for c in (len(m), len(m[0])))
+    return tuple(tuple(rl.rat_det([[m[i][j] for j in c] for i in r]).numerator
+                       for c in cs) for r in rs)
 
 
-def oracle_delta_m(lat: UnimodularLattice, sc: Scenario,
-                   hnf_entry_bound: int) -> DeltaResult:
-    """Brute-force delta_m over all bounded-entry saturated HNF bases.
+def _saturated_subspaces(lat: UnimodularLattice, k: int, cap_sq, bud: _Budget):
+    """Every saturated k-dim W with covol²(W) ≤ cap_sq, as (W, covol²) pairs.
 
-    Independent of the chain search; used to validate it. Only correct when
-    the bound covers the true minimizer's entries, which the agreement tests
-    arrange by construction.
+    With p the Plücker row of Λ∩W and a/den the Gram, den^k·covol²(W) =
+    p·∧ᵏa·pᵀ (Cauchy–Binet), and the saturated W are the primitive
+    decomposable ±p (W. M. Schmidt, Ann. of Math. 85, 1967): Fincke–Pohst on
+    ∧ᵏa finds them all, whatever their entries. For p_I ≠ 0, Cramer's rule
+    rebuilds row j at column m as ±p at I with I_j replaced by m; p is kept
+    when the saturated rows have Plücker row ±p, which holds iff p is.
     """
     n = lat.n
-    a_int, den = lat.int_gram
-    witness = full_subspace(n)
-    best = (F(1), n, witness.rows)
-    for k in range(1, n):
-        # covol² = det(mat·a_int·matᵀ)/den^k: sort on the integer determinants
-        items = sorted(
-            (rl.bareiss([list(r) for r in rl.mat_mul(rl.mat_mul(mat, a_int),
-                                                     rl.transpose(mat))], k), mat)
-            for mat in _hnf_candidates(n, k, hnf_entry_bound))
-        for det, mat in items:
-            key = (F(det, den ** k), k, mat)
-            if not _root_lt(key, best):
-                break
-            sub = RationalSubspace(ambient=n, rows=mat)
-            if is_m_stable(sub, lat, sc):
-                witness, best = sub, key
-                break
-    return DeltaResult(witness=witness, witness_covol_sq=best[0], complete=True)
+    a, den = lat.int_gram
+    subsets = list(itertools.combinations(range(n), k))
+    index = {c: i for i, c in enumerate(subsets)}
+
+    def at(p, j, rest, m):
+        c = tuple(sorted(rest + (m,)))
+        return 0 if m in rest else (-1) ** (c.index(m) + j) * p[index[c]]
+
+    u, state = _lll(_compound(a, k))
+    out = []
+    for norm, w in _enumerate_gram(state, cap_sq * den ** k, bud, spanning=True):
+        p = tuple(sum(map(mul, w, col)) for col in zip(*u))
+        if rl.primitive_part(p) == p:
+            lead = subsets[next(i for i, x in enumerate(p) if x)]
+            sat = rl.saturate([[at(p, j, lead[:j] + lead[j + 1:], m) for m in range(n)]
+                               for j in range(k)])
+            if _compound(sat, k)[0] in (p, tuple(-x for x in p)):
+                out.append((RationalSubspace._trusted(n, sat), norm / den ** k))
+    return out
+
+
+def oracle_delta_m(lat: UnimodularLattice, sc: Scenario, *, budget=None) -> DeltaResult:
+    """delta_m from every saturated subspace under a cap, for N ≤
+    ORACLE_MAX_DIM (above, ValidationError("dimension", ...)); it shares no
+    chain search and no block sums with delta_m, so it checks them.
+
+    The cap is the least rat_root_upper(covol², dim) over 1 and the proper
+    M-closures of the LLL rows that `is_m_stable` confirms, so dimension k
+    is enumerated under cap^k (`_saturated_subspaces`) and the least stable
+    candidate by `_root_lt` wins. Budget exhaustion gives complete=False.
+    """
+    if lat.n > ORACLE_MAX_DIM:
+        raise ValidationError("dimension", "brute-force oracle supports dimension "
+                              f"<= {ORACLE_MAX_DIM}, got {lat.n}")
+    bud = _as_budget(budget)
+    cap = F(1)
+    for row in _lll(lat.int_gram[0])[0]:
+        seed = m_closure(lat, sc, [row])
+        if not seed.is_full and is_m_stable(seed, lat, sc):
+            cap = min(cap, rat_root_upper(covolume_sq(lat, seed), seed.dim))
+    witness = full_subspace(lat.n)
+    best, complete = (F(1), lat.n, witness.rows), True
+    try:
+        for k in range(1, lat.n):
+            for sub, c in _saturated_subspaces(lat, k, cap ** k, bud):
+                if _root_lt((c, k, sub.rows), best) and is_m_stable(sub, lat, sc):
+                    witness, best = sub, (c, k, sub.rows)
+    except BudgetExceeded:
+        complete = False
+    return DeltaResult(witness=witness, witness_covol_sq=best[0], complete=complete)

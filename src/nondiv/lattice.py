@@ -46,6 +46,7 @@ class Scenario:
     m_generators: tuple[rl.RatRows, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", rl.exact_int(self.n, "dimension"))
         if self.n < 2:
             raise ValidationError("dimension", f"must be >= 2, got {self.n}")
         object.__setattr__(self, "blocks", tuple(
@@ -311,6 +312,7 @@ class RationalSubspace:
     rows: rl.IntRows
 
     def __post_init__(self):
+        object.__setattr__(self, "ambient", rl.exact_int(self.ambient, "ambient"))
         object.__setattr__(self, "rows", tuple(
             tuple(rl.exact_int(x, "rows") for x in r) for r in self.rows))
         if not self.rows:
@@ -418,10 +420,11 @@ class _Frame:
     shares gens.
 
     block_sums holds Λ∩V_T per block sum V_T that `_block_sum` was asked
-    for, keyed by T's bit mask.
+    for, keyed by T's bit mask, and adj the adjugate of the integer basis
+    it builds them from (None without generators, where no block sum runs).
     """
 
-    __slots__ = ("sc", "gens", "closures", "bases", "eigenspaces", "block_sums")
+    __slots__ = ("sc", "gens", "adj", "closures", "bases", "eigenspaces", "block_sums")
 
     def __init__(self, lat: UnimodularLattice, sc: Scenario):
         check_dimensions(lat, sc)
@@ -431,14 +434,14 @@ class _Frame:
         self.eigenspaces: dict = {}
         self.block_sums: dict = {}
         if not sc.m_generators:
-            self.gens = ()
+            self.gens, self.adj = (), None
             return
         # B = b_int/b, so B⁻¹ = b·adj/det and B⁻¹·g·B = adj·g_int·b_int/(det·e)
         b_int, _ = lat.int_basis
-        adj, det = rl.int_inverse(b_int)
+        self.adj, det = rl.int_inverse(b_int)
         out = []
         for g_int, e in sc.int_m_generators:
-            p = rl.mat_mul(rl.mat_mul(adj, g_int), b_int)
+            p = rl.mat_mul(rl.mat_mul(self.adj, g_int), b_int)
             den = det * e
             h = gcd(den, *(x for row in p for x in row))
             h = h if den > 0 else -h
@@ -473,18 +476,17 @@ def _block_sum(lat: UnimodularLattice, sc: Scenario, t: int) -> RationalSubspace
     """Λ∩V_T for the block sum V_T of sc, T the bit mask t (bit β for block
     β), memoized in the frame.
 
-    Λ∩V_T is the saturated integer kernel of the integer basis rows outside
-    T, since x·Bᵀ vanishes there. A block-scalar s only rescales those rows,
-    so the kernels hold along the torus orbit, and a lattice there pays only
-    for the covolumes.
+    x·Bᵀ lies in V_T iff x is in the span of B⁻¹'s columns in T, so Λ∩V_T
+    saturates the frame's adjugate columns in T, made primitive so that
+    `rl.saturate` mostly needs one HNF. A block-scalar s only rescales those
+    columns, so these hold along the torus orbit, which pays only covolumes.
     """
     frame = _frame(lat, sc)
     held = frame.block_sums.get(t)
     if held is None:
-        b_int = lat.int_basis[0]
-        held = frame.block_sums[t] = RationalSubspace._trusted(lat.n, rl.right_kernel_int(
-            [b_int[i] for j, (lo, hi) in enumerate(sc.blocks)
-             if not t >> j & 1 for i in range(lo, hi)]))
+        cols = [i for j, (lo, hi) in enumerate(sc.blocks) if t >> j & 1 for i in range(lo, hi)]
+        held = frame.block_sums[t] = RationalSubspace._trusted(
+            lat.n, rl.saturate([rl.primitive_part([row[i] for row in frame.adj]) for i in cols]))
     return held
 
 

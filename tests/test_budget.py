@@ -13,7 +13,7 @@ from nondiv import enumeration
 from nondiv import serialize as se
 from nondiv.cli import ENV_BUDGET, main
 from nondiv.enumeration import (DEFAULT_VECTOR_BUDGET, _Budget, delta_m,
-                                eligible_subspaces, short_vectors)
+                                eligible_subspaces, oracle_delta_m, short_vectors)
 from nondiv.errors import ValidationError
 from nondiv.pushout import PushoutConfig, protect, pushout_step
 
@@ -28,6 +28,7 @@ CFG_QUARTER = PushoutConfig(eta0_override=F(1, 4))
 # each API source runs one operation on LAT with the budget it is given
 API = {
     "delta_m": lambda v: delta_m(LAT, SC, budget=v),
+    "oracle_delta_m": lambda v: oracle_delta_m(LAT, SC, budget=v),
     "short_vectors": lambda v: short_vectors(LAT, 1, budget=v),
     "eligible_subspaces": lambda v: eligible_subspaces(LAT, SC, 1, budget=v),
     "protect": lambda v: protect(LAT, SC, CFG_QUARTER, F(2), budget=v),

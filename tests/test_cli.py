@@ -56,8 +56,7 @@ def test_drive_z4_zero_rows(capsys):
 
 
 def test_oracle_z4(capsys):
-    code, out, _ = run(capsys, "oracle", "--lattice", f"{FIX}/z4.json",
-                       "--hnf-bound", "2")
+    code, out, _ = run(capsys, "oracle", "--lattice", f"{FIX}/z4.json")
     assert code == 0
     assert json.loads(out)["verdict"] == "AGREE"
 
@@ -221,6 +220,24 @@ def test_oracle_dimension_cap(capsys):
     code, _, err = run(capsys, "oracle", "--lattice", f"{FIX}/z6.json")
     assert code == 2
     assert "dimension" in err
+
+
+@pytest.mark.parametrize("argv, incomplete", [
+    (("--lattice", f"{FIX}/z4.json", "--vector-budget", "1"), ("search", "oracle")),
+    # the block sums take 2 units, the oracle's enumerations 15
+    (("--scenario", f"{FIX}/sl4_so21.json", "--lattice", f"{FIX}/sl4_pushed_t_half.json",
+      "--vector-budget", "2"), ("oracle",)),
+])
+def test_oracle_budget_exhaustion_is_incomplete(tmp_path, capsys, argv, incomplete):
+    """An exhausted budget on either side is no disagreement: the partial
+    document says INCOMPLETE and the exit code is 3, as for delta."""
+    code, out, err = run(capsys, "oracle", *argv)
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"]) == (3, "", "INCOMPLETE")
+    assert [k for k in ("search", "oracle") if not doc[k]["complete"]] == list(incomplete)
+    path = tmp_path / "oracle.json"
+    assert run(capsys, "oracle", *argv, "--output", str(path)) == (3, "INCOMPLETE\n", "")
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_oracle_agreement(capsys):

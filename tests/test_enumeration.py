@@ -218,7 +218,7 @@ def test_oracle_agreement_diagonal():
     for a in (F(1, 4), F(1, 2), F(2, 3)):
         lat = diagonal_lattice(a, 1 / a)
         d = delta_m(lat, sc)
-        o = oracle_delta_m(lat, sc, 4)
+        o = oracle_delta_m(lat, sc)
         assert d.delta_sq_pow == o.delta_sq_pow
 
 
@@ -227,7 +227,7 @@ def test_oracle_agreement_sl4_torus_sweep():
     for t in (F(1, 2), F(1, 3), F(2), F(3)):
         lat = sl4_torus_lattice(t)
         d = delta_m(lat, sc)
-        o = oracle_delta_m(lat, sc, 2)
+        o = oracle_delta_m(lat, sc)
         assert d.delta_sq_pow == o.delta_sq_pow
         assert max(abs(x) for r in d.witness.rows for x in r) <= 2
 

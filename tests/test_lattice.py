@@ -18,7 +18,7 @@ from nondiv.lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
 from nondiv.samples import (sl4_so21_scenario, sl4_torus, sl4_torus_lattice,
                             so21_generators_3d, diagonal_lattice)
 
-from nondiv.enumeration import (DeltaResult, _hnf_candidates, _root_lt,
+from nondiv.enumeration import (DeltaResult, _Budget, _root_lt, _saturated_subspaces,
                                 delta_m, stable_subspaces_within)
 from nondiv.pushout import (PushoutConfig, drive, expansion_element, protect,
                             pushout_step, select_index_set)
@@ -247,11 +247,11 @@ def test_stable_family_non_semisimple():
         lat = random_unimodular_lattice(rng, 3, shears=3, dyadic_range=2)
         family, complete = stable_subspaces_within(lat, sc, cap)
         assert complete
-        got = {w.rows for w in family if max(abs(x) for r in w.rows for x in r) <= 3}
-        want = {mat for k in (1, 2) for mat in _hnf_candidates(3, k, 3)
-                if covolume_sq(lat, sub := RationalSubspace(ambient=3, rows=mat)) <= cap
-                and is_m_stable(sub, lat, sc)}
-        assert got == want
+        # every saturated W under the cap, whatever its entries
+        want = {sub.rows for k in (1, 2)
+                for sub, _ in _saturated_subspaces(lat, k, cap, _Budget())
+                if is_m_stable(sub, lat, sc)}
+        assert {w.rows for w in family} == want
 
 
 def test_memoized_closures_equal_fresh_ones():
@@ -481,6 +481,29 @@ def test_boundary_rejects_bad_values(call, field, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert (err.value.field, err.value.message) == (field, message)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("4", "expected an int or Fraction, got str"),
+    (4.0, "expected an int or Fraction, got float"),
+    (True, "expected an int or Fraction, got bool"),
+    (F(9, 2), "expected an integer, got 9/2"),
+], ids=["str", "float", "bool", "fraction"])
+@pytest.mark.parametrize("build, field, attr", [
+    (lambda v: Scenario(n=v, blocks=((0, 1), (1, 4)), m_generators=()), "dimension", "n"),
+    (lambda v: RationalSubspace(ambient=v, rows=((1, 0, 0, 0),)), "ambient", "ambient"),
+], ids=["scenario", "subspace"])
+def test_dimension_and_ambient_are_exact_ints(build, field, attr, value, message):
+    """Scenario.n and RationalSubspace.ambient are frozen as ints, as
+    TorusElement's block_dims are: F(4) becomes 4, anything else inexact is
+    refused with a typed error instead of failing later."""
+    with pytest.raises(ValidationError) as err:
+        build(value)
+    assert (err.value.field, err.value.message) == (field, message)
+    exact = build(F(4))
+    assert type(getattr(exact, attr)) is int and exact == build(4)
+    if attr == "n":
+        assert delta_m(standard_lattice(4), exact) == delta_m(standard_lattice(4), build(4))
 
 
 def test_group_lattice_equals_validated_one(rng):
