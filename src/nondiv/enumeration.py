@@ -361,6 +361,12 @@ class _Quotient:
     of (lat, sc) and shared along the torus orbit; the Gram is per lattice,
     and `_quotient` memoizes the quotient on the lattice. A quotient keeps
     no reference to its lattice, so dropping the lattice frees its memo.
+
+    Where v completes Z with unit rows e_j, j in free (the closed form of
+    `complete_to_basis`, taken by every Z with unit pivots), a unit row only
+    selects: v·A·vᵀ is Z·A·Zᵀ bordered by Z·A and A on the columns in free,
+    so the Gram costs the k×N product Z·A. The frame holds free with the
+    completion (None where v has other rows, and v·A·vᵀ is formed whole).
     """
 
     def __init__(self, lat: UnimodularLattice, sc: Scenario, z_rows):
@@ -371,15 +377,19 @@ class _Quotient:
         self.k = k = len(z_rows)
         bases = self.frame.bases
         if z_rows not in bases:
-            bases[z_rows] = (complete_to_basis(z_rows, n) if k
-                             else (rl.identity(n), rl.identity(n)))
-        self.full_basis, self.full_basis_inv = bases[z_rows]
+            v, vinv = complete_to_basis(z_rows, n)
+            bases[z_rows] = (v, vinv, _unit_columns(v[k:], n))
+        self.full_basis, self.full_basis_inv, free = bases[z_rows]
         v = self.full_basis
         self.lift_cols = rl.transpose(v[k:])
         a, den = lat.int_gram
-        if k:  # Z = 0 completes with v = I, so its Gram is lat's own
-            a = rl.mat_mul(rl.mat_mul(v, a), rl.transpose(v))
-        g = [list(r) for r in a]
+        if free is None:
+            g = [list(r) for r in rl.mat_mul(rl.mat_mul(v, a), rl.transpose(v))]
+        else:
+            # A is symmetric, so row i of Z·A is z_i against A's rows
+            za = [[sum(map(mul, z, col)) for col in a] for z in z_rows]
+            g = [[sum(map(mul, r, z)) for z in z_rows] + [r[j] for j in free] for r in za]
+            g += [[r[j] for r in za] + [a[j][c] for c in free] for j in free]
         d_k = rl.bareiss(g, k)
         self.scale = den * d_k
         self.covol_sq = F(d_k, den ** k)
@@ -458,20 +468,52 @@ def _quotient(lat: UnimodularLattice, sc: Scenario, z_rows) -> _Quotient:
 
 
 def complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
-    """Extend a saturated k-row basis to a unimodular n×n matrix v; (v, v⁻¹).
+    """(v, v⁻¹) for a unimodular n×n integer v whose first k rows are the
+    saturated rows sat_rows; k = 0 gives (I, I).
 
-    The first k rows of v are sat_rows. v is (w⁻¹)ᵀ for the HNF transform w
-    of sat_rowsᵀ, so v⁻¹ = wᵀ.
+    Rows must have n entries, each an exact integer (`rl.exact_int`), or
+    ValidationError("rows", ...) is raised; zero, dependent or unsaturated
+    rows raise InternalInvariantViolation.
+
+    When the rows are the identity on their pivot (leading) columns P, as
+    every saturated HNF with unit pivots is, v is the rows followed by the
+    unit rows e_j for the j ∉ P in order. Up to the column order v is then
+    [[I, F], [0, I]], F the rows on the columns off P, so v⁻¹ = [[I, −F],
+    [0, I]] in the same order: no HNF. Other rows take the transform w of
+    the HNF of sat_rowsᵀ, which is [I_k; 0] for saturated rows, so
+    v = (w⁻¹)ᵀ and v⁻¹ = wᵀ.
     """
-    k = len(sat_rows)
-    ht = rl.transpose(sat_rows)
-    hh, w = rl.hnf(ht)
+    rows = tuple(map(tuple, sat_rows))
+    if any(len(r) != n for r in rows):
+        raise ValidationError("rows", f"row length must equal n = {n}")
+    if any(type(x) is not int for r in rows for x in r):
+        rows = tuple(tuple(rl.exact_int(x, "rows") for x in r) for r in rows)
+    k = len(rows)
+    piv = [next((j for j, x in enumerate(r) if x), None) for r in rows]
+    if None not in piv and all(r[p] == (i == j) for i, r in enumerate(rows)
+                               for j, p in enumerate(piv)):
+        free = [j for j in range(n) if j not in piv]
+        inv = [[0] * n for _ in range(n)]
+        for i, (r, p) in enumerate(zip(rows, piv)):
+            inv[p][i] = 1
+            for t, j in enumerate(free, k):
+                inv[p][t] = -r[j]
+        for t, j in enumerate(free, k):
+            inv[j][t] = 1
+        return rows + tuple(rl.identity(n)[j] for j in free), tuple(map(tuple, inv))
+    hh, w = rl.hnf(rl.transpose(rows))
     # hh's k×k corner is triangular with positive pivots: |det| = 1 iff all are 1
-    if any(hh[i][i] != 1 for i in range(k)):
+    if k > n or any(hh[i][i] != 1 for i in range(k)):
         raise InternalInvariantViolation("rows are not a saturated basis")
     # so w·sat_rowsᵀ = [I_k; 0], sat_rows·wᵀ = [I_k | 0] and v[:k] = sat_rows
     v = rl.transpose(rl.int_inverse_unimodular(w))
     return v, rl.transpose(w)
+
+
+def _unit_columns(rows, n: int) -> tuple[int, ...] | None:
+    """j per row when every row is a unit row e_j of length n, else None."""
+    cols = tuple(r.index(1) if 1 in r else 0 for r in rows)
+    return cols if all(rl.identity(n)[j] == r for j, r in zip(cols, rows)) else None
 
 
 def char_poly(m) -> list[Fraction]:
@@ -887,15 +929,26 @@ def delta_m(lat: UnimodularLattice, sc: Scenario, budget=None) -> DeltaResult:
     k-dimensional W that beats or ties the seed has covol²(W) ≤ cap^k. So
     dimension k is searched under cap^k ≤ cap; keeping ties keeps the
     smaller-dimension tie-break, and badly squashed inputs stay cheap.
+
+    The vector is the first row u_1 of the root quotient's LLL transform.
+    Under a scalar action (`Scenario.scalar_action`) every line is stable,
+    so the seed is the line of u_1, primitive as a row of a unimodular
+    matrix, and its covol² is the reduced Gram's first minor D_1 over the
+    root's scale, read from the LLL state: no `m_closure`, no `covolume_sq`.
     """
     bud = _as_budget(budget)
     cap = F(1)
     extra = []
     if not sc.full_block_algebra:
-        u = _quotient(lat, sc, ()).reduced[0]
-        seed = m_closure(lat, sc, [tuple(u[0])])
+        root = _quotient(lat, sc, ())
+        u, (_, d) = root.reduced
+        if sc.scalar_action:
+            row = u[0] if next(filter(None, u[0])) > 0 else tuple(-x for x in u[0])
+            seed, c_seed = RationalSubspace._trusted(lat.n, (row,)), F(d[1], root.scale)
+        else:
+            seed = m_closure(lat, sc, [u[0]])
+            c_seed = None if seed.is_full else covolume_sq(lat, seed)
         if not seed.is_full:
-            c_seed = covolume_sq(lat, seed)
             extra.append((seed, c_seed))
             if c_seed < 1:
                 cap = rat_root_upper(c_seed, seed.dim)

@@ -415,9 +415,9 @@ class _Frame:
     inverse of the integer basis and integer products. closures memoizes
     `_m_closure` on its exact integer input rows; bases and eigenspaces
     hold, per stable subspace Z (its saturated rows), the basis completion
-    and the eigen-line spaces of `enumeration`'s quotients. Each entry is a
-    pure function of gens and its key, so it holds for every lattice that
-    shares gens.
+    (with its unit columns) and the eigen-line spaces of `enumeration`'s
+    quotients. Each entry is a pure function of gens and its key, so it
+    holds for every lattice that shares gens.
 
     block_sums holds Λ∩V_T per block sum V_T that `_block_sum` was asked
     for, keyed by T's bit mask, and adj the adjugate of the integer basis
@@ -477,16 +477,17 @@ def _block_sum(lat: UnimodularLattice, sc: Scenario, t: int) -> RationalSubspace
     β), memoized in the frame.
 
     x·Bᵀ lies in V_T iff x is in the span of B⁻¹'s columns in T, so Λ∩V_T
-    saturates the frame's adjugate columns in T, made primitive so that
-    `rl.saturate` mostly needs one HNF. A block-scalar s only rescales those
-    columns, so these hold along the torus orbit, which pays only covolumes.
+    saturates the frame's adjugate columns in T; `rl.saturate` makes them
+    primitive, so it mostly needs one HNF. A block-scalar s only rescales
+    those columns, so these hold along the torus orbit, which pays only
+    covolumes.
     """
     frame = _frame(lat, sc)
     held = frame.block_sums.get(t)
     if held is None:
         cols = [i for j, (lo, hi) in enumerate(sc.blocks) if t >> j & 1 for i in range(lo, hi)]
         held = frame.block_sums[t] = RationalSubspace._trusted(
-            lat.n, rl.saturate([rl.primitive_part([row[i] for row in frame.adj]) for i in cols]))
+            lat.n, rl.saturate([[row[i] for row in frame.adj] for i in cols]))
     return held
 
 

@@ -208,13 +208,14 @@ def right_kernel_int(m: Sequence[Sequence[int]]) -> IntRows:
 def saturate(m: Sequence[Sequence[int]]) -> IntRows:
     """HNF basis of (Q-span of the rows of m) ∩ Z^cols.
 
-    When every pivot of the rows' own HNF is 1, that HNF is the answer: a
+    Each row is first divided by its content, which keeps the span. When
+    every pivot of the rows' HNF is then 1, that HNF is the answer: a
     maximal minor is then 1, so the rows already span the saturation, and
     the HNF of a lattice is unique. Otherwise it is the kernel of the
     kernel: the integer vectors orthogonal to everything orthogonal to the
     row span.
     """
-    rows = [r for r in m if any(r)]
+    rows = [primitive_part(r) for r in m if any(r)]
     if not rows:
         return ()
     h = hnf_rows(rows)
@@ -338,11 +339,11 @@ def int_inverse_unimodular(m: Sequence[Sequence[int]]) -> IntRows:
 
     The HNF of a unimodular matrix is the identity, so the HNF transform u
     (with u·m = I) is the inverse; any other HNF means m is not unimodular.
-    `complete_to_basis` inverts every new completion with it. On the 5×5
-    transforms of rebased N = 5 `delta_m` calls (perfbench trivial-hd) it
-    takes about 9 µs against 38 µs for `int_inverse` (Python 3.11, 2-core
-    Xeon); such a call builds about 2.3 completions, so `int_inverse` would
-    add about 10% to it.
+    `complete_to_basis` inverts with it only the completions its closed form
+    does not cover, rows that are not the identity on their pivot columns:
+    3 of the 210 nonzero Z on the seed-1 perfbench trivial-hd op list. On
+    such 5×5 transforms it takes about 9 µs against 38 µs for `int_inverse`
+    (Python 3.11, 2-core Xeon).
     """
     h, u = hnf(m)
     if h != identity(len(m)):

@@ -26,6 +26,10 @@ closed, once for every k that reaches it. It keeps the Fraction node bounds
 of `_hermite_sq_bound`, and forms and eliminates each reduced quotient
 Gram itself instead of reading the LLL state.
 
+`hnf_complete_to_basis` is the basis completion by the HNF transform that
+`enumeration.complete_to_basis` keeps only for rows that are not the
+identity on their pivot columns; it completes every row set that way.
+
 `scaled_bareiss` is the elimination of a rational Gram scaled to integers,
 and `elimination_state` puts it in the form `enumeration._lll` returns.
 `enumerate_rational_gram` runs `enumeration._enumerate_gram`, which takes
@@ -249,6 +253,17 @@ def fraction_expansion_certificate(sc: Scenario, index_set: tuple[int, ...],
     return ExpansionCertificate(s=s, index_set=index_set, c_w_sq=c_w_sq, lam=lam,
                                 achieved_c1=fraction_contraction_constant(s),
                                 achieved_c2_sq=(lam / c_w_sq) ** 2)
+
+
+def hnf_complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
+    """(v, v⁻¹) with v[:k] = sat_rows: v = (w⁻¹)ᵀ and v⁻¹ = wᵀ for the HNF
+    transform w of sat_rowsᵀ; no rows complete to (I, I)."""
+    if not sat_rows:
+        return rl.identity(n), rl.identity(n)
+    hh, w = rl.hnf(rl.transpose(sat_rows))
+    if any(hh[i][i] != 1 for i in range(len(sat_rows))):
+        raise InternalInvariantViolation("rows are not a saturated basis")
+    return rl.transpose(rl.int_inverse_unimodular(w)), rl.transpose(w)
 
 
 def scaled_bareiss(g):

@@ -557,6 +557,15 @@ FIXTURE_DIGESTS = [
      "2bd21d6c967b1b5cdb872c0acf2cc4da5b48e32e6d8ef4d36c2bdeb162083220"),
     (("drive", "--lattice", "random_n3_seed20260815.json"),
      "f703fb7b1d0cfada335476115dc83e5bed9810dc573b4dff7f3349682e568af8"),
+    # the trivial group's chain search
+    (("delta", "--lattice", "z4.json"),
+     "8bb2687950d3f68a5d2afa8c6aae7636f523c9033c6fd1b0cbe4101d54e82062"),
+    (("delta", "--lattice", "z6.json"),
+     "8582d7dea2ca7a6ba374c94ee9d7c38b819ede4aa0374a5f902081128889577e"),
+    (("delta", "--scenario", "trivial_n2.json", "--lattice", "squash_n2_k6.json"),
+     "94c83b3050fcac329516df5655452698275c2fc88e063c212bff8b7429743ba7"),
+    (("delta", "--lattice", "random_n3_seed20260815.json"),
+     "206f62818fccb80134c521e0b40d4b8f415bf5d7665805c2150515128ca69c79"),
 ]
 
 

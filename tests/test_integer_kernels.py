@@ -3,26 +3,31 @@
 Each reference below is the earlier program path, kept verbatim in spirit:
 the HNF with its transform, the Fraction inverse, `contains` by saturation,
 the projection-kernel chain of `select_index_set` and the Fraction-remainder
-Fincke-Pohst enumerator. Outputs (and budget use) must be identical.
+Fincke-Pohst enumerator. Outputs (and budget use) must be identical. The
+HNF-transform basis completion is checked on outputs only: another
+completion reduces another quotient basis, so the budget may differ.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
+
+import pytest
 
 from nondiv import enumeration
 from nondiv import ratlin as rl
 from nondiv import serialize as se
 from nondiv.enumeration import (_Budget, complete_to_basis, delta_m, lll_reduce_gram,
                                 stable_subspaces_within)
-from nondiv.errors import BudgetExceeded, InternalInvariantViolation
-from nondiv.lattice import (ZERO_SUBSPACE, make_scenario, subspace_from_rows,
-                            subspace_sum, trivial_scenario)
+from nondiv.errors import BudgetExceeded, InternalInvariantViolation, ValidationError
+from nondiv.lattice import (ZERO_SUBSPACE, covolume_sq, make_lattice, make_scenario,
+                            subspace_from_rows, subspace_sum, trivial_scenario)
 from nondiv.pushout import PushoutConfig, drive, select_index_set
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
-from reference import (enumerate_rational_gram, fraction_det, rat_inverse,
-                       scaled_bareiss)
+from reference import (enumerate_rational_gram, fraction_det, hnf_complete_to_basis,
+                       rat_inverse, scaled_bareiss)
 
 from conftest import random_unimodular_lattice
 from test_enumeration import one_pass_inputs
@@ -45,6 +50,115 @@ def test_complete_to_basis_keeps_rows():
         v, v_inv = complete_to_basis(sub.rows, n)
         assert v[:sub.dim] == sub.rows
         assert rl.mat_mul(v, v_inv) == rl.identity(n)
+
+
+def test_complete_to_basis_contract():
+    """Rows must have n exact integer entries; no rows complete to (I, I);
+    zero, dependent or unsaturated rows break an invariant."""
+    assert complete_to_basis((), 3) == (rl.identity(3), rl.identity(3))
+    assert complete_to_basis([[1, F(2)]], 2) == complete_to_basis(((1, 2),), 2)
+    for rows, n in [(((1, 0, 0),), 2), (((1, 0),), 3), (((1.0, 0),), 2),
+                    (((True, 0),), 2), (((F(1, 2), 1),), 2), (((0, "1"),), 2)]:
+        with pytest.raises(ValidationError, match="rows"):
+            complete_to_basis(rows, n)
+    for rows in [((0, 0),), ((2, 0),), ((1, 0), (1, 0)), ((1, 2), (3, 4)),
+                 ((1, 0), (0, 1), (1, 1))]:
+        with pytest.raises(InternalInvariantViolation):
+            complete_to_basis(rows, 2)
+
+
+def test_complete_to_basis_shortcut_needs_the_identity_on_pivots(monkeypatch):
+    """Only rows that are the identity on their leading columns complete in
+    closed form; unit-leading rows not in HNF, and a pivot above 1, take the
+    HNF transform, and every completion inverts."""
+    hnfs = []
+    real_hnf = rl.hnf
+    monkeypatch.setattr(rl, "hnf", lambda m: hnfs.append(m) or real_hnf(m))
+    cases = [(((1, 0, 3), (0, 1, -2)), False), (((0, 1, 5),), False),
+             (((0, 0, 1), (1, 0, 0)), False), (((1, 2, 0), (0, 1, 0)), True),
+             (((1, 0, 0), (0, 2, 1)), True), (((2, 3, 0),), True)]
+    for rows, by_hnf in cases:
+        hnfs.clear()
+        v, v_inv = complete_to_basis(rows, 3)
+        assert bool(hnfs) == by_hnf, rows
+        assert v[:len(rows)] == rows
+        assert rl.mat_mul(v, v_inv) == rl.identity(3)
+        if by_hnf:
+            assert (v, v_inv) == hnf_complete_to_basis(rows, 3)
+    # the closed form would complete ((1, 2, 0), (0, 1, 0)) with e_2 and invert to I
+    assert complete_to_basis(((1, 2, 0), (0, 1, 0)), 3)[1] != rl.identity(3)
+
+
+def completion_rows(rng, n, kind):
+    """Saturated rows of a proper subspace of Q^n: an HNF with unit pivots
+    ("unit"), an HNF with a pivot above 1 ("pivot"), or a unit-pivot HNF of
+    two rows or more, sheared out of HNF ("sheared", n ≥ 3)."""
+    if kind == "pivot":
+        while True:
+            sub = subspace_from_rows(n, [[rng.randint(-4, 4) for _ in range(n)]
+                                         for _ in range(rng.randint(1, n - 1))])
+            if sub is not ZERO_SUBSPACE and any(next(filter(None, r)) != 1 for r in sub.rows):
+                return sub.rows
+    k = rng.randint(2 if kind == "sheared" else 1, n - 1)
+    pivots = sorted(rng.sample(range(n), k))
+    rows = [[int(c == p) if c in pivots else rng.randint(-3, 3) * (c > p) for c in range(n)]
+            for p in pivots]
+    if kind == "sheared":
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
+
+
+def test_completions_and_quotients_match_the_hnf_reference(monkeypatch):
+    """Against the HNF-transform completion on seeded rows of every kind:
+    both complete to a unimodular v with v[:k] = Z, quotients built on
+    either have the covol² of Z and Grams of one determinant, and chain
+    searches built on either find the same subspaces."""
+    rng = random.Random(229)
+    kinds = Counter()
+    real_complete = enumeration.complete_to_basis
+    for _ in range(150):
+        kind = rng.choice(("unit", "pivot", "sheared"))
+        n = rng.randint(3 if kind == "sheared" else 2, 5)
+        z = completion_rows(rng, n, kind)
+        kinds[kind] += 1
+        lat = random_unimodular_lattice(rng, n, shears=n + 2, dyadic_range=2)
+        sc = trivial_scenario(n)
+        covol = covolume_sq(lat, subspace_from_rows(n, z))
+        quotients = []
+        for complete in (real_complete, hnf_complete_to_basis):
+            v, v_inv = complete(z, n)
+            assert v[:len(z)] == z
+            assert rl.mat_mul(v, v_inv) == rl.identity(n)
+            # only unit-pivot HNFs leave the HNF transform
+            assert kind == "unit" or (v, v_inv) == hnf_complete_to_basis(z, n)
+            monkeypatch.setattr(enumeration, "complete_to_basis", complete)
+            q = enumeration._Quotient(make_lattice(lat.basis), sc, z)
+            assert q.covol_sq == covol
+            assert [q.lift(e) for e in rl.identity(n - len(z))] == list(v[len(z):])
+            quotients.append(q)
+        # the Grams differ by a unimodular change of basis: same scale and det
+        assert quotients[0].scale == quotients[1].scale
+        assert quotients[0].reduced[1][1][-1] == quotients[1].reduced[1][1][-1]
+        free = enumeration._unit_columns(quotients[0].full_basis[len(z):], n)
+        if kind == "unit":  # completed by the unit rows off the pivots
+            leads = {next(c for c, x in enumerate(r) if x) for r in z}
+            assert free == tuple(j for j in range(n) if j not in leads)
+        kinds["whole Gram"] += free is None
+    assert min(kinds.values()) >= 10 and len(kinds) == 4
+
+    def searches(complete):
+        monkeypatch.setattr(enumeration, "complete_to_basis", complete)
+        out = []
+        for lat, sc in itertools.islice(one_pass_inputs(), 0, None, 3):
+            d = delta_m(make_lattice(lat.basis), sc)
+            found = stable_subspaces_within(make_lattice(lat.basis), sc,
+                                            2 * d.witness_covol_sq)
+            out.append((d, found))
+        return out
+
+    assert searches(real_complete) == searches(hnf_complete_to_basis)
 
 
 # -- HNF without its transform ---------------------------------------------------

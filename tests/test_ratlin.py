@@ -137,6 +137,21 @@ def test_saturate_matches_kernel_of_kernel():
     assert min(kinds.values()) > 300
 
 
+def test_saturate_divides_rows_by_their_content(monkeypatch):
+    """Rows that each carry a common factor span the saturation once divided
+    by it, so they take one HNF and no kernel; primitive rows whose HNF has
+    a pivot above 1 still take the kernel route."""
+    kernels = []
+    real_kernel = rl.right_kernel_int
+    monkeypatch.setattr(rl, "right_kernel_int", lambda m: kernels.append(m) or real_kernel(m))
+    assert rl.saturate([(2, 4, 0), (0, 0, 3)]) == ((1, 2, 0), (0, 0, 1))
+    assert rl.saturate([(2, 0), (0, -2)]) == ((1, 0), (0, 1))
+    assert rl.saturate([(0, 3, -6)]) == ((0, 1, -2),)
+    assert kernels == []
+    assert rl.saturate([(1, 1), (1, -1)]) == ((1, 0), (0, 1))
+    assert kernels
+
+
 def test_gram_det_examples():
     assert rl.gram_det([[1, 0, 0], [0, 1, 0]]) == 1
     assert rl.gram_det([[1, 1, 0], [0, 1, 1]]) == 3
