@@ -366,7 +366,8 @@ class _Quotient:
     `complete_to_basis`, taken by every Z with unit pivots), a unit row only
     selects: v·A·vᵀ is Z·A·Zᵀ bordered by Z·A and A on the columns in free,
     so the Gram costs the k×N product Z·A. The frame holds free with the
-    completion (None where v has other rows, and v·A·vᵀ is formed whole).
+    completion, as `complete_to_basis` returns it (None on its HNF path,
+    where v·A·vᵀ is formed whole).
     """
 
     def __init__(self, lat: UnimodularLattice, sc: Scenario, z_rows):
@@ -377,8 +378,7 @@ class _Quotient:
         self.k = k = len(z_rows)
         bases = self.frame.bases
         if z_rows not in bases:
-            v, vinv = complete_to_basis(z_rows, n)
-            bases[z_rows] = (v, vinv, _unit_columns(v[k:], n))
+            bases[z_rows] = complete_to_basis(z_rows, n)
         self.full_basis, self.full_basis_inv, free = bases[z_rows]
         v = self.full_basis
         self.lift_cols = rl.transpose(v[k:])
@@ -467,32 +467,28 @@ def _quotient(lat: UnimodularLattice, sc: Scenario, z_rows) -> _Quotient:
     return quot
 
 
-def complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
-    """(v, v⁻¹) for a unimodular n×n integer v whose first k rows are the
-    saturated rows sat_rows; k = 0 gives (I, I).
+def complete_to_basis(sat_rows, n: int
+                      ) -> tuple[rl.IntRows, rl.IntRows, tuple[int, ...] | None]:
+    """(v, v⁻¹, free) for a unimodular n×n integer v whose first k rows are
+    the saturated rows sat_rows; k = 0 gives (I, I, (0, ..., n − 1)).
 
-    Rows must have n entries, each an exact integer (`rl.exact_int`), or
-    ValidationError("rows", ...) is raised; zero, dependent or unsaturated
-    rows raise InternalInvariantViolation.
+    The rows are checked by `rl.int_rows` (ValidationError("rows", ...));
+    zero, dependent or unsaturated rows raise InternalInvariantViolation.
 
     When the rows are the identity on their pivot (leading) columns P, as
     every saturated HNF with unit pivots is, v is the rows followed by the
-    unit rows e_j for the j ∉ P in order. Up to the column order v is then
-    [[I, F], [0, I]], F the rows on the columns off P, so v⁻¹ = [[I, −F],
-    [0, I]] in the same order: no HNF. Other rows take the transform w of
-    the HNF of sat_rowsᵀ, which is [I_k; 0] for saturated rows, so
-    v = (w⁻¹)ᵀ and v⁻¹ = wᵀ.
+    unit rows e_j for the j in free, the columns ∉ P in order. Up to the
+    column order v is then [[I, F], [0, I]], F the rows on the columns off
+    P, so v⁻¹ = [[I, −F], [0, I]] in the same order: no HNF. Other rows
+    take the transform w of the HNF of sat_rowsᵀ, which is [I_k; 0] for
+    saturated rows, so v = (w⁻¹)ᵀ, v⁻¹ = wᵀ and free is None.
     """
-    rows = tuple(map(tuple, sat_rows))
-    if any(len(r) != n for r in rows):
-        raise ValidationError("rows", f"row length must equal n = {n}")
-    if any(type(x) is not int for r in rows for x in r):
-        rows = tuple(tuple(rl.exact_int(x, "rows") for x in r) for r in rows)
+    rows = rl.int_rows(sat_rows, n)
     k = len(rows)
     piv = [next((j for j, x in enumerate(r) if x), None) for r in rows]
     if None not in piv and all(r[p] == (i == j) for i, r in enumerate(rows)
                                for j, p in enumerate(piv)):
-        free = [j for j in range(n) if j not in piv]
+        free = tuple(j for j in range(n) if j not in piv)
         inv = [[0] * n for _ in range(n)]
         for i, (r, p) in enumerate(zip(rows, piv)):
             inv[p][i] = 1
@@ -500,20 +496,16 @@ def complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
                 inv[p][t] = -r[j]
         for t, j in enumerate(free, k):
             inv[j][t] = 1
-        return rows + tuple(rl.identity(n)[j] for j in free), tuple(map(tuple, inv))
+        return rows + tuple(rl.identity(n)[j] for j in free), tuple(map(tuple, inv)), free
     hh, w = rl.hnf(rl.transpose(rows))
     # hh's k×k corner is triangular with positive pivots: |det| = 1 iff all are 1
     if k > n or any(hh[i][i] != 1 for i in range(k)):
         raise InternalInvariantViolation("rows are not a saturated basis")
-    # so w·sat_rowsᵀ = [I_k; 0], sat_rows·wᵀ = [I_k | 0] and v[:k] = sat_rows
-    v = rl.transpose(rl.int_inverse_unimodular(w))
-    return v, rl.transpose(w)
-
-
-def _unit_columns(rows, n: int) -> tuple[int, ...] | None:
-    """j per row when every row is a unit row e_j of length n, else None."""
-    cols = tuple(r.index(1) if 1 in r else 0 for r in rows)
-    return cols if all(rl.identity(n)[j] == r for j, r in zip(cols, rows)) else None
+    # so w·sat_rowsᵀ = [I_k; 0], sat_rows·wᵀ = [I_k | 0] and v[:k] = sat_rows;
+    # w is unimodular, so w⁻¹ = adj(w)/det w = det w·adj(w)
+    adj, det = rl.int_inverse(w)
+    v = tuple(tuple(det * x for x in col) for col in zip(*adj))
+    return v, rl.transpose(w), None
 
 
 def char_poly(m) -> list[Fraction]:
@@ -681,6 +673,7 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
                    ) -> tuple[list[tuple[RationalSubspace, Fraction]], bool]:
     """`stable_subspaces_within` with covol² ≤ caps[k] in each dimension k,
     as (subspace, covol²) pairs sorted by (dim, rows), and the complete flag.
+    No base is the zero subspace.
 
     When `Scenario.full_block_algebra` holds, the M-stable subspaces are
     exactly the block sums V_T, so the answer is the block sums that
@@ -690,6 +683,7 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
     too. Otherwise `_chain_search` finds them. Either way every subspace
     returned is checked to be M-stable.
     """
+    base = RationalSubspace._trusted(lat.n, ()) if base is None else base
     if sc.full_block_algebra:
         found, complete = _block_sum_search(lat, sc, caps, base, bud)
     else:
@@ -702,7 +696,7 @@ def _stable_search(lat: UnimodularLattice, sc: Scenario, caps,
 
 
 def _block_sum_search(lat: UnimodularLattice, sc: Scenario, caps,
-                      base: RationalSubspace | None, bud: _Budget):
+                      base: RationalSubspace, bud: _Budget):
     """The block sums V_T ⊋ base with covol² ≤ caps[dim V_T], each with its
     covol², and the complete flag.
 
@@ -714,17 +708,14 @@ def _block_sum_search(lat: UnimodularLattice, sc: Scenario, caps,
     """
     dims = sc.block_dims
     full = (1 << len(dims)) - 1
-    floor = s = 0
-    if base is not None:
-        coords = [rl.mat_vec(lat.int_basis[0], x) for x in base.rows]
-        floor = base.dim
-        s = sum(1 << j for j, (lo, hi) in enumerate(sc.blocks)
-                if any(c[i] for c in coords for i in range(lo, hi)))
+    coords = [rl.mat_vec(lat.int_basis[0], x) for x in base.rows]
+    s = sum(1 << j for j, (lo, hi) in enumerate(sc.blocks)
+            if any(c[i] for c in coords for i in range(lo, hi)))
     found = []
     t = s
     try:
         while t < full:
-            if sum(d for j, d in enumerate(dims) if t >> j & 1) > floor:
+            if sum(d for j, d in enumerate(dims) if t >> j & 1) > base.dim:
                 bud.consume()
                 v = _block_sum(lat, sc, t)
                 c = covolume_sq(lat, v)
@@ -737,7 +728,7 @@ def _block_sum_search(lat: UnimodularLattice, sc: Scenario, caps,
 
 
 def _chain_search(lat: UnimodularLattice, sc: Scenario, caps,
-                  base: RationalSubspace | None, bud: _Budget):
+                  base: RationalSubspace, bud: _Budget):
     """`_stable_search` by chains of closures, for every action: the found
     (subspace, covol²) pairs, unsorted, and the complete flag.
 
@@ -775,7 +766,6 @@ def _chain_search(lat: UnimodularLattice, sc: Scenario, caps,
     (y·gram·yᵀ)/scale (a Schur complement), so only closures are measured.
     """
     n = lat.n
-    base_rows = base.rows if base is not None else ()
     found: dict = {}
     visited: set = set()
 
@@ -838,7 +828,7 @@ def _chain_search(lat: UnimodularLattice, sc: Scenario, caps,
 
     complete = True
     try:
-        search(base_rows, range(len(base_rows) + 1, n))
+        search(base.rows, range(base.dim + 1, n))
     except BudgetExceeded:
         complete = False
     del search  # the recursive closure is a reference cycle; free it now

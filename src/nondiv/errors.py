@@ -44,7 +44,8 @@ class UnexpandableSubspace(NondivError):
     """No torus direction can expand this subspace.
 
     Happens exactly when the index-set projection of the subspace touches
-    every block, leaving no coordinates to contract against.
+    every block, leaving no coordinates to contract against, and for the
+    zero subspace.
     """
 
 

@@ -3,9 +3,12 @@
 Subspaces are stored as saturated HNF integer matrices in LATTICE coordinates
 (rows are coordinates of a Z-basis of Λ∩W with respect to the lattice basis).
 Group actions transport them for free; the real-coordinate span is derived.
-Values are frozen and validated once, where they enter (the dataclasses
-accept lists and ints); a lattice derived from validated values carries
-their `det_sign` and computes no second determinant.
+The zero subspace is `RationalSubspace(n, ())`, an ordinary value (covol²
+1 from a 0×0 Gram, M-stable, in every subspace). Values are frozen and
+validated once, where they enter (the dataclasses accept lists and ints,
+and every integer row passes the one check `rl.int_rows`); a lattice
+derived from validated values carries their `det_sign` and computes no
+second determinant.
 
 The M-structure of a lattice under a scenario lives in one private frame
 (`_Frame`): the integer action B⁻¹·g·B, the closures of `m_closure` and what
@@ -31,6 +34,13 @@ from . import ratlin as rl
 from .errors import NotUnimodular, ValidationError
 
 
+def _listed(x, field: str) -> tuple:
+    """x as a tuple when it is a list or tuple, else ValidationError(field, ...)."""
+    if not isinstance(x, (list, tuple)):
+        raise ValidationError(field, f"must be a list or tuple, got {type(x).__name__}")
+    return tuple(x)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Block decomposition R^N = ⊕ V_i plus generators of M.
@@ -49,6 +59,9 @@ class Scenario:
         object.__setattr__(self, "n", rl.exact_int(self.n, "dimension"))
         if self.n < 2:
             raise ValidationError("dimension", f"must be >= 2, got {self.n}")
+        for i, pair in enumerate(_listed(self.blocks, "blocks")):
+            if len(_listed(pair, f"blocks[{i}]")) != 2:
+                raise ValidationError(f"blocks[{i}]", "must be a [start, stop) pair")
         object.__setattr__(self, "blocks", tuple(
             (rl.exact_int(a, f"blocks[{i}]"), rl.exact_int(b, f"blocks[{i}]"))
             for i, (a, b) in enumerate(self.blocks)))
@@ -62,9 +75,11 @@ class Scenario:
             pos = b
         if pos != self.n:
             raise ValidationError("blocks", f"cover only {pos} of {self.n} coordinates")
-        for gi, g in enumerate(self.m_generators):
-            if len(g) != self.n or any(len(r) != self.n for r in g):
-                raise ValidationError(f"m_generators[{gi}]", f"must be {self.n}x{self.n}")
+        for gi, g in enumerate(_listed(self.m_generators, "m_generators")):
+            field = f"m_generators[{gi}]"
+            if len(_listed(g, field)) != self.n or any(
+                    len(_listed(r, field)) != self.n for r in g):
+                raise ValidationError(field, f"must be {self.n}x{self.n}")
         object.__setattr__(self, "m_generators", tuple(map(rl.rat_matrix, self.m_generators)))
         for gi, g in enumerate(self.m_generators):
             for i in range(self.n):
@@ -179,9 +194,9 @@ class TorusElement:
     block_dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "scalars",
-                           tuple(rl.exact_rational(s, "scalars") for s in self.scalars))
-        object.__setattr__(self, "block_dims", tuple(self.block_dims))
+        object.__setattr__(self, "scalars", tuple(
+            rl.exact_rational(s, "scalars") for s in _listed(self.scalars, "scalars")))
+        object.__setattr__(self, "block_dims", _listed(self.block_dims, "block_dims"))
         if len(self.scalars) != len(self.block_dims):
             raise ValidationError("scalars", "one scalar per block required")
         num = den = 1
@@ -291,38 +306,18 @@ def standard_lattice(n: int) -> UnimodularLattice:
     return UnimodularLattice(basis=rl.identity(n))
 
 
-class _ZeroSubspace:
-    """Distinguished sentinel for the zero subspace; never a RationalSubspace."""
-
-    dim = 0
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ZeroSubspace"
-
-
-ZERO_SUBSPACE = _ZeroSubspace()
-
-
 @dataclass(frozen=True)
 class RationalSubspace:
-    """Saturated HNF integer rows spanning Λ∩W in lattice coordinates."""
+    """Saturated HNF integer rows spanning Λ∩W in lattice coordinates; no
+    rows for the zero subspace."""
 
     ambient: int
     rows: rl.IntRows
 
     def __post_init__(self):
         object.__setattr__(self, "ambient", rl.exact_int(self.ambient, "ambient"))
-        object.__setattr__(self, "rows", tuple(
-            tuple(rl.exact_int(x, "rows") for x in r) for r in self.rows))
-        if not self.rows:
-            raise ValidationError("rows", "zero subspace is not a RationalSubspace")
-        if any(len(r) != self.ambient for r in self.rows):
-            raise ValidationError("rows", "row length must equal ambient dimension")
-        if len(self.rows) > self.ambient:
-            raise ValidationError("rows", "more rows than ambient dimension")
-        sat = rl.saturate(self.rows)
-        if sat != self.rows:
+        object.__setattr__(self, "rows", rl.int_rows(self.rows, self.ambient))
+        if rl.saturate(self.rows) != self.rows:
             raise ValidationError("rows", "not a saturated HNF basis")
 
     @classmethod
@@ -349,12 +344,10 @@ class RationalSubspace:
         return not any(any(_reduce(echelon, r)) for r in other.rows)
 
 
-def subspace_from_rows(ambient: int, rows: Sequence[Sequence[int]]):
-    """Saturate and canonicalize integer spanning rows; ZERO_SUBSPACE if empty."""
-    sat = rl.saturate([tuple(r) for r in rows])
-    if not sat:
-        return ZERO_SUBSPACE
-    return RationalSubspace._trusted(ambient, sat)
+def subspace_from_rows(ambient: int, rows: Sequence[Sequence[int]]) -> RationalSubspace:
+    """Saturate and canonicalize integer spanning rows, checked by
+    `rl.int_rows`; no nonzero row gives the zero subspace."""
+    return RationalSubspace._trusted(ambient, rl.saturate(rl.int_rows(rows, ambient)))
 
 
 def full_subspace(n: int) -> RationalSubspace:
@@ -366,16 +359,15 @@ def check_dimensions(lat: UnimodularLattice, sc: Scenario | None = None, w=None)
     if sc is not None and sc.n != lat.n:
         raise ValidationError(
             "dimension", f"scenario is {sc.n}-dimensional, lattice is {lat.n}")
-    if w is not None and w is not ZERO_SUBSPACE and w.ambient != lat.n:
+    if w is not None and w.ambient != lat.n:
         raise ValidationError(
             "ambient", f"subspace is {w.ambient}-dimensional, lattice is {lat.n}")
 
 
-def covolume_sq(lat: UnimodularLattice, w) -> Fraction:
-    """‖Λ_W‖²: Gram determinant of the real basis of Λ∩W. Zero subspace gives 1."""
+def covolume_sq(lat: UnimodularLattice, w: RationalSubspace) -> Fraction:
+    """‖Λ_W‖²: Gram determinant of the real basis of Λ∩W; the zero subspace
+    gives 1, the determinant of a 0×0 Gram."""
     check_dimensions(lat, w=w)
-    if w is ZERO_SUBSPACE:
-        return Fraction(1)
     a_int, d = lat.int_gram
     inner = rl.mat_mul(rl.mat_mul(w.rows, a_int), rl.transpose(w.rows))
     return Fraction(rl.bareiss([list(r) for r in inner], w.dim), d ** w.dim)
@@ -387,8 +379,8 @@ def subspace_sum(w1: RationalSubspace, w2: RationalSubspace) -> RationalSubspace
     return subspace_from_rows(w1.ambient, list(w1.rows) + list(w2.rows))
 
 
-def subspace_intersect(w1: RationalSubspace, w2: RationalSubspace):
-    """W₁∩W₂ saturated; ZERO_SUBSPACE when the intersection is {0}.
+def subspace_intersect(w1: RationalSubspace, w2: RationalSubspace) -> RationalSubspace:
+    """W₁∩W₂ saturated; the zero subspace when the intersection is {0}.
 
     For saturated inputs Λ_{W₁∩W₂} = Λ_{W₁} ∩ Λ_{W₂} exactly.
     """
@@ -571,15 +563,13 @@ def _close(seeds, image, limit: int) -> list:
     return echelon
 
 
-def is_m_stable(w, lat: UnimodularLattice, sc: Scenario) -> bool:
+def is_m_stable(w: RationalSubspace, lat: UnimodularLattice, sc: Scenario) -> bool:
     """Whether every generator of M maps the real span of w into itself.
 
     The saturated HNF rows of w are an integer echelon basis, so w is stable
     iff every image ĝ·x of a row x reduces to zero against them.
     """
     check_dimensions(lat, w=w)
-    if w is ZERO_SUBSPACE:
-        return True
     echelon = _echelon(w.rows)
     for gen, _ in int_generators(lat, sc):
         # row coordinates transform by x ↦ x·ĝᵀ, i.e. entrywise rows of ĝ dot x
@@ -589,7 +579,8 @@ def is_m_stable(w, lat: UnimodularLattice, sc: Scenario) -> bool:
     return True
 
 
-def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]]):
+def m_closure(lat: UnimodularLattice, sc: Scenario,
+              rows: Sequence[Sequence[int]]) -> RationalSubspace:
     """Smallest M-stable Λ-rational subspace containing the span of rows.
 
     Incremental integer closure: the rows are reduced into an echelon basis
@@ -598,16 +589,11 @@ def m_closure(lat: UnimodularLattice, sc: Scenario, rows: Sequence[Sequence[int]
     integer-scaled generators, reduced the same way. The span is closed once
     the worklist is empty (the images of a basis span the image of the span)
     or the rank reaches N. The result is the saturated HNF of the basis,
-    which is canonical for the span. Entries must be integers
-    (`rl.exact_int`), and every call checks them, memoized or not.
+    which is canonical for the span. Every call checks the rows
+    (`rl.int_rows`), memoized or not.
     """
     _frame(lat, sc)  # refuses a scenario of another dimension before the rows
-    key = tuple(map(tuple, rows))
-    if any(len(r) != lat.n for r in key):
-        raise ValidationError("rows", f"row length must equal the dimension {lat.n}")
-    if any(type(x) is not int for r in key for x in r):
-        key = tuple(tuple(rl.exact_int(x, "rows") for x in r) for r in key)
-    return _m_closure(lat, sc, key)
+    return _m_closure(lat, sc, rl.int_rows(rows, lat.n))
 
 
 def _m_closure(lat: UnimodularLattice, sc: Scenario, key: rl.IntRows):
@@ -623,7 +609,8 @@ def _m_closure(lat: UnimodularLattice, sc: Scenario, key: rl.IntRows):
         return held
     gens = [g for g, _ in frame.gens]
     echelon = _close(key, lambda x: (rl.mat_vec(g, x) for g in gens), lat.n)
-    out = frame.closures[key] = subspace_from_rows(lat.n, [row for _, row in echelon])
+    out = frame.closures[key] = RationalSubspace._trusted(
+        lat.n, rl.saturate([row for _, row in echelon]))
     return out
 
 

@@ -211,10 +211,14 @@ def expansion_element(lat: UnimodularLattice, w: RationalSubspace, sc: Scenario,
     without a second check.
 
     Both Grams of the map are taken on the integer rows w.rows·b_intᵀ, b
-    times the real rows; σ² is a ratio of the two, so b² cancels.
+    times the real rows; σ² is a ratio of the two, so b² cancels. The
+    whole space raises WholeSpace, and the zero subspace, which no torus
+    element expands, UnexpandableSubspace.
     """
     if w.is_full:
         raise WholeSpace("expansion needs a proper subspace")
+    if not w.dim:
+        raise UnexpandableSubspace("the zero subspace has no expansion")
     check_dimensions(lat, sc, w)
     n = lat.n
     rows = rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0]))
@@ -285,7 +289,7 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
                    else c ** (-n))
     eta0_sq = rl.exact_rational(eta0_sq, "eta0_sq")
     d = delta if delta is not None else delta_m(lat, sc, budget=bud)
-    check_dimensions(lat, sc, d.witness)
+    _check_delta(lat, sc, d)
     if d.delta_sq_vs(eta0_sq) >= 0:
         return NOT_NEEDED
     if not d.complete:
@@ -321,8 +325,11 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
 
 
 def dyadic_guard(eta0_sq: Fraction, n: int) -> Fraction:
-    """Largest c = t/256 > 1 with c^n ≤ 1/eta0_sq."""
+    """Largest c = t/256 > 1 with c^n ≤ 1/eta0_sq, for an int n ≥ 1."""
     eta0_sq = rl.exact_rational(eta0_sq, "eta0_sq")
+    n = rl.exact_int(n, "dimension")
+    if n < 1:
+        raise ValidationError("dimension", f"must be >= 1, got {n}")
     if not 0 < eta0_sq < 1:
         raise ValidationError("eta0", "squared floor must lie in (0, 1)")
     scaled = F(256 ** n) / eta0_sq
@@ -357,6 +364,13 @@ class PushoutStep:
     @cached_property
     def qpow_ratio(self) -> Fraction:
         return self.delta_after.delta_sq_pow / self.delta_before.delta_sq_pow
+
+
+def _check_delta(lat: UnimodularLattice, sc: Scenario, d: DeltaResult) -> None:
+    """Refuse a witness of another dimension, or {0}, which delta_m never returns."""
+    check_dimensions(lat, sc, d.witness)
+    if not d.witness.dim:
+        raise ValidationError("delta", "witness must be a nonzero subspace")
 
 
 def _resolve_protection(lat, sc, cfg, d0):
@@ -443,7 +457,7 @@ def pushout_step(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig,
     """
     d0 = delta_before if delta_before is not None else delta_m(
         lat, sc, budget=cfg.vector_budget)
-    check_dimensions(lat, sc, d0.witness)
+    _check_delta(lat, sc, d0)
     pres, cert = _resolve_protection(lat, sc, cfg, d0)
     return _execute_step(lat, sc, cfg, d0, pres, cert)
 

@@ -10,10 +10,10 @@ kernels and ranks through the Hermite form `_hnf` (`hnf`, `hnf_rows`,
 already saturated); positive definite Grams, and with them covolumes and
 `gram_det`, through the fraction-free `bareiss`; general determinants
 through `rat_det`'s fraction-free elimination with row pivoting; inverses
-through the fraction-free Gauss-Jordan `int_inverse`, and unimodular
-inverses through `int_inverse_unimodular`. A rational matrix is scaled to
-integers once, with `scale_to_int`, where it enters: the search kernels of
-`enumeration` take integer Grams only.
+through the fraction-free Gauss-Jordan `int_inverse`. A rational matrix is
+scaled to integers once, with `scale_to_int`, where it enters: the search
+kernels of `enumeration` take integer Grams only. Integer rows enter
+through one check, `int_rows`.
 """
 
 from __future__ import annotations
@@ -92,6 +92,27 @@ def exact_int(x, field: str) -> int:
     if q.denominator != 1:
         raise ValidationError(field, f"expected an integer, got {q}")
     return q.numerator
+
+
+def int_rows(rows, n: int) -> IntRows:
+    """rows as a tuple of int tuples of length n, n a positive int.
+
+    Entries must be exact integers (`exact_int`: ints and integral
+    Fractions); anything else, a row of another length or rows that are
+    not sequences raise ValidationError("rows", ...), and a bad n
+    ValidationError("ambient", ...). Rows of ints alone cost one type scan.
+    """
+    if type(n) is not int or n < 1:
+        raise ValidationError("ambient", f"must be a positive int, got {clip(n)}")
+    try:
+        out = tuple(map(tuple, rows))
+    except TypeError:
+        raise ValidationError("rows", "must be a sequence of integer rows") from None
+    if any(len(r) != n for r in out):
+        raise ValidationError("rows", f"row length must equal the dimension {n}")
+    if any(type(x) is not int for r in out for x in r):
+        out = tuple(tuple(exact_int(x, "rows") for x in r) for r in out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -332,23 +353,6 @@ def int_inverse(m: Sequence[Sequence[int]]) -> tuple[IntRows, int]:
                 a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], krow)]
         prev = pk
     return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
-
-
-def int_inverse_unimodular(m: Sequence[Sequence[int]]) -> IntRows:
-    """Integer inverse of a unimodular integer matrix.
-
-    The HNF of a unimodular matrix is the identity, so the HNF transform u
-    (with u·m = I) is the inverse; any other HNF means m is not unimodular.
-    `complete_to_basis` inverts with it only the completions its closed form
-    does not cover, rows that are not the identity on their pivot columns:
-    3 of the 210 nonzero Z on the seed-1 perfbench trivial-hd op list. On
-    such 5×5 transforms it takes about 9 µs against 38 µs for `int_inverse`
-    (Python 3.11, 2-core Xeon).
-    """
-    h, u = hnf(m)
-    if h != identity(len(m)):
-        raise ValueError("matrix is not unimodular")
-    return u
 
 
 def primitive_part(vec: Sequence[int]) -> tuple[int, ...]:

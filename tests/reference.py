@@ -28,7 +28,9 @@ Gram itself instead of reading the LLL state.
 
 `hnf_complete_to_basis` is the basis completion by the HNF transform that
 `enumeration.complete_to_basis` keeps only for rows that are not the
-identity on their pivot columns; it completes every row set that way.
+identity on their pivot columns; it completes every row set that way, and
+inverts its transform with `int_inverse_unimodular`, the HNF-transform
+inverse that `ratlin.int_inverse` replaced there.
 
 `scaled_bareiss` is the elimination of a rational Gram scaled to integers,
 and `elimination_state` puts it in the form `enumeration._lll` returns.
@@ -255,15 +257,28 @@ def fraction_expansion_certificate(sc: Scenario, index_set: tuple[int, ...],
                                 achieved_c2_sq=(lam / c_w_sq) ** 2)
 
 
-def hnf_complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows]:
-    """(v, v⁻¹) with v[:k] = sat_rows: v = (w⁻¹)ᵀ and v⁻¹ = wᵀ for the HNF
-    transform w of sat_rowsᵀ; no rows complete to (I, I)."""
+def int_inverse_unimodular(m: Sequence[Sequence[int]]) -> rl.IntRows:
+    """Integer inverse of a unimodular integer matrix.
+
+    The HNF of a unimodular matrix is the identity, so the HNF transform u
+    (with u·m = I) is the inverse; any other HNF means m is not unimodular.
+    """
+    h, u = rl.hnf(m)
+    if h != rl.identity(len(m)):
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
+def hnf_complete_to_basis(sat_rows, n: int) -> tuple[rl.IntRows, rl.IntRows, None]:
+    """(v, v⁻¹, None), as `complete_to_basis` returns its HNF path, with
+    v[:k] = sat_rows: v = (w⁻¹)ᵀ and v⁻¹ = wᵀ for the HNF transform w of
+    sat_rowsᵀ; no rows complete to (I, I, None)."""
     if not sat_rows:
-        return rl.identity(n), rl.identity(n)
+        return rl.identity(n), rl.identity(n), None
     hh, w = rl.hnf(rl.transpose(sat_rows))
     if any(hh[i][i] != 1 for i in range(len(sat_rows))):
         raise InternalInvariantViolation("rows are not a saturated basis")
-    return rl.transpose(rl.int_inverse_unimodular(w)), rl.transpose(w)
+    return rl.transpose(int_inverse_unimodular(w)), rl.transpose(w), None
 
 
 def scaled_bareiss(g):

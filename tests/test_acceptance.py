@@ -14,7 +14,7 @@ from nondiv.cli import main
 from nondiv.enumeration import delta_m, eligible_subspaces, oracle_delta_m
 from nondiv.errors import UnexpandableSubspace
 from nondiv.exterior import PureWedge, apply_torus_to_wedge
-from nondiv.lattice import (ZERO_SUBSPACE, apply_torus, covolume_sq,
+from nondiv.lattice import (apply_torus, covolume_sq,
                             make_lattice, standard_lattice,
                             subspace_from_rows, subspace_intersect,
                             subspace_sum, trivial_scenario)
@@ -131,8 +131,6 @@ def test_criterion_3_submultiplicativity():
                                     for _ in range(rng.randint(1, n - 1))])
         w2 = subspace_from_rows(n, [[rng.randint(-3, 3) for _ in range(n)]
                                     for _ in range(rng.randint(1, n - 1))])
-        if w1 is ZERO_SUBSPACE or w2 is ZERO_SUBSPACE:
-            continue
         inter = subspace_intersect(w1, w2)
         lhs = covolume_sq(lat, inter) * covolume_sq(lat, subspace_sum(w1, w2))
         rhs = covolume_sq(lat, w1) * covolume_sq(lat, w2)
@@ -148,7 +146,7 @@ def _random_proper_subspace(rng, lat):
         k = rng.randint(1, n - 1)
         w = subspace_from_rows(n, [[rng.randint(-2, 2) for _ in range(n)]
                                    for _ in range(k)])
-        if w is not ZERO_SUBSPACE and not w.is_full:
+        if w.dim and not w.is_full:
             return w
 
 

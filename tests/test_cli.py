@@ -3,10 +3,12 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from nondiv import cli, enumeration
 from nondiv import serialize as se
 from nondiv.cli import build_parser, main
 from nondiv.enumeration import DeltaResult, _generator_eigenvalues
@@ -257,6 +259,25 @@ def test_oracle_sl4_scenario(capsys):
     assert json.loads(out)["verdict"] == "AGREE"
 
 
+def test_oracle_disagreement_exits_1(capsys, monkeypatch):
+    """An oracle that differs from the search is reported as DISAGREE with
+    exit code 1, the whole document still written."""
+    wrong = DeltaResult(witness=subspace_from_rows(4, [[1, 0, 0, 0]]),
+                        witness_covol_sq=F(1, 4), complete=True)
+    monkeypatch.setattr(cli, "oracle_delta_m", lambda lat, sc, budget: wrong)
+    code, out, err = run(capsys, "oracle", "--lattice", f"{FIX}/z4.json")
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"]) == (1, "", "DISAGREE")
+    assert doc["oracle"]["witness_hnf"] == [[1, 0, 0, 0]]
+    assert doc["search"]["delta_float"] == 1.0
+
+
+def test_shortvec_budget_exhaustion_exits_3(capsys):
+    code, out, err = run(capsys, "shortvec", "--lattice", f"{FIX}/squash_n2_k6.json",
+                         "--vector-budget", "1")
+    assert (code, out, err) == (3, "", "error: enumeration budget of 1 exceeded\n")
+
+
 def test_shortvec_squash(capsys):
     code, out, _ = run(capsys, "shortvec",
                        "--lattice", f"{FIX}/squash_n2_k6.json",
@@ -373,12 +394,33 @@ SCENARIO_N2 = {"dimension": 2, "blocks": [[1, 1], [2, 2]], "m_generators": []}
     # a string's digit run over the limit names it, as a JSON literal does
     ("lattice", {**LATTICE_N2, "basis_columns": [["1/" + "3" * 5001, "0"], ["0", "1"]]},
      "4300-digit limit"),
+    # every refusal of the loaders' own shape checks
+    ("lattice", {k: v for k, v in LATTICE_N2.items() if k != "determinant"},
+     "lattice.determinant: missing required field"),
+    ("scenario", {k: v for k, v in SCENARIO_N2.items() if k != "blocks"},
+     "scenario.blocks: missing required field"),
+    ("scenario", {**SCENARIO_N2, "blocks": []}, "blocks: expected a nonempty list"),
+    ("scenario", {**SCENARIO_N2, "blocks": [[1, 2], [3, 2]]},
+     "blocks: range [3, 2] is empty"),
+    ("scenario", {**SCENARIO_N2, "blocks": [[1, 1]]}, "blocks: ranges cover 1..1"),
+    ("scenario", {**SCENARIO_N2, "m_generators": [[["1", "0"]]]},
+     "m_generators[0]: expected an 2x2 matrix"),
+    ("scenario", {**SCENARIO_N2, "m_generators": 5}, "m_generators: expected a list"),
+    ("scenario", {**SCENARIO_N2, "torus": "diagonal"}, "torus: unsupported torus family"),
+    ("scenario", {**SCENARIO_N2, "config": []}, "config: expected an object"),
+    ("lattice", {**LATTICE_N2, "basis_columns": [["1", "0"]]},
+     "basis_columns: expected 2 columns of length 2"),
+    ("lattice", {**LATTICE_N2, "basis_columns": [["2", "0"], ["0", "1"]], "determinant": "2"},
+     "determinant: basis must be unimodular, got 2"),
 ], ids=["basis-bools", "determinant-bool", "lattice-dimension-bool",
         "lattice-dimension-1", "scenario-dimension-bool", "blocks-bool",
         "generator-bool", "max-steps-bool", "vector-budget-bool", "eta0-bool",
         "eta0-exponent", "multiplier-exponent", "basis-exponent",
         "determinant-exponent", "integer-literal-digits", "not-utf8",
-        "long-value-echo", "string-digits"])
+        "long-value-echo", "string-digits", "missing-determinant", "missing-blocks",
+        "blocks-empty", "block-empty-range", "blocks-short", "generator-shape",
+        "generators-not-list", "torus-family", "config-not-object", "basis-shape",
+        "determinant-not-unimodular"])
 def test_file_field_rejected(tmp_path, capsys, kind, doc, field):
     argv = ["drive"]
     for k, d in {"scenario": SCENARIO_N2, "lattice": LATTICE_N2, kind: doc}.items():
@@ -389,7 +431,7 @@ def test_file_field_rejected(tmp_path, capsys, kind, doc, field):
     assert code == 2
     assert out == ""
     assert field in err
-    assert len(err) < 200
+    assert len(err) < 200 and "Traceback" not in err
 
 
 def test_delta_generator_with_large_prime_no_factoring_stall(tmp_path, capsys):
@@ -566,11 +608,38 @@ FIXTURE_DIGESTS = [
      "94c83b3050fcac329516df5655452698275c2fc88e063c212bff8b7429743ba7"),
     (("delta", "--lattice", "random_n3_seed20260815.json"),
      "206f62818fccb80134c521e0b40d4b8f415bf5d7665805c2150515128ca69c79"),
+    # the chain search under a non-scalar action: closures and eigen-lines
+    (("delta", "--scenario", "unipotent_n3.json", "--lattice", "random_n3_seed20260815.json"),
+     "206f62818fccb80134c521e0b40d4b8f415bf5d7665805c2150515128ca69c79"),
+    (("drive", "--scenario", "unipotent_n3.json", "--lattice", "random_n3_seed20260815.json"),
+     "fc479179dfc9cb54f25c09684815b0983568cb966b5013752d73d3bf185b6404"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", FIXTURE_DIGESTS,
-                         ids=[f"{a[0]}-{a[-1][:-5]}" for a, _ in FIXTURE_DIGESTS])
+def test_unipotent_fixture_runs_closures_and_eigen_lines(capsys, monkeypatch):
+    """The unipotent fixture keeps a non-scalar action on the chain search:
+    its delta closes 3 vectors and searches one quotient for eigen-lines."""
+    calls = Counter()
+    for name in ("_m_closure", "_stable_quotient_lines"):
+        real = getattr(enumeration, name)
+        monkeypatch.setattr(enumeration, name,
+                            lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    code, _, _ = run(capsys, "delta", "--scenario", f"{FIX}/unipotent_n3.json",
+                     "--lattice", f"{FIX}/random_n3_seed20260815.json")
+    assert (code, calls) == (0, Counter(_m_closure=3, _stable_quotient_lines=1))
+
+
+def digest_ids(cases):
+    """command-lattice per case; a case repeating an earlier one's adds its
+    scenario."""
+    ids = []
+    for argv, _ in cases:
+        name = f"{argv[0]}-{argv[-1][:-5]}"
+        ids.append(name if name not in ids else f"{name}-{argv[2][:-5]}")
+    return ids
+
+
+@pytest.mark.parametrize("argv,digest", FIXTURE_DIGESTS, ids=digest_ids(FIXTURE_DIGESTS))
 def test_fixture_certificate_digests(capsys, argv, digest):
     argv = [f"{FIX}/{a}" if a.endswith(".json") else a for a in argv]
     code, out, _ = run(capsys, *argv)

@@ -27,7 +27,8 @@ from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
 
 from conftest import (random_unimodular_int, random_unimodular_lattice,
                       real_coordinate_subspace)
-from reference import rat_inverse, rat_right_kernel, reference_rational_roots
+from reference import (int_inverse_unimodular, rat_inverse, rat_right_kernel,
+                       reference_rational_roots)
 
 F = Fraction
 
@@ -54,7 +55,7 @@ def reference_int_generators(lat, sc):
 
 def reference_rep_matrices(quot):
     v, k = quot.full_basis, quot.k
-    vinv = rl.int_inverse_unimodular(v)
+    vinv = int_inverse_unimodular(v)
     reps = []
     for ghat in reference_conjugated_generators(quot.lat, quot.sc):
         m = rl.mat_mul(rl.mat_mul(v, rl.transpose(ghat)), vinv)
@@ -147,7 +148,7 @@ def planted_scenario(rng, jordan: bool):
             t = [[diag[lo], F(rng.randint(-1, 1) if not jordan else 1)],
                  [F(0), diag[lo + 1]]]
             p = random_unimodular_int(rng, 2, shears=3, c=2)
-            blk = rl.mat_mul(rl.mat_mul(p, t), rl.int_inverse_unimodular(p))
+            blk = rl.mat_mul(rl.mat_mul(p, t), int_inverse_unimodular(p))
             for i in range(2):
                 for j in range(2):
                     g[lo + i][lo + j] = blk[i][j]

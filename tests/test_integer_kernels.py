@@ -22,7 +22,7 @@ from nondiv import serialize as se
 from nondiv.enumeration import (_Budget, complete_to_basis, delta_m, lll_reduce_gram,
                                 stable_subspaces_within)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation, ValidationError
-from nondiv.lattice import (ZERO_SUBSPACE, covolume_sq, make_lattice, make_scenario,
+from nondiv.lattice import (covolume_sq, make_lattice, make_scenario,
                             subspace_from_rows, subspace_sum, trivial_scenario)
 from nondiv.pushout import PushoutConfig, drive, select_index_set
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
@@ -45,17 +45,16 @@ def test_complete_to_basis_keeps_rows():
         n = rng.randint(2, 6)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
         sub = subspace_from_rows(n, rows)
-        if sub is ZERO_SUBSPACE:
-            continue
-        v, v_inv = complete_to_basis(sub.rows, n)
+        v, v_inv, _ = complete_to_basis(sub.rows, n)
         assert v[:sub.dim] == sub.rows
         assert rl.mat_mul(v, v_inv) == rl.identity(n)
 
 
 def test_complete_to_basis_contract():
-    """Rows must have n exact integer entries; no rows complete to (I, I);
-    zero, dependent or unsaturated rows break an invariant."""
-    assert complete_to_basis((), 3) == (rl.identity(3), rl.identity(3))
+    """Rows must have n exact integer entries; no rows complete to (I, I)
+    with every column free; zero, dependent or unsaturated rows break an
+    invariant."""
+    assert complete_to_basis((), 3) == (rl.identity(3), rl.identity(3), (0, 1, 2))
     assert complete_to_basis([[1, F(2)]], 2) == complete_to_basis(((1, 2),), 2)
     for rows, n in [(((1, 0, 0),), 2), (((1, 0),), 3), (((1.0, 0),), 2),
                     (((True, 0),), 2), (((F(1, 2), 1),), 2), (((0, "1"),), 2)]:
@@ -69,8 +68,9 @@ def test_complete_to_basis_contract():
 
 def test_complete_to_basis_shortcut_needs_the_identity_on_pivots(monkeypatch):
     """Only rows that are the identity on their leading columns complete in
-    closed form; unit-leading rows not in HNF, and a pivot above 1, take the
-    HNF transform, and every completion inverts."""
+    closed form, with their free columns; unit-leading rows not in HNF, and
+    a pivot above 1, take the HNF transform and have none, and every
+    completion inverts."""
     hnfs = []
     real_hnf = rl.hnf
     monkeypatch.setattr(rl, "hnf", lambda m: hnfs.append(m) or real_hnf(m))
@@ -79,12 +79,14 @@ def test_complete_to_basis_shortcut_needs_the_identity_on_pivots(monkeypatch):
              (((1, 0, 0), (0, 2, 1)), True), (((2, 3, 0),), True)]
     for rows, by_hnf in cases:
         hnfs.clear()
-        v, v_inv = complete_to_basis(rows, 3)
-        assert bool(hnfs) == by_hnf, rows
+        v, v_inv, free = complete_to_basis(rows, 3)
+        assert bool(hnfs) == by_hnf == (free is None), rows
         assert v[:len(rows)] == rows
         assert rl.mat_mul(v, v_inv) == rl.identity(3)
         if by_hnf:
-            assert (v, v_inv) == hnf_complete_to_basis(rows, 3)
+            assert (v, v_inv, free) == hnf_complete_to_basis(rows, 3)
+        else:
+            assert v[len(rows):] == tuple(rl.identity(3)[j] for j in free)
     # the closed form would complete ((1, 2, 0), (0, 1, 0)) with e_2 and invert to I
     assert complete_to_basis(((1, 2, 0), (0, 1, 0)), 3)[1] != rl.identity(3)
 
@@ -97,7 +99,7 @@ def completion_rows(rng, n, kind):
         while True:
             sub = subspace_from_rows(n, [[rng.randint(-4, 4) for _ in range(n)]
                                          for _ in range(rng.randint(1, n - 1))])
-            if sub is not ZERO_SUBSPACE and any(next(filter(None, r)) != 1 for r in sub.rows):
+            if any(next(filter(None, r)) != 1 for r in sub.rows):
                 return sub.rows
     k = rng.randint(2 if kind == "sheared" else 1, n - 1)
     pivots = sorted(rng.sample(range(n), k))
@@ -128,11 +130,11 @@ def test_completions_and_quotients_match_the_hnf_reference(monkeypatch):
         covol = covolume_sq(lat, subspace_from_rows(n, z))
         quotients = []
         for complete in (real_complete, hnf_complete_to_basis):
-            v, v_inv = complete(z, n)
+            v, v_inv, _ = complete(z, n)
             assert v[:len(z)] == z
             assert rl.mat_mul(v, v_inv) == rl.identity(n)
             # only unit-pivot HNFs leave the HNF transform
-            assert kind == "unit" or (v, v_inv) == hnf_complete_to_basis(z, n)
+            assert kind == "unit" or complete(z, n) == hnf_complete_to_basis(z, n)
             monkeypatch.setattr(enumeration, "complete_to_basis", complete)
             q = enumeration._Quotient(make_lattice(lat.basis), sc, z)
             assert q.covol_sq == covol
@@ -141,7 +143,7 @@ def test_completions_and_quotients_match_the_hnf_reference(monkeypatch):
         # the Grams differ by a unimodular change of basis: same scale and det
         assert quotients[0].scale == quotients[1].scale
         assert quotients[0].reduced[1][1][-1] == quotients[1].reduced[1][1][-1]
-        free = enumeration._unit_columns(quotients[0].full_basis[len(z):], n)
+        free = real_complete(z, n)[2]
         if kind == "unit":  # completed by the unit rows off the pivots
             leads = {next(c for c, x in enumerate(r) if x) for r in z}
             assert free == tuple(j for j in range(n) if j not in leads)
@@ -217,7 +219,7 @@ def test_contains_matches_saturation_form():
         while len(subs) < 2:
             s = subspace_from_rows(n, [[rng.randint(-3, 3) for _ in range(n)]
                                        for _ in range(rng.randint(1, n))])
-            if s is not ZERO_SUBSPACE:
+            if s.dim:
                 subs.append(s)
         w, x = subs
         for a, b in ((w, w), (w, subspace_sum(w, x)), (subspace_sum(w, x), w),
@@ -272,7 +274,7 @@ def test_select_index_set_matches_kernel_chain():
         for _ in range(10):
             w = subspace_from_rows(n, [[rng.randint(-2, 2) for _ in range(n)]
                                        for _ in range(rng.randint(1, n))])
-            if w is ZERO_SUBSPACE:
+            if not w.dim:
                 continue
             got = select_index_set(lat, w, sc)
             assert got == reference_select_index_set(lat, w, sc), (lat.basis, w.rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -5,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nondiv import ratlin as rl
-from nondiv.errors import NotUnimodular, ValidationError
-from nondiv.lattice import (ZERO_SUBSPACE, RationalSubspace, Scenario,
+from nondiv.errors import NotUnimodular, UnexpandableSubspace, ValidationError
+from nondiv.lattice import (RationalSubspace, Scenario,
                             TorusElement, UnimodularLattice, _frame, _m_closure,
                             apply_group, apply_torus,
                             conjugated_generators, covolume_sq,
@@ -19,11 +20,11 @@ from nondiv.samples import (sl4_so21_scenario, sl4_torus, sl4_torus_lattice,
                             so21_generators_3d, diagonal_lattice)
 
 from nondiv.enumeration import (DeltaResult, _Budget, _root_lt, _saturated_subspaces,
-                                delta_m, stable_subspaces_within)
+                                complete_to_basis, delta_m, stable_subspaces_within)
 from nondiv.pushout import (PushoutConfig, drive, expansion_element, protect,
                             pushout_step, select_index_set)
 
-from conftest import (random_torus, random_unimodular_int,
+from conftest import (force_chain_search, random_torus, random_unimodular_int,
                       random_unimodular_lattice, real_coordinate_subspace)
 from reference import fraction_det, rat_rank, real_rows, span_contains
 from test_eigenlines import UNIPOTENT, planted_scenario
@@ -41,7 +42,7 @@ def test_covolume_examples():
     lat = diagonal_lattice(2, F(1, 2), 1)
     assert covolume_sq(lat, sub(3, [[1, 0, 0]])) == 4
     assert covolume_sq(z3, sub(3, [[1, 1, 0], [0, 1, 1]])) == 3
-    assert covolume_sq(z3, ZERO_SUBSPACE) == 1
+    assert covolume_sq(z3, RationalSubspace(3, ())) == 1
 
 
 def test_full_space_covolume_is_one(rng):
@@ -62,7 +63,7 @@ def test_subspace_intersect_examples():
     a = sub(3, [[1, 0, 0], [0, 1, 0]])
     b = sub(3, [[0, 1, 0], [0, 0, 1]])
     assert subspace_intersect(a, b).rows == ((0, 1, 0),)
-    assert subspace_intersect(sub(3, [[1, 0, 0]]), sub(3, [[0, 1, 0]])) is ZERO_SUBSPACE
+    assert subspace_intersect(sub(3, [[1, 0, 0]]), sub(3, [[0, 1, 0]])) == RationalSubspace(3, ())
     c = sub(3, [[1, 1, 0], [0, 1, 1]])
     d = sub(3, [[1, 0, 0], [0, 1, 0]])
     assert subspace_intersect(c, d).rows == ((1, 1, 0),)
@@ -73,8 +74,6 @@ def test_dim_formula(rng):
         n = rng.randint(2, 5)
         w1 = sub(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))])
         w2 = sub(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))])
-        if w1 is ZERO_SUBSPACE or w2 is ZERO_SUBSPACE:
-            continue
         inter = subspace_intersect(w1, w2)
         total = subspace_sum(w1, w2)
         assert w1.dim + w2.dim == inter.dim + total.dim
@@ -93,8 +92,6 @@ def test_submultiplicativity(rng):
         lat = random_unimodular_lattice(rng, n)
         w1 = sub(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n - 1))])
         w2 = sub(n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n - 1))])
-        if w1 is ZERO_SUBSPACE or w2 is ZERO_SUBSPACE:
-            continue
         inter = subspace_intersect(w1, w2)
         lhs = covolume_sq(lat, inter) * unsaturated_sum_covol_sq(lat, w1, w2)
         rhs = covolume_sq(lat, w1) * covolume_sq(lat, w2)
@@ -119,14 +116,14 @@ def test_m_closure():
     assert m_closure(z4, sc, [[0, 1, 0, 0]]).rows == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert m_closure(z4, sc, [[1, 0, 0, 0]]).rows == ((1, 0, 0, 0),)
     assert m_closure(z4, sc, [[1, 1, 0, 0]]).is_full
-    assert m_closure(z4, sc, [[0, 0, 0, 0]]) is ZERO_SUBSPACE
+    assert m_closure(z4, sc, [[0, 0, 0, 0]]) == RationalSubspace(4, ())
 
 
 def reference_closure(lat, sc, rows):
     """Rank-recomputing Fraction fixed point: the closure as first written."""
     cur = [tuple(Fraction(x) for x in r) for r in rows if any(r)]
     if not cur:
-        return ZERO_SUBSPACE
+        return RationalSubspace(lat.n, ())
     gens = conjugated_generators(lat, sc)
     rank = rat_rank(cur)
     changed = True
@@ -278,8 +275,6 @@ def test_is_m_stable_matches_span_test(rng):
         gens = conjugated_generators(lat, sc)
         for rows in closure_inputs(rng, 4, 6):
             w = subspace_from_rows(4, rows)
-            if w is ZERO_SUBSPACE:
-                continue
             want = all(span_contains(w.rows, rl.mat_vec(g, x)) for g in gens for x in w.rows)
             assert is_m_stable(w, lat, sc) == want
             assert is_m_stable(m_closure(lat, sc, rows), lat, sc)
@@ -471,12 +466,30 @@ def test_values_built_from_lists_equal_frozen_ones():
     (lambda: Scenario(n=2, blocks=[[0, True], [True, 2]], m_generators=()),
      "blocks[0]", "expected an int or Fraction, got bool"),
     (lambda: RationalSubspace(ambient=2, rows=[[1, 0.5]]), "rows", "expected an int or Fraction, got float"),
+    # shapes are checked before they are unpacked
+    (lambda: Scenario(n=2, blocks=5, m_generators=()), "blocks", "must be a list or tuple, got int"),
+    (lambda: Scenario(n=2, blocks=[5], m_generators=()),
+     "blocks[0]", "must be a list or tuple, got int"),
+    (lambda: Scenario(n=2, blocks=[[0]], m_generators=()),
+     "blocks[0]", "must be a [start, stop) pair"),
+    (lambda: Scenario(n=2, blocks=[[0, 2], [0, 1, 2]], m_generators=()),
+     "blocks[1]", "must be a [start, stop) pair"),
+    (lambda: Scenario(n=2, blocks=[[0, 2]], m_generators=5),
+     "m_generators", "must be a list or tuple, got int"),
+    (lambda: Scenario(n=2, blocks=[[0, 2]], m_generators=(5,)),
+     "m_generators[0]", "must be a list or tuple, got int"),
+    (lambda: Scenario(n=2, blocks=[[0, 2]], m_generators=(rl.identity(2), [5, 5])),
+     "m_generators[1]", "must be a list or tuple, got int"),
+    (lambda: TorusElement(5, (1,)), "scalars", "must be a list or tuple, got int"),
+    (lambda: TorusElement((1,), 1), "block_dims", "must be a list or tuple, got int"),
 ], ids=["lattice-float", "make-lattice-float", "lattice-ragged", "lattice-non-square",
         "lattice-n1", "scenario-float", "scenario-ragged", "scenario-non-square",
         "scenario-det", "torus-float", "torus-det", "torus-det-dims", "torus-negative",
         "torus-count", "torus-negative-dim", "torus-negative-dim-det-1", "torus-float-dim",
         "lattice-exponent", "lattice-text", "lattice-digits", "lattice-decimal-digits",
-        "blocks-float", "blocks-bool", "subspace-float"])
+        "blocks-float", "blocks-bool", "subspace-float", "blocks-shape", "block-shape",
+        "block-short", "block-long", "generators-shape", "generator-shape",
+        "generator-row-shape", "scalars-shape", "block-dims-shape"])
 def test_boundary_rejects_bad_values(call, field, message):
     with pytest.raises(ValidationError) as err:
         call()
@@ -638,12 +651,95 @@ def test_scenario_validation():
 def test_subspace_validation():
     with pytest.raises(ValidationError):
         RationalSubspace(ambient=2, rows=((2, 0),))  # not saturated
-    with pytest.raises(ValidationError):
-        RationalSubspace(ambient=2, rows=())
     w = sub(3, [[2, 4, 0]])
     assert w.rows == ((1, 2, 0),)
     assert full_subspace(2).is_full
-    assert sub(2, [[0, 0]]) is ZERO_SUBSPACE
+    # the zero subspace is an ordinary value, however it is built
+    assert sub(2, [[0, 0]]) == sub(2, []) == RationalSubspace(ambient=2, rows=())
+    assert sub(2, []).dim == 0 and not sub(2, []).is_full
+
+
+@pytest.mark.parametrize("lattice, scenario, rows, chain", [
+    (lambda: sl4_torus_lattice(F(1, 4)), sl4_so21_scenario, [[1, 0, 0, 0]], False),
+    (lambda: sl4_torus_lattice(F(1, 4)), sl4_so21_scenario, [[1, 0, 0, 0]], True),
+    (lambda: make_lattice([[2, 1, 0], [0, 1, 0], [0, 0, F(1, 2)]]), lambda: UNIPOTENT,
+     [[1, 0, 0], [0, 1, 0]], True),
+    (lambda: make_lattice([[2, 1, 0], [0, 1, 0], [0, 0, F(1, 2)]]),
+     lambda: trivial_scenario(3), [[0, 1, 1]], True),
+], ids=["block-sums", "sl4-chain", "unipotent-chain", "trivial-chain"])
+def test_zero_subspace_is_an_ordinary_subspace(monkeypatch, lattice, scenario, rows, chain):
+    """{0} = RationalSubspace(n, ()) goes through every subspace entry point
+    on its general path; only an expansion, or a push-out step from a delta
+    whose witness it is, refuses it, with a typed error."""
+    if chain:
+        force_chain_search(monkeypatch)
+    lat, sc = lattice(), scenario()
+    assert sc.full_block_algebra != chain
+    n = lat.n
+    z, w = sub(n, []), sub(n, rows)
+    assert z == RationalSubspace(n, ()) and z.dim == 0
+    assert subspace_sum(z, w) == subspace_sum(w, z) == w
+    assert subspace_sum(z, z) == subspace_intersect(z, z) == z
+    assert subspace_intersect(z, w) == subspace_intersect(w, z) == z
+    assert w.contains(z) and z.contains(z) and not z.contains(w)
+    assert covolume_sq(lat, z) == 1 and is_m_stable(z, lat, sc)
+    assert select_index_set(lat, z, sc) == ()
+    assert m_closure(lat, sc, []) == z
+    found, complete = stable_subspaces_within(lat, sc, 2, base=z)
+    assert (found, complete) == stable_subspaces_within(lat, sc, 2) and found and complete
+    cfg = PushoutConfig()
+    with pytest.raises(UnexpandableSubspace):
+        expansion_element(lat, z, sc, cfg)
+    zero_delta = dataclasses.replace(delta_m(lat, sc), witness=z)
+    for call in (lambda: pushout_step(lat, sc, cfg, delta_before=zero_delta),
+                 lambda: protect(lat, sc, cfg, 2, delta=zero_delta)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert (err.value.field, err.value.message) == (
+            "delta", "witness must be a nonzero subspace")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0, 0], [0, 1]], "row length must equal the dimension 3"),
+    ([[1, 0]], "row length must equal the dimension 3"),
+    ([[True, 0, 0]], "expected an int or Fraction, got bool"),
+    ([[1.5, 0, 0]], "expected an int or Fraction, got float"),
+    ([[1.0, 0, 0]], "expected an int or Fraction, got float"),
+    ([["1", 0, 0]], "expected an int or Fraction, got str"),
+    ([[F(1, 2), 0, 0]], "expected an integer, got 1/2"),
+    (5, "must be a sequence of integer rows"),
+    ([5], "must be a sequence of integer rows"),
+], ids=["ragged", "short", "bool", "float", "integral-float", "str", "fraction",
+        "not-rows", "not-a-row"])
+@pytest.mark.parametrize("build", [
+    lambda rows: subspace_from_rows(3, rows),
+    lambda rows: RationalSubspace(3, rows),
+    lambda rows: m_closure(standard_lattice(3), UNIPOTENT, rows),
+    lambda rows: complete_to_basis(rows, 3),
+], ids=["from-rows", "constructor", "closure", "completion"])
+def test_every_subspace_entry_point_checks_rows_alike(build, rows, message):
+    """One check (`rl.int_rows`) guards every entry point that takes integer
+    rows, with one field and one message per fault; integral Fractions are
+    read as ints."""
+    with pytest.raises(ValidationError) as err:
+        build(rows)
+    assert (err.value.field, err.value.message) == ("rows", message)
+    assert build([[F(1), F(0), 0]]) == build(((1, 0, 0),))
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "must be a positive int, got 0"), (-1, "must be a positive int, got -1"),
+    ("3", "must be a positive int, got '3'"), (3.0, "must be a positive int, got 3.0"),
+])
+def test_row_check_needs_a_positive_ambient(n, message):
+    """Without rows to measure, the ambient dimension itself is checked:
+    {0} lives in some Q^n, n >= 1."""
+    for build in (lambda: subspace_from_rows(n, []), lambda: complete_to_basis((), n)):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert (err.value.field, err.value.message) == ("ambient", message)
+    with pytest.raises(ValidationError, match="ambient"):
+        RationalSubspace(n, ())
 
 
 def test_trusted_subspaces_equal_validated(rng):
@@ -652,8 +748,6 @@ def test_trusted_subspaces_equal_validated(rng):
         n = rng.randint(2, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n))]
         w = subspace_from_rows(n, rows)
-        if w is ZERO_SUBSPACE:
-            continue
         validated = RationalSubspace(ambient=n, rows=rl.saturate(rows))
         assert w == validated and hash(w) == hash(validated)
         assert w.rows == validated.rows and w.dim == validated.dim
@@ -751,7 +845,7 @@ def test_contains_matches_span_form():
         while len(subs) < 2:
             s = sub(n, [[rng.randint(-3, 3) for _ in range(n)]
                         for _ in range(rng.randint(1, n))])
-            if s is not ZERO_SUBSPACE:
+            if s.dim:
                 subs.append(s)
         w, x = subs
         for a, b in ((w, w), (w, subspace_sum(w, x)), (subspace_sum(w, x), w),

