@@ -148,9 +148,9 @@ def cmd_shortvec(args) -> int:
         "bound_sq": se.rat_str(bound_sq, "bound_sq"),
         "count": len(vecs),
         "vectors": [{"coords": list(v),
-                     "norm_sq": se.rat_str(lat.vector_norm_sq(v), "norm_sq"),
-                     "norm_float": math.sqrt(lat.vector_norm_sq(v))}
-                    for v in vecs],
+                     "norm_sq": se.rat_str(norm, "norm_sq"),
+                     "norm_float": math.sqrt(norm)}
+                    for v in vecs for norm in [lat.vector_norm_sq(v)]],
     }, args)
     _emit(se.dumps_json(doc), args.output)
     return EXIT_OK

@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import exp, gcd, isqrt, lcm, log
 from operator import mul
 
@@ -438,13 +438,15 @@ class _Quotient:
         over `scale`; a line's one minor D_1 is its norm. The whole quotient
         (the one space of the trivial group, or of an action scalar on the
         quotient) is `reduced`. The spaces depend on Z and the action alone,
-        so the frame holds them along the torus orbit.
+        so the frame holds them, and the eigenvalues, along the torus orbit.
         """
-        held = self.frame.eigenspaces
+        frame = self.frame
+        held = frame.eigenspaces
         if self.z_rows not in held:
+            if frame.eigenvalues is None:
+                frame.eigenvalues = tuple(_generator_eigenvalues(g, d) for g, d in frame.gens)
             held[self.z_rows] = common_eigenspace_bases(
-                self.rep_matrices,
-                [_generator_eigenvalues(g) for g in self.sc.m_generators], self.rank)
+                self.rep_matrices, frame.eigenvalues, self.rank)
         out = []
         for s_e in held[self.z_rows]:
             if len(s_e) == self.rank:
@@ -508,20 +510,20 @@ def complete_to_basis(sat_rows, n: int
     return v, rl.transpose(w), None
 
 
-def char_poly(m) -> list[Fraction]:
-    """Coefficients [c_0, ..., c_{n-1}, 1] of det(xI - m), Faddeev-LeVerrier."""
+def char_poly(m) -> list[int]:
+    """Integer coefficients [c_0, ..., c_{n-1}, 1] of det(xI - m) for a square
+    integer m, by Faddeev–LeVerrier; its divisions by k are exact, and a
+    remainder raises InternalInvariantViolation."""
     n = len(m)
-    coeffs = [F(0)] * (n + 1)
-    coeffs[n] = F(1)
+    coeffs = [0] * n + [1]
     mk = rl.identity(n)
-    mk = tuple(tuple(F(x) for x in row) for row in mk)
-    c = F(1)
     for k in range(1, n + 1):
         mk = rl.mat_mul(m, mk)
-        tr = sum(mk[i][i] for i in range(n))
-        c = -tr / k
+        c, r = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if r:
+            raise InternalInvariantViolation("characteristic polynomial is not integral")
         coeffs[n - k] = c
-        mk = tuple(tuple(x + (c if i == j else 0) for j, x in enumerate(row))
+        mk = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
                    for i, row in enumerate(mk))
     return coeffs
 
@@ -584,17 +586,17 @@ def rational_roots(coeffs) -> list[Fraction]:
     return _roots_over(p, -b, b - 1)
 
 
-@lru_cache(maxsize=64)
-def _generator_eigenvalues(g) -> tuple[Fraction, ...]:
-    """Sorted nonzero rational eigenvalues of a generator matrix of M.
+def _generator_eigenvalues(g: rl.IntRows, d: int) -> tuple[Fraction, ...]:
+    """Sorted nonzero rational eigenvalues of a frame generator ĝ = g/d:
+    the rational roots of g's characteristic polynomial over d > 0.
 
     Z is M-stable, so on a quotient Λ/Λ_Z every generator acts
     block-triangularly and the quotient's characteristic polynomial divides
-    that of B⁻¹·g·B, which is g's. These are thus the candidate eigenvalues
-    on every quotient, found once per generator instead of once per quotient
-    by `rational_roots`' sign-change bisection, without factoring.
+    ĝ's. These are thus the candidate eigenvalues on every quotient, found
+    once per frame by `rational_roots`' sign-change bisection, without
+    factoring.
     """
-    return tuple(r for r in rational_roots(char_poly(g)) if r != 0)
+    return tuple(F(r, d) for r in rational_roots(char_poly(g)) if r != 0)
 
 
 def common_eigenspace_bases(reps, eigenvalues, dim: int):
@@ -860,11 +862,16 @@ class DeltaResult:
     and no decision reads it: delta_sq_pow = witness_covol_sq^{L/dim} with
     L = lcm(1..N) = lcm_pow, and delta_float = delta_sq_pow^{1/(2L)}.
     complete=False marks an upper bound obtained under an exhausted budget.
+    A {0} witness, which δ never has, is refused (ValidationError("delta")).
     """
 
     witness: RationalSubspace
     witness_covol_sq: Fraction
     complete: bool
+
+    def __post_init__(self):
+        if not self.witness.dim:
+            raise ValidationError("delta", "witness must be a nonzero subspace")
 
     @cached_property
     def lcm_pow(self) -> int:

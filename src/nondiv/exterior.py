@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratlin as rl
-from .errors import DegreeOutOfRange
+from .errors import DegreeOutOfRange, ValidationError
 from .lattice import TorusElement
 
 
@@ -36,13 +36,18 @@ class PureWedge:
 
 
 def apply_torus_to_wedge(s: TorusElement, v: PureWedge) -> PureWedge:
+    """s·v; vectors of another dimension than s raise ValidationError."""
     diag = s.diagonal()
+    if any(len(vec) != len(diag) for vec in v.spanning_vectors):
+        raise ValidationError("spanning_vectors", f"vectors are {len(v.spanning_vectors[0])}"
+                              f"-dimensional, torus element is {len(diag)}")
     scaled = tuple(tuple(d * x for d, x in zip(diag, vec)) for vec in v.spanning_vectors)
     return PureWedge(spanning_vectors=scaled)
 
 
 def wedge_scaling_range(s: TorusElement, k: int) -> tuple[Fraction, Fraction]:
     """(min, max) factor by which s scales the norm of a degree-k pure wedge."""
+    k = rl.exact_int(k, "k")
     diag = sorted(s.diagonal())
     n = len(diag)
     if not 1 <= k <= n:

@@ -11,14 +11,14 @@ derived from validated values carries their `det_sign` and computes no
 second determinant.
 
 The M-structure of a lattice under a scenario lives in one private frame
-(`_Frame`): the integer action B⁻¹·g·B, the closures of `m_closure` and what
-`enumeration` derives from a stable subspace alone. A block-scalar torus
-element s on the scenario's own blocks commutes with every generator, which
-is block-diagonal, so (sB)⁻¹·g·(sB) = B⁻¹·g·B: on sΛ every M-stable subspace
-keeps its lattice coordinates and only the Gram changes. `apply_torus` thus
-hands the frame on to sΛ when s has the scenario's block dimensions, and a
-push-out drive builds its M-structure once per torus orbit. `apply_group`
-never hands a frame on.
+(`_Frame`): the integer action B⁻¹·g·B, its eigenvalues, the closures of
+`m_closure` and what `enumeration` derives from a stable subspace alone. A
+block-scalar torus element s on the scenario's own blocks commutes with
+every generator, which is block-diagonal, so (sB)⁻¹·g·(sB) = B⁻¹·g·B: on sΛ
+every M-stable subspace keeps its lattice coordinates and only the Gram
+changes. `apply_torus` thus hands the frame on to sΛ when s has the
+scenario's block dimensions, and a push-out drive builds its M-structure
+once per torus orbit. `apply_group` never hands a frame on.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from . import ratlin as rl
@@ -293,9 +294,9 @@ class UnimodularLattice:
         return tuple(tuple(x // h for x in row) for row in g), b * b // h
 
     def vector_norm_sq(self, int_row: Sequence[int]) -> Fraction:
-        a = self.gram
-        return sum(Fraction(x) * sum(a[i][j] * y for j, y in enumerate(int_row))
-                   for i, x in enumerate(int_row))
+        """‖x·basisᵀ‖² = x·A_int·xᵀ/d for the integer row x (`int_gram`)."""
+        a, d = self.int_gram
+        return Fraction(sum(x * sum(map(mul, row, int_row)) for x, row in zip(int_row, a)), d)
 
 
 def make_lattice(basis_rows: Sequence[Sequence]) -> UnimodularLattice:
@@ -403,24 +404,28 @@ class _Frame:
     torus orbit.
 
     gens is (ĝ_int, d) per generator g of M, with B⁻¹·g·B = ĝ_int/d exactly
-    and d the lcm of the denominators of B⁻¹·g·B, from one fraction-free
-    inverse of the integer basis and integer products. closures memoizes
-    `_m_closure` on its exact integer input rows; bases and eigenspaces
-    hold, per stable subspace Z (its saturated rows), the basis completion
-    (with its unit columns) and the eigen-line spaces of `enumeration`'s
-    quotients. Each entry is a pure function of gens and its key, so it
-    holds for every lattice that shares gens.
+    and d > 0 the lcm of the denominators of B⁻¹·g·B, from one fraction-free
+    inverse of the integer basis and integer products; ĝ_int spans what ĝ
+    spans. eigenvalues holds each ĝ's rational eigenvalues once the first
+    eigen-line search of `enumeration` has found them (None before).
+    closures memoizes `_m_closure` on its exact integer input rows; bases
+    and eigenspaces hold, per stable subspace Z (its saturated rows), the
+    basis completion (with its unit columns) and the eigen-line spaces of
+    `enumeration`'s quotients. Each entry is a pure function of gens and its
+    key, so it holds for every lattice that shares gens.
 
     block_sums holds Λ∩V_T per block sum V_T that `_block_sum` was asked
     for, keyed by T's bit mask, and adj the adjugate of the integer basis
     it builds them from (None without generators, where no block sum runs).
     """
 
-    __slots__ = ("sc", "gens", "adj", "closures", "bases", "eigenspaces", "block_sums")
+    __slots__ = ("sc", "gens", "adj", "eigenvalues", "closures", "bases", "eigenspaces",
+                 "block_sums")
 
     def __init__(self, lat: UnimodularLattice, sc: Scenario):
         check_dimensions(lat, sc)
         self.sc = sc
+        self.eigenvalues = None
         self.closures: dict = {}
         self.bases: dict = {}
         self.eigenspaces: dict = {}
@@ -489,24 +494,11 @@ def _quotient_memo(lat: UnimodularLattice, sc: Scenario) -> dict:
     return lat.__dict__["_quotients"]
 
 
-def int_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[tuple[rl.IntRows, int], ...]:
-    """(ĝ_int, d) per generator g of M, with B⁻¹·g·B = ĝ_int/d exactly and d
-    the lcm of the denominators of B⁻¹·g·B.
-
-    A positive scalar multiple has the same images up to scale, so every span
-    computed with ĝ_int is the span computed with ĝ. Computed once per frame:
-    sΛ shares Λ's frame when `apply_torus` hands it on, since s commutes with
-    M and so (sB)⁻¹·g·(sB) = B⁻¹·g·B. Raises ValidationError when sc and lat
-    differ in dimension.
-    """
-    return _frame(lat, sc).gens
-
-
 @lru_cache(maxsize=512)
 def conjugated_generators(lat: UnimodularLattice, sc: Scenario) -> tuple[rl.RatRows, ...]:
     """Generators of M in lattice coordinates: B⁻¹·g·B per generator g."""
     return tuple(tuple(tuple(Fraction(x, d) for x in row) for row in g)
-                 for g, d in int_generators(lat, sc))
+                 for g, d in _frame(lat, sc).gens)
 
 
 def _reduce(echelon: list[tuple[int, tuple[int, ...]]], v: Sequence[int]) -> list[int]:
@@ -571,7 +563,7 @@ def is_m_stable(w: RationalSubspace, lat: UnimodularLattice, sc: Scenario) -> bo
     """
     check_dimensions(lat, w=w)
     echelon = _echelon(w.rows)
-    for gen, _ in int_generators(lat, sc):
+    for gen, _ in _frame(lat, sc).gens:
         # row coordinates transform by x ↦ x·ĝᵀ, i.e. entrywise rows of ĝ dot x
         for x in w.rows:
             if any(_reduce(echelon, rl.mat_vec(gen, x))):

@@ -126,25 +126,24 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
     """Certified rational upper bound for max_x (x·g_c·x)/(x·g_i·x), g_i PD.
 
     g_i is an integer matrix (`expansion_element` builds both Grams from
-    integer rows). The bound is the largest root λ_max of the integer
-    characteristic polynomial p of g_i⁻¹·g_c (g_i⁻¹ = adj(g_i)/det(g_i)), with
-    leading coefficient a > 0, when it is rational; otherwise a dyadic
-    overshoot, which only strengthens downstream certificates. The pencil is
-    symmetric-definite, so p is real-rooted, and x ≥ λ_max exactly when
-    p(x + t) has no negative coefficient (Descartes); 16 bisection rounds
-    bracket λ_max in (lo, hi]. Rational roots of p are y/a for integers y,
-    so λ_max is rational iff the largest root `_roots_over` finds for y in
-    (⌊a·lo⌋, ⌈a·hi⌉] passes that same test: no smaller root can.
+    integer rows), with g_i⁻¹ = adj(g_i)/det and det > 0. The bound is the
+    largest eigenvalue λ_max of g_i⁻¹·g_c when it is rational; otherwise a
+    dyadic overshoot, which only strengthens downstream certificates. Its
+    eigenvalues are λ = y/det for the roots y of p, the monic integer
+    characteristic polynomial of the integer pencil adj(g_i)·g_c. The pencil
+    is symmetric-definite, so p is real-rooted, and x ≥ λ_max exactly when
+    p(det·x + t) has no negative coefficient (Descartes); 16 bisection
+    rounds bracket λ_max in (lo, hi]. Rational roots of p are integers, so
+    λ_max is rational iff the largest root `_roots_over` finds for y in
+    (⌊det·lo⌋, ⌈det·hi⌉] passes that same test: no smaller root can.
     """
     if all(x == 0 for row in g_c for x in row):
         return F(0)
     adj, det = rl.int_inverse(g_i)
-    m = tuple(tuple(F(x, det) for x in row) for row in rl.mat_mul(adj, g_c))
-    p = rl.scale_to_int([char_poly(m)])[0][0]
-    a = p[-1]
+    p = char_poly(rl.mat_mul(adj, g_c))
 
     def ok(x: Fraction) -> bool:
-        return min(_shifted(p, x.numerator, x.denominator)) >= 0
+        return min(_shifted(p, det * x.numerator, x.denominator)) >= 0
 
     hi = F(1)
     while not ok(hi):
@@ -156,8 +155,8 @@ def _sigma_sq_upper(g_i, g_c) -> Fraction:
             hi = mid
         else:
             lo = mid
-    roots = _roots_over(p, math.floor(a * lo), math.ceil(a * hi))
-    return roots[-1] if roots and ok(roots[-1]) else hi
+    roots = _roots_over(p, math.floor(det * lo), math.ceil(det * hi))
+    return roots[-1] / det if roots and ok(roots[-1] / det) else hi
 
 
 def _dyadic_exponent(t: Fraction, k: int) -> int:
@@ -211,15 +210,16 @@ def expansion_element(lat: UnimodularLattice, w: RationalSubspace, sc: Scenario,
     without a second check.
 
     Both Grams of the map are taken on the integer rows w.rows·b_intᵀ, b
-    times the real rows; σ² is a ratio of the two, so b² cancels. The
-    whole space raises WholeSpace, and the zero subspace, which no torus
-    element expands, UnexpandableSubspace.
+    times the real rows; σ² is a ratio of the two, so b² cancels. After
+    the dimension checks (ValidationError), the whole space raises
+    WholeSpace, and the zero subspace, which no torus element expands,
+    UnexpandableSubspace.
     """
+    check_dimensions(lat, sc, w)
     if w.is_full:
         raise WholeSpace("expansion needs a proper subspace")
     if not w.dim:
         raise UnexpandableSubspace("the zero subspace has no expansion")
-    check_dimensions(lat, sc, w)
     n = lat.n
     rows = rl.mat_mul(w.rows, rl.transpose(lat.int_basis[0]))
     picked = _index_set(rows, sc)
@@ -289,7 +289,7 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
                    else c ** (-n))
     eta0_sq = rl.exact_rational(eta0_sq, "eta0_sq")
     d = delta if delta is not None else delta_m(lat, sc, budget=bud)
-    _check_delta(lat, sc, d)
+    check_dimensions(lat, sc, d.witness)
     if d.delta_sq_vs(eta0_sq) >= 0:
         return NOT_NEEDED
     if not d.complete:
@@ -364,13 +364,6 @@ class PushoutStep:
     @cached_property
     def qpow_ratio(self) -> Fraction:
         return self.delta_after.delta_sq_pow / self.delta_before.delta_sq_pow
-
-
-def _check_delta(lat: UnimodularLattice, sc: Scenario, d: DeltaResult) -> None:
-    """Refuse a witness of another dimension, or {0}, which delta_m never returns."""
-    check_dimensions(lat, sc, d.witness)
-    if not d.witness.dim:
-        raise ValidationError("delta", "witness must be a nonzero subspace")
 
 
 def _resolve_protection(lat, sc, cfg, d0):
@@ -457,7 +450,7 @@ def pushout_step(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig,
     """
     d0 = delta_before if delta_before is not None else delta_m(
         lat, sc, budget=cfg.vector_budget)
-    _check_delta(lat, sc, d0)
+    check_dimensions(lat, sc, d0.witness)
     pres, cert = _resolve_protection(lat, sc, cfg, d0)
     return _execute_step(lat, sc, cfg, d0, pres, cert)
 

@@ -3,7 +3,9 @@
 `reference_rational_roots` is the trial-division root finder that
 `enumeration.rational_roots` replaced: every candidate ±p/q, p | a₀ and
 q | aₙ, is evaluated exactly. It costs O(√|a₀| + √|aₙ|) divisions, so the
-tests call it on small coefficients only.
+tests call it on small coefficients only. `reference_char_poly` is the
+Fraction Faddeev–LeVerrier recurrence that `enumeration.char_poly`, which
+takes integer matrices only, replaced; the Fraction references call it.
 
 The Fraction routines below are the references for the integer kernels of
 `ratlin`: the RREF family (`_rref` under `rat_rank`, `rat_right_kernel` and
@@ -91,6 +93,21 @@ def reference_rational_roots(coeffs) -> list[Fraction]:
                 if val == 0:
                     roots.append(cand)
     return sorted(set(roots))
+
+
+def reference_char_poly(m) -> list[Fraction]:
+    """Coefficients [c_0, ..., c_{n-1}, 1] of det(xI - m) for a rational m."""
+    n = len(m)
+    coeffs = [F(0)] * (n + 1)
+    coeffs[n] = F(1)
+    mk = tuple(tuple(F(x) for x in row) for row in rl.identity(n))
+    for k in range(1, n + 1):
+        mk = rl.mat_mul(m, mk)
+        c = -sum(mk[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        mk = tuple(tuple(x + (c if i == j else 0) for j, x in enumerate(row))
+                   for i, row in enumerate(mk))
+    return coeffs
 
 
 def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -11,7 +11,7 @@ import pytest
 from nondiv import cli, enumeration
 from nondiv import serialize as se
 from nondiv.cli import build_parser, main
-from nondiv.enumeration import DeltaResult, _generator_eigenvalues
+from nondiv.enumeration import DeltaResult
 from nondiv.errors import OutputTooLarge
 from nondiv.lattice import full_subspace, make_lattice, subspace_from_rows
 
@@ -440,7 +440,6 @@ def test_delta_generator_with_large_prime_no_factoring_stall(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"dimension": 2, "blocks": [[1, 2]], "m_generators": [
         [[str(p ** 3), "0"], ["0", f"1/{p ** 3}"]]]}), encoding="utf-8")
-    _generator_eigenvalues.cache_clear()
     start = time.perf_counter()
     code, out, _ = run(capsys, "delta", "--scenario", str(path),
                        "--lattice", f"{FIX}/squash_n2_k6.json")

@@ -17,18 +17,19 @@ import pytest
 
 from nondiv import enumeration
 from nondiv import ratlin as rl
-from nondiv.enumeration import (_generator_eigenvalues, _Quotient, char_poly,
-                                common_eigenspace_bases, delta_m,
+from nondiv.enumeration import (_generator_eigenvalues, _quotient, _Quotient,
+                                char_poly, common_eigenspace_bases, delta_m,
                                 stable_subspaces_within)
-from nondiv.lattice import (conjugated_generators, int_generators,
+from nondiv.errors import InternalInvariantViolation
+from nondiv.lattice import (_frame, apply_torus, conjugated_generators,
                             make_lattice, make_scenario, trivial_scenario)
 from nondiv.pushout import PushoutConfig, drive, dyadic_guard, protect
-from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
+from nondiv.samples import sl4_so21_scenario, sl4_torus, sl4_torus_lattice
 
 from conftest import (random_unimodular_int, random_unimodular_lattice,
                       real_coordinate_subspace)
 from reference import (int_inverse_unimodular, rat_inverse, rat_right_kernel,
-                       reference_rational_roots)
+                       reference_char_poly, reference_rational_roots)
 
 F = Fraction
 
@@ -80,7 +81,7 @@ def reference_span_intersection(e1, e2):
 def reference_common_eigenspace_bases(mats, dim):
     spaces = [tuple(tuple(F(1 if i == j else 0) for j in range(dim)) for i in range(dim))]
     for m in mats:
-        roots = [r for r in reference_rational_roots(char_poly(m)) if r != 0]
+        roots = [r for r in reference_rational_roots(reference_char_poly(m)) if r != 0]
         refined = []
         for alpha in roots:
             eig = reference_eigenspace_rows(m, alpha)
@@ -103,7 +104,7 @@ def reference_spaces(quot):
 
 
 def integer_spaces(quot):
-    eigenvalues = [_generator_eigenvalues(g) for g in quot.sc.m_generators]
+    eigenvalues = [_generator_eigenvalues(g, d) for g, d in quot.frame.gens]
     return common_eigenspace_bases(quot.rep_matrices, eigenvalues, quot.rank)
 
 
@@ -161,11 +162,11 @@ def assert_search_matches_reference(quots):
     for q in quots:
         got = integer_spaces(q)
         assert got == reference_spaces(q), (q.lat.basis, q.full_basis[:q.k])
-        for (m, d), ref, g in zip(q.rep_matrices, reference_rep_matrices(q),
-                                  q.sc.m_generators):
+        for (m, d), ref, gen in zip(q.rep_matrices, reference_rep_matrices(q),
+                                    q.frame.gens):
             assert tuple(tuple(F(x, d) for x in row) for row in m) == ref
-            roots = {r for r in reference_rational_roots(char_poly(ref)) if r != 0}
-            assert roots <= set(_generator_eigenvalues(g))
+            roots = {r for r in reference_rational_roots(reference_char_poly(ref)) if r != 0}
+            assert roots <= set(_generator_eigenvalues(*gen))
 
 
 # -- equivalence ------------------------------------------------------------------
@@ -214,9 +215,45 @@ def test_eigen_search_matches_reference_planted(monkeypatch, jordan):
 
 def test_generator_eigenvalues_are_sorted_nonzero_roots():
     g = planted_scenario(random.Random(97), jordan=False).m_generators[0]
-    roots = _generator_eigenvalues(g)
+    g_int, d = rl.scale_to_int(g)
+    assert d > 1  # the roots of g_int's polynomial are divided by d
+    roots = _generator_eigenvalues(g_int, d)
     assert list(roots) == sorted(set(roots)) and 0 not in roots
-    assert set(roots) == {r for r in reference_rational_roots(char_poly(g)) if r != 0}
+    assert set(roots) == {r for r in reference_rational_roots(reference_char_poly(g))
+                          if r != 0}
+
+
+def test_char_poly_matches_fraction_reference():
+    rng = random.Random(103)
+    for n in range(1, 7):
+        for _ in range(8):
+            m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+            got = char_poly(m)
+            assert all(type(c) is int for c in got)
+            assert got == reference_char_poly(m)
+    # the integer recurrence checks each of its divisions instead of trusting it
+    with pytest.raises(InternalInvariantViolation):
+        char_poly(((F(1, 2),),))
+
+
+def test_each_orbit_fills_its_own_frame_eigenvalues():
+    """A frame's eigenvalues are found on its first eigen-line search and
+    shared along its torus orbit; a lattice on another orbit finds its own."""
+    sc = sl4_so21_scenario()
+    want = tuple(tuple(r for r in reference_rational_roots(reference_char_poly(g)) if r != 0)
+                 for g in sc.m_generators)
+    lat = sl4_torus_lattice(F(2))
+    other = rebased(lat, random.Random(107), -1)
+    frame, other_frame = _frame(lat, sc), _frame(other, sc)
+    moved = apply_torus(sl4_torus(F(1, 2)), lat)
+    assert _frame(moved, sc) is frame and other_frame is not frame
+    assert frame.eigenvalues is None and other_frame.eigenvalues is None
+    _quotient(moved, sc, ()).eigen_lines
+    held = frame.eigenvalues
+    assert held == want and other_frame.eigenvalues is None
+    _quotient(other, sc, ()).eigen_lines
+    assert other_frame.eigenvalues == want and other_frame.eigenvalues is not held
+    assert frame.eigenvalues is held
 
 
 def test_int_generators_match_reference():
@@ -232,19 +269,19 @@ def test_int_generators_match_reference():
             for scenario in (sc, planted_scenario(rng, jordan=sign < 0)):
                 lat = rebased(base, rng, sign)
                 assert lat.det_sign == sign
-                got = int_generators(lat, scenario)
+                got = _frame(lat, scenario).gens
                 assert tuple(g for g, _ in got) == reference_int_generators(lat, scenario)
                 assert conjugated_generators(lat, scenario) == \
                     reference_conjugated_generators(lat, scenario)
-                assert int_generators(lat, scenario) is got  # held on the instance
-    assert int_generators(base, trivial_scenario(4)) == ()
+                assert _frame(lat, scenario).gens is got  # held on the instance
+    assert _frame(base, trivial_scenario(4)).gens == ()
 
 
 # -- regression guard -------------------------------------------------------------
 
 def test_drive_factors_each_generator_once(monkeypatch, chain_search):
     """Characteristic polynomials are computed per generator, never per quotient."""
-    sc = sl4_so21_scenario()
+    sc, lat = sl4_so21_scenario(), sl4_torus_lattice(F(1, 8))
     seen = Counter()
     real = enumeration.char_poly
 
@@ -252,11 +289,10 @@ def test_drive_factors_each_generator_once(monkeypatch, chain_search):
         seen[m] += 1
         return real(m)
 
-    _generator_eigenvalues.cache_clear()
     monkeypatch.setattr(enumeration, "char_poly", counting)
-    cert = drive(sl4_torus_lattice(F(1, 8)), sc, PushoutConfig(eta0_override=F(1, 4)))
+    cert = drive(lat, sc, PushoutConfig(eta0_override=F(1, 4)))
     assert cert.steps
-    assert seen and set(seen) <= set(sc.m_generators)
+    assert seen and set(seen) <= {g for g, _ in _frame(lat, sc).gens}
     assert max(seen.values()) == 1
 
 

@@ -1119,7 +1119,7 @@ def reference_eigen_lines(q):
     if q.sc.m_generators:
         spaces = enumeration.common_eigenspace_bases(
             q.rep_matrices,
-            [enumeration._generator_eigenvalues(g) for g in q.sc.m_generators], q.rank)
+            [enumeration._generator_eigenvalues(g, d) for g, d in q.frame.gens], q.rank)
     else:
         spaces = [rl.identity(q.rank)]
     out = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nondiv.errors import DegreeOutOfRange, DependentVectors
+from nondiv.errors import DegreeOutOfRange, DependentVectors, ValidationError
 from nondiv.exterior import (PureWedge, apply_torus_to_wedge,
                              contraction_constant, wedge_scaling_range)
 from nondiv.lattice import TorusElement
@@ -40,6 +40,28 @@ def test_range_degree_errors():
         wedge_scaling_range(s, 0)
     with pytest.raises(DegreeOutOfRange):
         wedge_scaling_range(s, 3)
+
+
+def test_range_degree_must_be_an_exact_integer():
+    s = TorusElement((F(2), F(1, 2)), (1, 1))
+    for k, message in ((1.0, "expected an int or Fraction, got float"),
+                       (True, "expected an int or Fraction, got bool"),
+                       (F(3, 2), "expected an integer, got 3/2")):
+        with pytest.raises(ValidationError) as err:
+            wedge_scaling_range(s, k)
+        assert (err.value.field, err.value.message) == ("k", message)
+    assert wedge_scaling_range(s, F(1)) == wedge_scaling_range(s, 1)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_wedge_of_another_dimension_is_rejected(dim):
+    s = TorusElement((F(8), F(1, 2)), (1, 3))  # diag(8, 1/2, 1/2, 1/2)
+    v = PureWedge(spanning_vectors=tuple(tuple(F(int(i == j)) for j in range(dim))
+                                         for i in range(2)))
+    with pytest.raises(ValidationError) as err:
+        apply_torus_to_wedge(s, v)
+    assert (err.value.field, err.value.message) == (
+        "spanning_vectors", f"vectors are {dim}-dimensional, torus element is 4")
 
 
 def test_contraction_examples():

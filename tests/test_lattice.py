@@ -11,7 +11,7 @@ from nondiv.lattice import (RationalSubspace, Scenario,
                             TorusElement, UnimodularLattice, _frame, _m_closure,
                             apply_group, apply_torus,
                             conjugated_generators, covolume_sq,
-                            full_subspace, int_generators,
+                            full_subspace,
                             is_m_stable, m_closure, make_lattice,
                             make_scenario, standard_lattice,
                             subspace_from_rows, subspace_intersect,
@@ -299,7 +299,7 @@ def test_apply_group():
 
 def fresh_action(lat, sc):
     """The generator action on a frameless lattice with lat's basis."""
-    return int_generators(make_lattice(lat.basis), sc)
+    return _frame(make_lattice(lat.basis), sc).gens
 
 
 def test_torus_hands_the_frame_on(rng):
@@ -308,11 +308,11 @@ def test_torus_hands_the_frame_on(rng):
     for sc in scenarios:
         for _ in range(3):
             lat = random_unimodular_lattice(rng, 4)
-            action = int_generators(lat, sc)
+            action = _frame(lat, sc).gens
             moved = lat
             for _ in range(2):
                 moved = apply_torus(random_torus(rng, sc.block_dims), moved)
-                assert int_generators(moved, sc) is action
+                assert _frame(moved, sc).gens is action
                 assert fresh_action(moved, sc) == action
 
 
@@ -323,9 +323,9 @@ def test_torus_off_the_scenario_blocks_builds_its_own_frame(rng):
     changed = 0
     for s in [unit] + [random_torus(rng, (1, 1, 1, 1)) for _ in range(5)]:
         lat = random_unimodular_lattice(rng, 4)
-        action = int_generators(lat, sc)
+        action = _frame(lat, sc).gens
         moved = apply_torus(s, lat)
-        got = int_generators(moved, sc)
+        got = _frame(moved, sc).gens
         assert got is not action
         assert got == fresh_action(moved, sc)
         changed += got != action
@@ -335,11 +335,11 @@ def test_torus_off_the_scenario_blocks_builds_its_own_frame(rng):
 def test_apply_group_builds_its_own_frame():
     sc = sl4_so21_scenario()
     lat = sl4_torus_lattice(F(2))
-    action = int_generators(lat, sc)
+    action = _frame(lat, sc).gens
     for g in (rl.identity(4), sc.m_generators[0],
               [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [F(1, 2), 0, 0, 1]]):
         moved = apply_group(g, lat)
-        got = int_generators(moved, sc)
+        got = _frame(moved, sc).gens
         assert got is not action
         assert got == fresh_action(moved, sc)
 
@@ -354,7 +354,7 @@ def test_alternating_scenarios_get_their_own_action(rng):
     assert len({action for action, _ in want}) == 3
     for _ in range(2):
         for sc, (action, closure) in zip(scenarios, want):
-            assert int_generators(lat, sc) == action
+            assert _frame(lat, sc).gens == action
             assert m_closure(lat, sc, rows) == closure
 
 
@@ -381,6 +381,12 @@ SHEAR3 = make_scenario(3, [[0, 3]], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]])
     (lambda: expansion_element(standard_lattice(3), sub(2, [(1, 0)]), trivial_scenario(3),
                                PushoutConfig()),
      "ambient", "subspace is 2-dimensional, lattice is 3"),
+    (lambda: expansion_element(standard_lattice(4), full_subspace(3), trivial_scenario(4),
+                               PushoutConfig()),
+     "ambient", "subspace is 3-dimensional, lattice is 4"),
+    (lambda: expansion_element(standard_lattice(4), RationalSubspace(3, ()),
+                               trivial_scenario(4), PushoutConfig()),
+     "ambient", "subspace is 3-dimensional, lattice is 4"),
     (lambda: select_index_set(standard_lattice(3), sub(3, [(1, 0, 0)]), trivial_scenario(2)),
      "dimension", "scenario is 2-dimensional, lattice is 3"),
     (lambda: select_index_set(standard_lattice(3), sub(2, [(1, 0)]), trivial_scenario(3)),
@@ -399,13 +405,24 @@ SHEAR3 = make_scenario(3, [[0, 3]], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]])
     (lambda: apply_group([[1, 0, 0], [0, 1, 0]], standard_lattice(2)), "g", "must be 2x2"),
     (lambda: apply_group(rl.identity(3), standard_lattice(2)), "g", "must be 2x2"),
 ], ids=["delta-scenario", "delta-lattice", "covolume", "contains", "closure",
-        "drive", "expansion", "expansion-subspace", "index-set-scenario",
+        "drive", "expansion", "expansion-subspace", "expansion-whole-subspace",
+        "expansion-zero-subspace", "index-set-scenario",
         "index-set-subspace", "index-set-scenario-4", "m-stable", "step-delta",
         "protect-delta", "group-2x3", "group-3x3"])
 def test_dimension_mismatch_is_rejected(call, field, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert (err.value.field, err.value.message) == (field, message)
+
+
+def test_vector_norm_sq_is_the_real_norm(rng):
+    for n in (2, 3, 5):
+        for _ in range(6):
+            lat = random_unimodular_lattice(rng, n, dyadic_range=3)
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(4)]
+            for x, real in zip(rows, real_rows(lat, rows)):
+                norm = lat.vector_norm_sq(x)
+                assert type(norm) is F and norm == sum(y * y for y in real)
 
 
 def test_values_built_from_lists_equal_frozen_ones():
@@ -669,8 +686,8 @@ def test_subspace_validation():
 ], ids=["block-sums", "sl4-chain", "unipotent-chain", "trivial-chain"])
 def test_zero_subspace_is_an_ordinary_subspace(monkeypatch, lattice, scenario, rows, chain):
     """{0} = RationalSubspace(n, ()) goes through every subspace entry point
-    on its general path; only an expansion, or a push-out step from a delta
-    whose witness it is, refuses it, with a typed error."""
+    on its general path; only an expansion, or a delta whose witness it
+    would be, refuses it, with a typed error."""
     if chain:
         force_chain_search(monkeypatch)
     lat, sc = lattice(), scenario()
@@ -690,13 +707,11 @@ def test_zero_subspace_is_an_ordinary_subspace(monkeypatch, lattice, scenario, r
     cfg = PushoutConfig()
     with pytest.raises(UnexpandableSubspace):
         expansion_element(lat, z, sc, cfg)
-    zero_delta = dataclasses.replace(delta_m(lat, sc), witness=z)
-    for call in (lambda: pushout_step(lat, sc, cfg, delta_before=zero_delta),
-                 lambda: protect(lat, sc, cfg, 2, delta=zero_delta)):
-        with pytest.raises(ValidationError) as err:
-            call()
-        assert (err.value.field, err.value.message) == (
-            "delta", "witness must be a nonzero subspace")
+    # no delta has it as witness, so protect and pushout_step never meet one
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(delta_m(lat, sc), witness=z)
+    assert (err.value.field, err.value.message) == (
+        "delta", "witness must be a nonzero subspace")
 
 
 @pytest.mark.parametrize("rows, message", [

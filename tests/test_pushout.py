@@ -11,13 +11,13 @@ from nondiv import enumeration, lattice, pushout
 from nondiv import ratlin as rl
 from nondiv import serialize as se
 from nondiv.cli import main
-from nondiv.enumeration import DeltaResult, _shifted, char_poly, delta_m
+from nondiv.enumeration import DeltaResult, _shifted, delta_m
 from nondiv.errors import (GrowthContractViolated, IncompleteSearch,
                            InternalInvariantViolation, NotBelowEta0, ProtectionFailed,
                            UnexpandableSubspace, ValidationError, WholeSpace)
 from nondiv.exterior import PureWedge, apply_torus_to_wedge
 from nondiv.lattice import (UnimodularLattice, apply_group, covolume_sq,
-                            int_generators, make_lattice, standard_lattice,
+                            _frame, make_lattice, standard_lattice,
                             subspace_from_rows, trivial_scenario)
 from nondiv.pushout import (NOT_NEEDED, ProtectResult, PushoutConfig, Terminated,
                             _sigma_sq_upper, _step_count_bound, drive, dyadic_guard,
@@ -28,7 +28,7 @@ from nondiv.samples import (diagonal_lattice, sl4_so21_scenario,
 
 from conftest import random_unimodular_int, random_unimodular_lattice
 from reference import (lpower_step_bound, rat_rank, rat_right_kernel, real_rows,
-                       reference_rational_roots)
+                       reference_char_poly, reference_rational_roots)
 
 F = Fraction
 
@@ -708,7 +708,7 @@ def reference_sigma_sq_bisect(g_i, g_c):
     g, s = rl.scale_to_int(g_i)
     adj, det = rl.int_inverse(g)
     m = tuple(tuple(F(s * x, det) for x in row) for row in rl.mat_mul(adj, g_c))
-    p = rl.scale_to_int([char_poly(m)])[0][0]
+    p = rl.scale_to_int([reference_char_poly(m)])[0][0]
     a = p[-1]
 
     def ok(x):
@@ -837,7 +837,7 @@ def test_frame_hand_off_keeps_certificate_bytes(monkeypatch, name):
     lat, sc, cfg = FRAME_DRIVES[name]()
     cert = drive(lat, sc, cfg)
     assert cert.steps
-    assert int_generators(cert.final_lattice, sc) is int_generators(lat, sc)
+    assert _frame(cert.final_lattice, sc).gens is _frame(lat, sc).gens
     real = lattice.apply_torus
 
     def frameless(s, lat):
@@ -848,7 +848,7 @@ def test_frame_hand_off_keeps_certificate_bytes(monkeypatch, name):
     lat, sc, cfg = FRAME_DRIVES[name]()
     plain = drive(lat, sc, cfg)
     if sc.m_generators:
-        assert int_generators(plain.final_lattice, sc) is not int_generators(lat, sc)
+        assert _frame(plain.final_lattice, sc).gens is not _frame(lat, sc).gens
     assert se.dumps_json(se.certificate_to_dict(plain)) == \
         se.dumps_json(se.certificate_to_dict(cert))
 
