@@ -10,9 +10,9 @@ eligible family.
 from fractions import Fraction as F
 
 from nondiv import (PushoutConfig, covolume_sq, dyadic_guard,
-                    eligible_subspaces, expansion_element, make_lattice,
-                    protect, standard_lattice, subspace_from_rows,
-                    trivial_scenario)
+                    expansion_element, make_lattice, protect,
+                    stable_subspaces_within, standard_lattice,
+                    subspace_from_rows, trivial_scenario)
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
 
 CFG = PushoutConfig()
@@ -55,7 +55,8 @@ print(f"adversarial chain dims {[w.dim for w in res.chain]}, "
 
 # certify the guard directly: every eligible strict superspace of w_infinity
 # must cost at least guard * covol_sq(w_infinity)
-fam = eligible_subspaces(adv, sc3, 4)
+fam, complete = stable_subspaces_within(adv, sc3, 4)
+assert complete
 base = covolume_sq(adv, res.w_infinity)
 bad = [w for w in fam
        if w.dim > res.w_infinity.dim and w.contains(res.w_infinity)

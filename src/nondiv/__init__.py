@@ -15,10 +15,9 @@ from .lattice import (RationalSubspace, Scenario, TorusElement,
                       UnimodularLattice, apply_group, apply_torus, covolume_sq,
                       m_closure, make_lattice, make_scenario,
                       standard_lattice, subspace_from_rows, trivial_scenario)
-from .enumeration import (DeltaResult, delta_m, eligible_subspaces,
-                          lll_reduce_gram, oracle_delta_m, short_vectors,
-                          shortest_vector_sq, stable_subspaces_within)
-from .pushout import (NOT_NEEDED, ExpansionCertificate, ProtectResult,
+from .enumeration import (DeltaResult, delta_m, lll_reduce_gram, oracle_delta_m,
+                          short_vectors, stable_subspaces_within)
+from .pushout import (ExpansionCertificate, ProtectResult,
                       PushoutCertificate, PushoutConfig, PushoutStep,
                       Terminated, drive, dyadic_guard, expansion_element,
                       protect, pushout_step, select_index_set)
@@ -36,10 +35,9 @@ __all__ = [
     "m_closure", "make_lattice", "make_scenario", "standard_lattice",
     "subspace_from_rows", "trivial_scenario",
     "PureWedge", "apply_torus_to_wedge", "wedge_scaling_range",
-    "DeltaResult", "delta_m", "eligible_subspaces", "lll_reduce_gram",
-    "oracle_delta_m", "short_vectors", "shortest_vector_sq",
-    "stable_subspaces_within",
-    "NOT_NEEDED", "ExpansionCertificate", "ProtectResult",
+    "DeltaResult", "delta_m", "lll_reduce_gram", "oracle_delta_m",
+    "short_vectors", "stable_subspaces_within",
+    "ExpansionCertificate", "ProtectResult",
     "PushoutCertificate", "PushoutConfig", "PushoutStep", "Terminated",
     "drive", "dyadic_guard", "expansion_element", "protect", "pushout_step",
     "select_index_set",

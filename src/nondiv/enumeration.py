@@ -98,7 +98,7 @@ def _as_budget(budget) -> _Budget:
     return budget if isinstance(budget, _Budget) else _Budget(budget)
 
 
-def _lll(a, delta: Fraction = F(3, 4)):
+def _lll(a):
     """(u, state): u unimodular with u·a·uᵀ LLL-reduced, and state the
     elimination of the reduced Gram that `_enumerate_gram` reads.
 
@@ -107,16 +107,15 @@ def _lll(a, delta: Fraction = F(3, 4)):
     `rl.bareiss`, every size-reduction step and every swap is an O(n) exact
     integer update. The decisions are those of the rational algorithm: row k
     is size-reduced against rows k-1, ..., 0 with μ rounded half up, then
-    tested against the Lovász condition. The updates keep λ_ij (j < i) and
-    D those of u·a·uᵀ, so state = (λ's strict lower triangle, (D_0, ...,
-    D_n)) is the elimination of u·a·uᵀ without a product or a second one.
+    tested against the Lovász condition with δ = 3/4. The updates keep
+    λ_ij (j < i) and D those of u·a·uᵀ, so state = (λ's strict lower
+    triangle, (D_0, ..., D_n)) is the elimination of u·a·uᵀ without a
+    product or a second one.
     """
     n = len(a)
     lam = [list(row) for row in a]
     rl.bareiss(lam, n)
     d = [1] + [lam[i][i] for i in range(n)]
-    delta = F(delta)
-    p, q = delta.numerator, delta.denominator
     u = [list(r) for r in rl.identity(n)]
     k = 1
     while k < n:
@@ -130,7 +129,7 @@ def _lll(a, delta: Fraction = F(3, 4)):
                 for t in range(j):
                     lk[t] -= r * lj[t]
         lm = lk[k - 1]
-        if q * (d[k + 1] * d[k - 1] + lm * lm) >= p * d[k] * d[k]:
+        if 4 * (d[k + 1] * d[k - 1] + lm * lm) >= 3 * d[k] * d[k]:
             k += 1
             continue
         # swap rows k-1 and k: λ_{k,k-1} is kept, d[k] and the λ of the
@@ -151,18 +150,14 @@ def _lll(a, delta: Fraction = F(3, 4)):
     return tuple(tuple(r) for r in u), state
 
 
-def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
-    """Unimodular u with u·a·uᵀ LLL-reduced; exact arithmetic throughout.
+def lll_reduce_gram(a):
+    """Unimodular u with u·a·uᵀ LLL-reduced (δ = 3/4), in exact arithmetic.
 
     a must be a square, symmetric, positive definite matrix of ints and
     Fractions, given as rows; anything else raises ValidationError("gram",
-    ...). delta must lie in (1/4, 1]: above 1 the Lovász test can fail for
-    ever. A positive scalar changes no μ and no Lovász test, so `_lll` runs
+    ...). A positive scalar changes no μ and no Lovász test, so `_lll` runs
     on a times the lcm of its denominators; see there for the algorithm.
     """
-    delta = rl.exact_rational(delta, "delta")
-    if not F(1, 4) < delta <= 1:
-        raise ValidationError("delta", f"must lie in (1/4, 1], got {delta}")
     if not isinstance(a, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in a):
         raise ValidationError("gram", "must be a list or tuple of rows")
     n = len(a)
@@ -178,7 +173,7 @@ def lll_reduce_gram(a, delta: Fraction = F(3, 4)):
                 raise ValidationError("gram", f"must be symmetric: entry [{i}][{j}] "
                                               f"differs from [{j}][{i}]")
     try:
-        return _lll(rl.scale_to_int(a)[0], delta)[0]
+        return _lll(rl.scale_to_int(a)[0])[0]
     except InternalInvariantViolation:
         raise ValidationError("gram", "must be positive definite") from None
 
@@ -269,17 +264,6 @@ def short_vectors(lat: UnimodularLattice, bound_sq, budget=None) -> list[tuple[i
     mapped = sorted((qv, _canon_sign(tuple(sum(map(mul, xs, col)) for col in zip(*u))))
                     for qv, xs in _enumerate_gram(state, bound_sq * den, bud, spanning=False))
     return [v for _, v in mapped]
-
-
-def shortest_vector_sq(lat: UnimodularLattice, budget=None) -> Fraction:
-    """Exact squared length of a shortest nonzero lattice vector."""
-    bud = _as_budget(budget)
-    a, den = lat.int_gram
-    u, state = _lll(a)
-    # the shortest reduced row bounds the search
-    bound = min(sum(map(mul, row, rl.mat_vec(a, row))) for row in u)
-    raw = _enumerate_gram(state, bound, bud, spanning=False)
-    return min(qv for qv, _ in raw) / den
 
 
 def _int_nthroot_floor(m: int, r: int) -> int:
@@ -835,20 +819,6 @@ def _chain_search(lat: UnimodularLattice, sc: Scenario, caps,
         complete = False
     del search  # the recursive closure is a reference cycle; free it now
     return list(found.values()), complete
-
-
-def eligible_subspaces(lat: UnimodularLattice, sc: Scenario, covol_sq_cap,
-                       budget=None) -> list[RationalSubspace]:
-    """All eligible proper nonzero subspaces with covol² ≤ cap, canonical order."""
-    cap = rl.exact_rational(covol_sq_cap, "covol_sq_cap")
-    if cap <= 0:
-        raise ValidationError("covol_sq_cap", "must be positive")
-    bud = _as_budget(budget)
-    subs, complete = stable_subspaces_within(lat, sc, cap, budget=bud)
-    if not complete:
-        raise BudgetExceeded(bud.cap,
-                             "budget exhausted before the subspace family was certified")
-    return subs
 
 
 @dataclass(frozen=True)

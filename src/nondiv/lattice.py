@@ -137,10 +137,6 @@ class Scenario:
         return len(self.blocks)
 
     @property
-    def torus_rank(self) -> int:
-        return len(self.blocks) - 1
-
-    @property
     def block_dims(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in self.blocks)
 
@@ -227,9 +223,6 @@ class TorusElement:
             out.extend([s] * d)
         return tuple(out)
 
-    def inverse(self) -> "TorusElement":
-        return TorusElement(tuple(1 / s for s in self.scalars), self.block_dims)
-
     def compose(self, other: "TorusElement") -> "TorusElement":
         if self.block_dims != other.block_dims:
             raise ValidationError("block_dims", "mismatched block structures")
@@ -272,21 +265,16 @@ class UnimodularLattice:
         return self._det_sign
 
     @cached_property
-    def gram(self) -> rl.RatRows:
-        """A[i][j] = ⟨column i, column j⟩; ‖x·basisᵀ‖² = x·A·xᵀ for integer rows x."""
-        bt = rl.transpose(self.basis)
-        return rl.mat_mul(bt, self.basis)
-
-    @cached_property
     def int_basis(self) -> tuple[rl.IntRows, int]:
         """(b·basis, b) with b the common denominator of the basis entries."""
         return rl.scale_to_int(self.basis)
 
     @cached_property
     def int_gram(self) -> tuple[rl.IntRows, int]:
-        """(d·gram, d) with d the common denominator; integer Gram for fast dets.
+        """(d·A, d) for the Gram A[i][j] = ⟨column i, column j⟩, with d its
+        common denominator; ‖x·basisᵀ‖² = x·A·xᵀ for integer rows x.
 
-        From integer products: gram = b_intᵀ·b_int/b², reduced to lowest terms.
+        From integer products: A = b_intᵀ·b_int/b², reduced to lowest terms.
         """
         b_int, b = self.int_basis
         g = rl.mat_mul(rl.transpose(b_int), b_int)
@@ -372,31 +360,6 @@ def covolume_sq(lat: UnimodularLattice, w: RationalSubspace) -> Fraction:
     a_int, d = lat.int_gram
     inner = rl.mat_mul(rl.mat_mul(w.rows, a_int), rl.transpose(w.rows))
     return Fraction(rl.bareiss([list(r) for r in inner], w.dim), d ** w.dim)
-
-
-def subspace_sum(w1: RationalSubspace, w2: RationalSubspace) -> RationalSubspace:
-    if w1.ambient != w2.ambient:
-        raise ValidationError("ambient", "mismatched ambient dimensions")
-    return subspace_from_rows(w1.ambient, list(w1.rows) + list(w2.rows))
-
-
-def subspace_intersect(w1: RationalSubspace, w2: RationalSubspace) -> RationalSubspace:
-    """W₁∩W₂ saturated; the zero subspace when the intersection is {0}.
-
-    For saturated inputs Λ_{W₁∩W₂} = Λ_{W₁} ∩ Λ_{W₂} exactly.
-    """
-    if w1.ambient != w2.ambient:
-        raise ValidationError("ambient", "mismatched ambient dimensions")
-    stacked = list(w1.rows) + list(w2.rows)
-    # rows u with u·stacked = 0; the w1-part of u recombines into intersection vectors
-    ker = rl.right_kernel_int(rl.transpose(stacked))
-    k1 = len(w1.rows)
-    vecs = []
-    for u in ker:
-        v = tuple(sum(u[i] * w1.rows[i][j] for i in range(k1)) for j in range(w1.ambient))
-        if any(v):
-            vecs.append(v)
-    return subspace_from_rows(w1.ambient, vecs)
 
 
 class _Frame:

@@ -72,16 +72,6 @@ class PushoutConfig:
             raise ValidationError("max_steps", "must be >= 0")
 
 
-class _NotNeeded:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NotNeeded"
-
-
-NOT_NEEDED = _NotNeeded()
-
-
 def select_index_set(lat: UnimodularLattice, w: RationalSubspace,
                      sc: Scenario) -> tuple[int, ...]:
     """Block index set I from the descending kernel chain of block projections.
@@ -267,7 +257,7 @@ class ProtectResult:
 
 def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
             eta0_sq=None, delta: DeltaResult | None = None, budget=None):
-    """Grow the minimal witness into a protected subspace, or NOT_NEEDED.
+    """Grow the minimal witness into a protected subspace.
 
     Starting from the exact minimizer W₁, repeatedly absorb any eligible
     strict superspace whose covolume² is below c1c2_sq times the current
@@ -278,6 +268,11 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
     Each round's superspaces come from `_stable_search`: when the generators
     span the block algebra they are the block sums containing W_i, measured
     at one budget unit each, and otherwise the chain search above W_i.
+
+    The floor eta0_sq (default: the override's square, else c^(-N)) must lie
+    in (0, 1). An incomplete delta raises IncompleteSearch before the floor
+    is read, since its δ is only an upper bound; a complete δ² ≥ eta0_sq
+    raises NotBelowEta0, as `pushout_step` and `drive` do.
     """
     c = rl.exact_rational(c1c2_sq, "c1c2_sq")
     if c <= 1:
@@ -288,12 +283,14 @@ def protect(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig, c1c2_sq,
         eta0_sq = (cfg.eta0_override ** 2 if cfg.eta0_override is not None
                    else c ** (-n))
     eta0_sq = rl.exact_rational(eta0_sq, "eta0_sq")
+    if not 0 < eta0_sq < 1:
+        raise ValidationError("eta0_sq", "must lie strictly between 0 and 1")
     d = delta if delta is not None else delta_m(lat, sc, budget=bud)
     check_dimensions(lat, sc, d.witness)
-    if d.delta_sq_vs(eta0_sq) >= 0:
-        return NOT_NEEDED
     if not d.complete:
         raise IncompleteSearch("cannot start a protection chain from an upper bound")
+    if d.delta_sq_vs(eta0_sq) >= 0:
+        raise NotBelowEta0(eta0_sq, d)
     chain = [d.witness]
     covols = [d.witness_covol_sq]
     while True:
@@ -391,8 +388,6 @@ def _resolve_protection(lat, sc, cfg, d0):
             raise NotBelowEta0(eta0_sq, d0)
         guard = dyadic_guard(eta0_sq, n) if fixed is not None else cert.c1c2_sq
         pres = protect(lat, sc, cfg, guard, eta0_sq=eta0_sq, delta=d0)
-        if pres is NOT_NEEDED:
-            raise InternalInvariantViolation("floor check diverged between layers")
         if cert is None or pres.w_infinity != w:
             # an unchanged W∞ keeps its certificate
             w = pres.w_infinity

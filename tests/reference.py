@@ -14,6 +14,13 @@ The Fraction routines below are the references for the integer kernels of
 integer coordinates. `lpower_step_bound` is the L-power iteration that
 `pushout._step_count_bound` replaced.
 
+`gram` (the Fraction Gram of a lattice), `subspace_sum`,
+`subspace_intersect`, `shortest_vector_sq` and `torus_inverse` are
+operations the program never performs; the tests build their inputs and
+check identities with them. `gram` is the rational form of
+`UnimodularLattice.int_gram`, and `shortest_vector_sq` reads λ₁² off
+`short_vectors` under the shortest LLL row.
+
 `fraction_root_cmp`, `doubling_rho`, `fraction_contraction_constant` and
 `fraction_expansion_certificate` are the Fraction forms of the push-out
 step's bookkeeping: root comparisons by Fraction powers, ρ by doubling, C₁
@@ -45,11 +52,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from nondiv import ratlin as rl
-from nondiv.enumeration import (_Budget, _enumerate_gram, _quotient,
-                                _stable_quotient_lines, rat_root_upper)
-from nondiv.errors import BudgetExceeded, InternalInvariantViolation
+from nondiv.enumeration import (_Budget, _enumerate_gram, _lll, _quotient,
+                                _stable_quotient_lines, rat_root_upper, short_vectors)
+from nondiv.errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from nondiv.lattice import (RationalSubspace, Scenario, TorusElement,
-                            UnimodularLattice, covolume_sq, is_m_stable, m_closure)
+                            UnimodularLattice, covolume_sq, is_m_stable, m_closure,
+                            subspace_from_rows)
 from nondiv.pushout import ExpansionCertificate
 from nondiv.ratlin import RatRows
 
@@ -221,6 +229,49 @@ def real_rows(lat, int_rows: Sequence[Sequence[int]]) -> RatRows:
     bt = rl.transpose(lat.basis)
     return tuple(tuple(sum(Fraction(x) * bt[i][j] for i, x in enumerate(row))
                        for j in range(lat.n)) for row in int_rows)
+
+
+def gram(lat: UnimodularLattice) -> RatRows:
+    """A[i][j] = ⟨column i, column j⟩; ‖x·basisᵀ‖² = x·A·xᵀ for integer rows x."""
+    bt = rl.transpose(lat.basis)
+    return rl.mat_mul(bt, lat.basis)
+
+
+def subspace_sum(w1: RationalSubspace, w2: RationalSubspace) -> RationalSubspace:
+    if w1.ambient != w2.ambient:
+        raise ValidationError("ambient", "mismatched ambient dimensions")
+    return subspace_from_rows(w1.ambient, list(w1.rows) + list(w2.rows))
+
+
+def subspace_intersect(w1: RationalSubspace, w2: RationalSubspace) -> RationalSubspace:
+    """W₁∩W₂ saturated; the zero subspace when the intersection is {0}.
+
+    For saturated inputs Λ_{W₁∩W₂} = Λ_{W₁} ∩ Λ_{W₂} exactly.
+    """
+    if w1.ambient != w2.ambient:
+        raise ValidationError("ambient", "mismatched ambient dimensions")
+    stacked = list(w1.rows) + list(w2.rows)
+    # rows u with u·stacked = 0; the w1-part of u recombines into intersection vectors
+    ker = rl.right_kernel_int(rl.transpose(stacked))
+    k1 = len(w1.rows)
+    vecs = []
+    for u in ker:
+        v = tuple(sum(u[i] * w1.rows[i][j] for i in range(k1)) for j in range(w1.ambient))
+        if any(v):
+            vecs.append(v)
+    return subspace_from_rows(w1.ambient, vecs)
+
+
+def shortest_vector_sq(lat: UnimodularLattice) -> Fraction:
+    """λ₁(Λ)²: the least norm `short_vectors` finds under the shortest LLL row."""
+    u, _ = _lll(lat.int_gram[0])
+    vecs = short_vectors(lat, min(lat.vector_norm_sq(row) for row in u))
+    return min(lat.vector_norm_sq(v) for v in vecs)
+
+
+def torus_inverse(s: TorusElement) -> TorusElement:
+    """s⁻¹: the reciprocal scalars on the same blocks."""
+    return TorusElement(tuple(1 / x for x in s.scalars), s.block_dims)
 
 
 def lpower_step_bound(q0: Fraction, factor_min: Fraction, target: Fraction) -> int:

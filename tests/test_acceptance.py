@@ -11,13 +11,12 @@ import time
 from fractions import Fraction
 
 from nondiv.cli import main
-from nondiv.enumeration import delta_m, eligible_subspaces, oracle_delta_m
+from nondiv.enumeration import delta_m, oracle_delta_m, stable_subspaces_within
 from nondiv.errors import UnexpandableSubspace
 from nondiv.exterior import PureWedge, apply_torus_to_wedge
 from nondiv.lattice import (apply_torus, covolume_sq,
                             make_lattice, standard_lattice,
-                            subspace_from_rows, subspace_intersect,
-                            subspace_sum, trivial_scenario)
+                            subspace_from_rows, trivial_scenario)
 from nondiv.pushout import (PushoutConfig, Terminated, drive, dyadic_guard,
                             expansion_element, protect, pushout_step)
 from nondiv import ratlin as rl
@@ -25,7 +24,7 @@ from nondiv import serialize as se
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice, squash_lattice_2d
 
 from conftest import random_unimodular_int
-from reference import real_rows
+from reference import real_rows, subspace_intersect, subspace_sum
 
 F = Fraction
 SC4 = sl4_so21_scenario()
@@ -232,7 +231,8 @@ def test_criterion_5_protection_contract():
         assert res.w_infinity.dim < n
         base = res.chain_covol_sq[-1]
         # guard inequality against the independently enumerated family
-        fam = eligible_subspaces(lat, sc, guard * base)
+        fam, complete = stable_subspaces_within(lat, sc, guard * base)
+        assert complete
         for w in fam:
             if w.dim > res.w_infinity.dim and w.contains(res.w_infinity):
                 assert covolume_sq(lat, w) >= guard * base

@@ -128,12 +128,15 @@ def test_block_sums_match_the_chain_search(monkeypatch, inputs):
             assert got == chain(monkeypatch, lambda: stable_subspaces_within(
                 fresh, sc, cap, base=base))
             checked += len(got[0])
-        if not d.witness.is_full:
+        if d.witness_covol_sq < 1:
+            # a floor in (0, 1) above δ², so both paths protect: with k = dim W
+            # and c = covol², floor^k ≥ 1 − k·(1 − floor) > c (Bernoulli)
+            floor = 1 - (1 - d.witness_covol_sq) / (2 * d.witness.dim)
             for c in (F(2), F(16)):
                 got = outcome(lambda: protect(lat, sc, PushoutConfig(), c,
-                                              eta0_sq=F(1), delta=d))
+                                              eta0_sq=floor, delta=d))
                 assert got == chain(monkeypatch, lambda: outcome(
-                    lambda: protect(fresh, sc, PushoutConfig(), c, eta0_sq=F(1), delta=d)))
+                    lambda: protect(fresh, sc, PushoutConfig(), c, eta0_sq=floor, delta=d)))
         assert _frame(lat, sc).block_sums
         assert lat.__dict__["_quotients"] == {}  # no quotient was built
     assert checked >= 10
@@ -244,6 +247,18 @@ def test_protect_budget_on_block_sums():
     with pytest.raises(IncompleteSearch, match="guard"):
         protect(lat7, PRODUCT_1_3_3, cfg, F(2), budget=7)
     assert protect(lat7, PRODUCT_1_3_3, cfg, F(2), budget=8).w_infinity.dim == 1
+
+
+def test_protect_reads_no_floor_from_an_upper_bound():
+    """At budget 1 the chain search stops with the whole space as its upper
+    bound, which meets the floor 1/4; the complete δ² is 1/16, below it. So
+    protect must refuse the incomplete δ, not answer from it."""
+    lat = random_upper_triangular_lattices(7, 10)[3]
+    assert not delta_m(lat, DIAGONAL_PAIR, budget=1).complete
+    with pytest.raises(IncompleteSearch, match="upper bound"):
+        protect(lat, DIAGONAL_PAIR, PushoutConfig(), F(2), eta0_sq=F(1, 4), budget=1)
+    d = delta_m(make_lattice(lat.basis), DIAGONAL_PAIR)
+    assert d.complete and d.delta_sq_vs(F(1, 16)) == 0
 
 
 def test_drive_on_block_sums_matches_the_chain_search(monkeypatch):

@@ -13,7 +13,7 @@ from nondiv import enumeration
 from nondiv import serialize as se
 from nondiv.cli import ENV_BUDGET, main
 from nondiv.enumeration import (DEFAULT_VECTOR_BUDGET, _Budget, delta_m,
-                                eligible_subspaces, oracle_delta_m, short_vectors)
+                                oracle_delta_m, short_vectors, stable_subspaces_within)
 from nondiv.errors import ValidationError
 from nondiv.pushout import PushoutConfig, protect, pushout_step
 
@@ -25,12 +25,13 @@ SC, _ = se.load_scenario(f"{FIX}/sl4_so21.json")
 SCENARIO = json.loads(Path(f"{FIX}/sl4_so21.json").read_text(encoding="utf-8"))
 CFG_QUARTER = PushoutConfig(eta0_override=F(1, 4))
 
-# each API source runs one operation on LAT with the budget it is given
+# each API source runs one operation on LAT with the budget it is given;
+# the eligible (M-stable) subspaces come from `stable_subspaces_within`
 API = {
     "delta_m": lambda v: delta_m(LAT, SC, budget=v),
     "oracle_delta_m": lambda v: oracle_delta_m(LAT, SC, budget=v),
     "short_vectors": lambda v: short_vectors(LAT, 1, budget=v),
-    "eligible_subspaces": lambda v: eligible_subspaces(LAT, SC, 1, budget=v),
+    "eligible_subspaces": lambda v: stable_subspaces_within(LAT, SC, 1, budget=v),
     "protect": lambda v: protect(LAT, SC, CFG_QUARTER, F(2), budget=v),
     "PushoutConfig": lambda v: pushout_step(
         LAT, SC, PushoutConfig(eta0_override=F(1, 4), vector_budget=v)),

@@ -12,10 +12,9 @@ from nondiv import enumeration
 from nondiv.enumeration import (_as_budget, _Budget, _enumerate_gram,
                                 _int_nthroot_floor, _lll, _node_bound, _Quotient,
                                 _root_lt, _stable_search,
-                                delta_m, eligible_subspaces,
-                                lll_reduce_gram, oracle_delta_m,
+                                delta_m, lll_reduce_gram, oracle_delta_m,
                                 rat_root_upper, short_vectors,
-                                shortest_vector_sq, stable_subspaces_within)
+                                stable_subspaces_within)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from nondiv.lattice import (Scenario, _quotient_memo, apply_group, covolume_sq,
                             full_subspace, m_closure, make_lattice,
@@ -30,7 +29,7 @@ from conftest import (random_unimodular_int, random_unimodular_lattice,
                       real_coordinate_subspace)
 import reference
 from reference import (elimination_state, enumerate_rational_gram, rat_inverse,
-                       real_rows)
+                       real_rows, shortest_vector_sq)
 
 F = Fraction
 
@@ -122,9 +121,16 @@ def test_shortest_vector_values():
     assert shortest_vector_sq(squash_lattice_2d(eps)) == eps * eps
 
 
+def complete_family(lat, sc, cap):
+    """`stable_subspaces_within` under cap, required complete."""
+    subs, complete = stable_subspaces_within(lat, sc, cap)
+    assert complete
+    return subs
+
+
 def test_eligible_family_sl4():
     sc = sl4_so21_scenario()
-    subs = eligible_subspaces(standard_lattice(4), sc, F(1))
+    subs = complete_family(standard_lattice(4), sc, F(1))
     assert [s.rows for s in subs] == [
         ((1, 0, 0, 0),),
         ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
@@ -134,10 +140,10 @@ def test_eligible_family_sl4():
 def test_eligible_cap_monotone():
     sc = trivial_scenario(3)
     lat = diagonal_lattice(F(1, 2), F(1), F(2))
-    small = {s.rows for s in eligible_subspaces(lat, sc, F(1, 4))}
-    big = {s.rows for s in eligible_subspaces(lat, sc, F(1))}
+    small = {s.rows for s in complete_family(lat, sc, F(1, 4))}
+    big = {s.rows for s in complete_family(lat, sc, F(1))}
     assert small <= big
-    for s in eligible_subspaces(lat, sc, F(1)):
+    for s in complete_family(lat, sc, F(1)):
         assert 1 <= s.dim < 3
 
 
@@ -239,8 +245,7 @@ def test_budget_degrades_to_upper_bound():
     capped = delta_m(lat, sc, budget=3)
     assert not capped.complete
     assert capped.delta_sq_pow >= exact.delta_sq_pow
-    with pytest.raises(BudgetExceeded):
-        eligible_subspaces(lat, sc, F(1), budget=3)
+    assert not stable_subspaces_within(lat, sc, F(1), budget=3)[1]
 
 
 def test_short_vectors_norm_and_sign_canonical():
@@ -260,7 +265,7 @@ def test_lll_transform_is_unimodular():
     rng = random.Random(31)
     for _ in range(20):
         lat = random_unimodular_lattice(rng, rng.choice([2, 3, 4]))
-        u = lll_reduce_gram(lat.gram)
+        u = lll_reduce_gram(reference.gram(lat))
         assert abs(rl.rat_det(u)) == 1
         assert all(isinstance(x, int) for row in u for x in row)
 
@@ -283,11 +288,11 @@ def test_eligible_respects_group_restriction():
     # the rotation generator kills coordinate lines inside the 3-block
     sc = sl4_so21_scenario()
     lat = standard_lattice(4)
-    subs = eligible_subspaces(lat, sc, F(1))
+    subs = complete_family(lat, sc, F(1))
     v2_rows = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert all(s.rows == ((1, 0, 0, 0),) or s.rows == v2_rows for s in subs)
     # under the trivial group the same lattice has many more
-    triv = eligible_subspaces(lat, trivial_scenario(4), F(1))
+    triv = complete_family(lat, trivial_scenario(4), F(1))
     assert len(triv) > len(subs)
 
 
@@ -326,7 +331,7 @@ def reference_round_half(x):
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
-def reference_lll(a, delta=F(3, 4)):
+def reference_lll(a):
     """Rational LLL that rebuilds u·a·uᵀ and its GSO after every step."""
     n = len(a)
     u = [list(r) for r in rl.identity(n)]
@@ -342,7 +347,7 @@ def reference_lll(a, delta=F(3, 4)):
             if q:
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
                 mu, d = reference_gso(gram())
-        if d[k] >= (delta - mu[k][k - 1] ** 2) * d[k - 1]:
+        if d[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * d[k - 1]:
             k += 1
         else:
             u[k], u[k - 1] = u[k - 1], u[k]
@@ -351,13 +356,9 @@ def reference_lll(a, delta=F(3, 4)):
     return tuple(tuple(r) for r in u)
 
 
-LLL_DELTAS = (F(3, 4), F(99, 100), F(1, 2))
-
-
 def assert_lll_matches_reference(g):
     g = rl.rat_matrix(g)
-    for delta in LLL_DELTAS:
-        assert lll_reduce_gram(g, delta) == reference_lll(g, delta), (g, delta)
+    assert lll_reduce_gram(g) == reference_lll(g), g
 
 
 def test_lll_matches_reference_random():
@@ -366,19 +367,19 @@ def test_lll_matches_reference_random():
         n = rng.randint(2, 6)
         lat = random_unimodular_lattice(rng, n, shears=rng.randint(3, 10),
                                         dyadic_range=rng.randint(1, 6))
-        assert_lll_matches_reference(lat.gram)
+        assert_lll_matches_reference(reference.gram(lat))
 
 
 def test_lll_matches_reference_deep_squash():
     rng = random.Random(43)
     lat = diagonal_lattice(F(1, 2 ** 30), F(3, 2), F(2 ** 31, 3))
-    assert_lll_matches_reference(lat.gram)
+    assert_lll_matches_reference(reference.gram(lat))
     for _ in range(4):
         u = random_unimodular_int(rng, 3, shears=6, c=2)
-        assert_lll_matches_reference(rebase(lat, u).gram)
+        assert_lll_matches_reference(reference.gram(rebase(lat, u)))
     squash = rebase(diagonal_lattice(F(1, 2 ** 12), F(2 ** 5), F(2 ** 7)),
                     random_unimodular_int(rng, 3, shears=6, c=2))
-    assert_lll_matches_reference(squash.gram)
+    assert_lll_matches_reference(reference.gram(squash))
 
 
 def test_lll_matches_reference_sl4_quotients():
@@ -434,14 +435,6 @@ def test_lll_rejects_ragged_gram():
     assert_gram_rejected([[2], [1, 2]], "square")
     assert_gram_rejected([[2, 1], 1], "rows")
     assert_gram_rejected(4, "rows")
-
-
-@pytest.mark.parametrize("delta", [2, F(1, 4), 0, -1, 0.75, True])
-def test_lll_rejects_delta_outside_its_range(delta):
-    # above 1 the Lovász test fails for ever on the identity Gram
-    with pytest.raises(ValidationError) as err:
-        lll_reduce_gram([[1, 0], [0, 1]], delta)
-    assert err.value.field == "delta"
 
 
 @pytest.mark.parametrize("entry", ["1", 1.0, 0.5])
@@ -533,7 +526,7 @@ def test_delta_n7_no_overflow():
 
 def reference_quotient_gram(lat, v, k):
     """Fraction Schur complement of the leading k×k block of v·gram·vᵀ."""
-    g_full = rl.mat_mul(rl.mat_mul(v, lat.gram), rl.transpose(v))
+    g_full = rl.mat_mul(rl.mat_mul(v, reference.gram(lat)), rl.transpose(v))
     if k == 0:
         return g_full
     g11 = [row[:k] for row in g_full[:k]]
@@ -611,8 +604,9 @@ def test_quotient_gram_matches_reference_deep_squash(monkeypatch):
 
 def reference_lll_gram(lat):
     """(u, u·gram·uᵀ) on the Fraction Gram of lat."""
-    u = lll_reduce_gram(lat.gram)
-    return u, rl.mat_mul(rl.mat_mul(u, lat.gram), rl.transpose(u))
+    g = reference.gram(lat)
+    u = lll_reduce_gram(g)
+    return u, rl.mat_mul(rl.mat_mul(u, g), rl.transpose(u))
 
 
 def reference_sqrt_range(c, rd):

@@ -23,11 +23,11 @@ from nondiv.enumeration import (_Budget, complete_to_basis, delta_m, lll_reduce_
                                 stable_subspaces_within)
 from nondiv.errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from nondiv.lattice import (covolume_sq, make_lattice, make_scenario,
-                            subspace_from_rows, subspace_sum, trivial_scenario)
+                            subspace_from_rows, trivial_scenario)
 from nondiv.pushout import PushoutConfig, drive, select_index_set
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
 from reference import (enumerate_rational_gram, fraction_det, hnf_complete_to_basis,
-                       rat_inverse, scaled_bareiss)
+                       rat_inverse, scaled_bareiss, subspace_sum)
 
 from conftest import random_unimodular_lattice
 from test_enumeration import one_pass_inputs
@@ -379,9 +379,9 @@ def test_search_kernels_take_integer_grams_only(monkeypatch):
     seen = Counter()
     real_lll, real_enumerate = enumeration._lll, enumeration._enumerate_gram
 
-    def lll(a, delta=F(3, 4)):
+    def lll(a):
         assert all_ints(*a), a
-        u, (lam, d) = out = real_lll(a, delta)
+        u, (lam, d) = out = real_lll(a)
         assert all_ints(*u, *lam, d)
         seen["lll", min(len(a), 3)] += 1
         return out

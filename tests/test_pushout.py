@@ -19,7 +19,7 @@ from nondiv.exterior import PureWedge, apply_torus_to_wedge
 from nondiv.lattice import (UnimodularLattice, apply_group, covolume_sq,
                             _frame, make_lattice, standard_lattice,
                             subspace_from_rows, trivial_scenario)
-from nondiv.pushout import (NOT_NEEDED, ProtectResult, PushoutConfig, Terminated,
+from nondiv.pushout import (ProtectResult, PushoutConfig, Terminated,
                             _sigma_sq_upper, _step_count_bound, drive, dyadic_guard,
                             expansion_element, protect, pushout_step,
                             select_index_set)
@@ -65,6 +65,13 @@ def test_config_rejects_inexact_numbers(field, value):
 @pytest.mark.parametrize("call, field", [
     (lambda: protect(Z4, SC4, CFG_QUARTER, 1.5), "c1c2_sq"),
     (lambda: protect(Z4, SC4, CFG_QUARTER, F(2), eta0_sq=0.0625), "eta0_sq"),
+    # protect's floor: in (0, 1), checked before any search
+    (lambda: protect(sl4_torus_lattice(F(1, 2)), SC4, PushoutConfig(), F(2), eta0_sq=2),
+     "eta0_sq"),
+    (lambda: protect(sl4_torus_lattice(F(1, 2)), SC4, PushoutConfig(), F(2), eta0_sq=0),
+     "eta0_sq"),
+    (lambda: protect(sl4_torus_lattice(F(1, 2)), SC4, PushoutConfig(), F(2), eta0_sq=-1),
+     "eta0_sq"),
     (lambda: dyadic_guard(0.0625, 4), "eta0_sq"),
     (lambda: dyadic_guard("1/16", 4), "eta0_sq"),
     # the dimension: an int >= 1, read like every other exact int
@@ -208,7 +215,12 @@ def test_expansion_bounds_random():
 
 
 def test_protect_not_needed():
-    assert protect(Z4, SC4, CFG_QUARTER, F(2)) is NOT_NEEDED
+    # Z4's δ² is 1, at or above the floor 1/16: the one outcome drive and
+    # pushout_step also give
+    with pytest.raises(NotBelowEta0) as err:
+        protect(Z4, SC4, CFG_QUARTER, F(2))
+    assert err.value.eta0_sq == F(1, 16)
+    assert err.value.delta == delta_m(Z4, SC4)
 
 
 def test_protect_sl4_example():
@@ -237,7 +249,7 @@ def test_protect_chain_runs_two_rounds():
     guard = dyadic_guard(F(1, 4), 3)
     assert guard == F(203, 128)
     res = protect(FROZEN_ADVERSARIAL, sc3, cfg, guard, eta0_sq=F(1, 4))
-    assert res is not NOT_NEEDED
+    assert isinstance(res, ProtectResult)
     assert [w.dim for w in res.chain] == [1, 2]
     assert res.chain_covol_sq == (F(1, 512), F(9, 16384))
     assert res.w_infinity.rows == ((1, 0, 0), (0, 1, 0))
