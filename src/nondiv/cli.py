@@ -23,6 +23,7 @@ import math
 import os
 import sys
 
+from . import ratlin as rl
 from . import serialize as se
 from .enumeration import delta_m, oracle_delta_m, short_vectors
 from .errors import BudgetExceeded, NondivError, OutputTooLarge, ValidationError
@@ -60,7 +61,7 @@ def _load_inputs(args):
         try:
             updates["vector_budget"] = int(env)
         except ValueError:
-            raise ValidationError(ENV_BUDGET, f"expected an integer, got {env!r}")
+            raise ValidationError(ENV_BUDGET, f"expected an integer, got {rl.clip(env)}")
     if getattr(args, "max_steps", None) is not None:
         updates["max_steps"] = args.max_steps
     if getattr(args, "eta0", None) is not None:

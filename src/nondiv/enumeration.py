@@ -178,7 +178,7 @@ def lll_reduce_gram(a):
         raise ValidationError("gram", "must be positive definite") from None
 
 
-def _enumerate_gram(state, bound: Fraction, budget: _Budget, spanning: bool):
+def _enumerate_gram(state, bound: int | Fraction, budget: _Budget, spanning: bool):
     """All x ≠ 0 with x·g·xᵀ ≤ bound, canonical sign (highest nonzero positive).
 
     The integer Gram g is given by its elimination state = (λ, D), as `_lll`
@@ -187,8 +187,10 @@ def _enumerate_gram(state, bound: Fraction, budget: _Budget, spanning: bool):
     num = Σ_{i>l} λ_il·x_i, x_l = t adds (D_{l+1}·t + num)²/(D_l·D_{l+1})
     to x·g·xᵀ, so the range of t needs only isqrt(⌊rem·D_l·D_{l+1}⌋). The
     remaining bound rem is one int over Q = lcm(bound's denominator, every
-    D_l·D_{l+1}), so a node does integer work only; outputs are (x·g·xᵀ as
-    an exact Fraction, x).
+    D_l·D_{l+1}), so a node does integer work only, and every t keeps rem ≥ 0.
+    bound is an int or a Fraction, never floored, so the nodes visited are
+    those of the rational bound. Outputs are (x·g·xᵀ, x); the norm is the
+    exact int (Q·bound − rem)/Q.
 
     spanning mode collapses multiples along the first basis direction (only
     x = (1,0,..,0) survives of the pure-axis family); used by subspace search
@@ -198,7 +200,6 @@ def _enumerate_gram(state, bound: Fraction, budget: _Budget, spanning: bool):
     n = len(d) - 1
     if bound <= 0:
         return []
-    bound = F(bound)
     scale = [d[l] * d[l + 1] for l in range(n)]
     q = lcm(bound.denominator, *scale)
     # x_l = t takes (D_{l+1}·t + num)²·step[l] off rem·Q
@@ -214,11 +215,8 @@ def _enumerate_gram(state, bound: Fraction, budget: _Budget, spanning: bool):
         for i in range(level + 1, n):
             if x[i]:
                 num += lam[i][level] * x[i]
-        if rem < 0:
-            lo, hi = 0, -1
-        else:
-            s = isqrt(rem // c)
-            lo, hi = -((s + num) // dl), (s - num) // dl
+        s = isqrt(rem // c)
+        lo, hi = -((s + num) // dl), (s - num) // dl
         if outer_zero:
             lo = max(lo, 0)
             if spanning and level == 0:
@@ -231,7 +229,7 @@ def _enumerate_gram(state, bound: Fraction, budget: _Budget, spanning: bool):
             rem2 = rem - y * y * c
             if level == 0:
                 budget.consume()
-                out.append((F(total - rem2, q), tuple(x)))
+                out.append(((total - rem2) // q, tuple(x)))
             else:
                 recurse(level - 1, rem2, outer_zero and t == 0)
         x[level] = 0
@@ -966,7 +964,7 @@ def _saturated_subspaces(lat: UnimodularLattice, k: int, cap_sq, bud: _Budget):
             sat = rl.saturate([[at(p, j, lead[:j] + lead[j + 1:], m) for m in range(n)]
                                for j in range(k)])
             if _compound(sat, k)[0] in (p, tuple(-x for x in p)):
-                out.append((RationalSubspace._trusted(n, sat), norm / den ** k))
+                out.append((RationalSubspace._trusted(n, sat), F(norm, den ** k)))
     return out
 
 

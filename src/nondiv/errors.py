@@ -64,18 +64,16 @@ class IncompleteSearch(NondivError):
 class NotBelowEta0(NondivError):
     """The lattice already satisfies the covolume floor; no step is needed.
 
-    Carries the squared floor `eta0_sq` that governed the comparison and the
-    `DeltaResult` `delta` that met it.
+    Carries the squared floor `eta0_sq` that governed the comparison (None
+    when the witness is the full space and no floor is fixed: δ = 1 meets
+    every admissible floor) and the `DeltaResult` `delta` that met it, whose
+    `delta_sq_pow` is the q-power form of δ².
     """
 
-    def __init__(self, eta0_sq, delta=None):
+    def __init__(self, eta0_sq, delta):
         self.eta0_sq = eta0_sq
         self.delta = delta
         super().__init__("restricted minimal covolume already at or above the floor")
-
-    @property
-    def delta_sq_pow(self):
-        return None if self.delta is None else self.delta.delta_sq_pow
 
 
 class ProtectionFailed(NondivError):

@@ -30,10 +30,6 @@ class PureWedge:
         object.__setattr__(self, "spanning_vectors", vecs)
         object.__setattr__(self, "sq_norm", rl.gram_det(vecs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.spanning_vectors)
-
 
 def apply_torus_to_wedge(s: TorusElement, v: PureWedge) -> PureWedge:
     """s·v; vectors of another dimension than s raise ValidationError."""

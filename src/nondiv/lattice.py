@@ -146,10 +146,6 @@ class Scenario:
                 return i
         raise IndexError(coord)
 
-    def generator_block(self, g: rl.RatRows, i: int) -> rl.RatRows:
-        a, b = self.blocks[i]
-        return tuple(tuple(row[a:b]) for row in g[a:b])
-
     def isomorphy_warnings(self) -> list[str]:
         """Heuristic check that equal-dimension blocks are non-isomorphic M-reps.
 
@@ -157,16 +153,13 @@ class Scenario:
         of equal-dimension blocks cannot prove isomorphism but are suspicious
         enough to surface.
         """
+        def traces(i):
+            return [sum(g[c][c] for c in range(*self.blocks[i])) for g in self.m_generators]
+
         out = []
         for i in range(self.num_blocks):
             for j in range(i + 1, self.num_blocks):
-                if self.block_dims[i] != self.block_dims[j]:
-                    continue
-                same = all(
-                    sum(self.generator_block(g, i)[k][k] for k in range(self.block_dims[i]))
-                    == sum(self.generator_block(g, j)[k][k] for k in range(self.block_dims[j]))
-                    for g in self.m_generators)
-                if same:
+                if self.block_dims[i] == self.block_dims[j] and traces(i) == traces(j):
                     out.append(
                         f"blocks {i} and {j} have equal dimension and identical generator "
                         f"traces; they may be isomorphic as representations, which would "

@@ -339,17 +339,17 @@ def dyadic_guard(eta0_sq: Fraction, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PushoutStep:
-    """Everything one step did, exact. Derived for output only: the q-power
-    forms growth_qpow_factor = min(achieved_c2_sq, 4)^{L/N} and qpow_ratio."""
+    """Everything one step did, exact: the δ before and after, the
+    `ProtectResult` it acted on (chain, W∞, guard and floor), the expansion
+    certificate of W∞, and case_tag ("I" when W∞ holds the new witness,
+    "II" when not, "none" when that witness is the full space). Derived for
+    output only: the q-power forms growth_qpow_factor =
+    min(achieved_c2_sq, 4)^{L/N} and qpow_ratio."""
 
     delta_before: DeltaResult
     delta_after: DeltaResult
-    w_infinity: RationalSubspace
-    chain: tuple[RationalSubspace, ...]
-    chain_covol_sq: tuple[Fraction, ...]
+    protection: ProtectResult
     expansion: ExpansionCertificate
-    eta0_sq: Fraction
-    guard_c: Fraction
     case_tag: str
 
     @cached_property
@@ -417,18 +417,8 @@ def _execute_step(lat, sc, cfg, d0, pres, cert):
         tag = "I"
     else:
         tag = "II"
-    rec = PushoutStep(
-        delta_before=d0,
-        delta_after=d1,
-        w_infinity=pres.w_infinity,
-        chain=pres.chain,
-        chain_covol_sq=pres.chain_covol_sq,
-        expansion=cert,
-        eta0_sq=pres.eta0_sq,
-        guard_c=pres.guard_c,
-        case_tag=tag,
-    )
-    return new_lat, rec
+    return new_lat, PushoutStep(delta_before=d0, delta_after=d1, protection=pres,
+                                expansion=cert, case_tag=tag)
 
 
 def pushout_step(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig,
@@ -451,9 +441,11 @@ def pushout_step(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig,
 
 
 class Terminated(enum.Enum):
-    REACHED_ETA0 = "reached_eta0"
-    MAX_STEPS = "max_steps"
-    INCOMPLETE = "incomplete"
+    """How a drive ended; each value is the name its certificate records."""
+
+    REACHED_ETA0 = "ReachedEta0"
+    MAX_STEPS = "MaxSteps"
+    INCOMPLETE = "IncompleteSearch"
 
 
 @dataclass(frozen=True)
@@ -545,8 +537,8 @@ def drive(lat: UnimodularLattice, sc: Scenario, cfg: PushoutConfig
     if status is Terminated.REACHED_ETA0 and steps:
         if eta0_final is None:
             # the full space is the witness; the last step's floor governs
-            eta0_final = steps[-1].eta0_sq
-        eta0_max = max(eta0_final, *(rec.eta0_sq for rec in steps))
+            eta0_final = steps[-1].protection.eta0_sq
+        eta0_max = max(eta0_final, *(rec.protection.eta0_sq for rec in steps))
         m_min = min(F(4), *(rec.expansion.achieved_c2_sq for rec in steps))
         bound = _step_count_bound(d_init.witness_covol_sq, d_init.witness.dim, m_min,
                                   eta0_max, lat.n)

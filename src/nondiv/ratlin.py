@@ -33,7 +33,9 @@ RatRows = tuple[tuple[Fraction, ...], ...]
 
 
 def rat_matrix(rows: Sequence[Sequence]) -> RatRows:
-    """Validate and freeze a rational matrix; entries coerced to Fraction."""
+    """Validate and freeze a rational matrix; int, Fraction and rational
+    str entries are coerced to Fraction, and any other entry (bool included)
+    raises ValidationError("rows[i][j]", ...) naming its type."""
     out = []
     width = None
     for i, row in enumerate(rows):
@@ -43,10 +45,15 @@ def rat_matrix(rows: Sequence[Sequence]) -> RatRows:
         elif len(row) != width:
             raise ValidationError(f"rows[{i}]", "ragged matrix")
         for j, x in enumerate(row):
-            if isinstance(x, float):
+            if isinstance(x, str):
+                r.append(rational_from_str(x, f"rows[{i}][{j}]"))
+            elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+                r.append(Fraction(x))
+            elif isinstance(x, float):
                 raise ValidationError(f"rows[{i}][{j}]", "float entry rejected, use Fraction")
-            r.append(rational_from_str(x, f"rows[{i}][{j}]") if isinstance(x, str)
-                     else Fraction(x))
+            else:
+                raise ValidationError(f"rows[{i}][{j}]", "expected an int, Fraction or str, "
+                                                         f"got {type(x).__name__}")
         out.append(tuple(r))
     return tuple(out)
 
@@ -222,8 +229,8 @@ def right_kernel_int(m: Sequence[Sequence[int]]) -> IntRows:
     ker = u[rank:]
     if not ker:
         return ()
-    hk = hnf_rows(ker)
-    return hk[:hnf_rank(hk)]
+    # the rows of the unimodular u are independent, so no HNF row is zero
+    return hnf_rows(ker)
 
 
 def saturate(m: Sequence[Sequence[int]]) -> IntRows:

@@ -25,7 +25,7 @@ from typing import Any
 from . import ratlin as rl
 from .errors import OutputTooLarge, ValidationError
 from .lattice import Scenario, UnimodularLattice, make_scenario
-from .pushout import PushoutConfig, PushoutCertificate, Terminated
+from .pushout import PushoutConfig, PushoutCertificate
 
 F = Fraction
 
@@ -105,7 +105,7 @@ def _parse_blocks(raw, n: int):
     for item in raw:
         if (not isinstance(item, list) or len(item) != 2
                 or not all(_is_int(x) for x in item)):
-            raise ValidationError("blocks", f"range {item!r} is not a pair of integers")
+            raise ValidationError("blocks", f"range {rl.clip(item)} is not a pair of integers")
         spans.append(tuple(item))
     expected = 1
     for a, b in spans:
@@ -132,7 +132,7 @@ def load_scenario(path: str) -> tuple[Scenario, PushoutConfig]:
     doc = load_json(path)
     n = _require(doc, "dimension", "scenario")
     if not _is_int(n) or n < 2:
-        raise ValidationError("dimension", f"expected an integer >= 2, got {n!r}")
+        raise ValidationError("dimension", f"expected an integer >= 2, got {rl.clip(n)}")
     blocks = _parse_blocks(_require(doc, "blocks", "scenario"), n)
     gens_raw = doc.get("m_generators", [])
     if not isinstance(gens_raw, list):
@@ -168,7 +168,7 @@ def load_lattice(path: str) -> UnimodularLattice:
     doc = load_json(path)
     n = _require(doc, "dimension", "lattice")
     if not _is_int(n) or n < 2:
-        raise ValidationError("dimension", f"expected an integer >= 2, got {n!r}")
+        raise ValidationError("dimension", f"expected an integer >= 2, got {rl.clip(n)}")
     cols = _require(doc, "basis_columns", "lattice")
     if (not isinstance(cols, list) or len(cols) != n
             or any(not isinstance(c, list) or len(c) != n for c in cols)):
@@ -222,16 +222,9 @@ def trajectory_rows(cert: PushoutCertificate) -> list[dict]:
     return rows
 
 
-_TERMINAL_NAMES = {
-    Terminated.REACHED_ETA0: "ReachedEta0",
-    Terminated.MAX_STEPS: "MaxSteps",
-    Terminated.INCOMPLETE: "IncompleteSearch",
-}
-
-
 def certificate_to_dict(cert: PushoutCertificate) -> dict:
     return {
-        "terminated": _TERMINAL_NAMES[cert.terminated],
+        "terminated": cert.terminated.value,
         "eta0_sq": None if cert.eta0_sq is None else rat_str(cert.eta0_sq, "eta0_sq"),
         "initial": delta_to_dict(cert.initial_delta, "initial"),
         "final": delta_to_dict(cert.final_delta, "final"),

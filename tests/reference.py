@@ -370,7 +370,7 @@ def enumerate_rational_gram(g, bound, budget, spanning):
     """`_enumerate_gram` on a rational Gram g: den·g under bound·den, with
     den the lcm of g's denominators, and each norm divided by den again."""
     scaled, den = rl.scale_to_int(g)
-    return [(qv / den, x) for qv, x in _enumerate_gram(elimination_state(scaled),
+    return [(F(qv, den), x) for qv, x in _enumerate_gram(elimination_state(scaled),
                                                          F(bound) * den, budget, spanning)]
 
 

@@ -108,6 +108,16 @@ def test_full_block_algebra_flag():
     assert hash(SL4) == hash(sl4_so21_scenario())
 
 
+def test_isomorphy_warnings_compare_generator_traces():
+    """The same action on both 3-dim blocks gives equal traces and a
+    warning; the permuted generators of PRODUCT_1_3_3 give none."""
+    assert DIAGONAL_PAIR.isomorphy_warnings() == [
+        "blocks 1 and 2 have equal dimension and identical generator traces; they "
+        "may be isomorphic as representations, which would make the block-scalar "
+        "torus too large"]
+    assert PRODUCT_1_3_3.isomorphy_warnings() == []
+
+
 @pytest.mark.parametrize("inputs", [sl4_inputs, product_inputs])
 def test_block_sums_match_the_chain_search(monkeypatch, inputs):
     """delta_m, stable_subspaces_within (with and without a base) and protect

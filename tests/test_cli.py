@@ -12,7 +12,7 @@ from nondiv import cli, enumeration
 from nondiv import serialize as se
 from nondiv.cli import build_parser, main
 from nondiv.enumeration import DeltaResult
-from nondiv.errors import OutputTooLarge
+from nondiv.errors import OutputTooLarge, ProtectionFailed
 from nondiv.lattice import full_subspace, make_lattice, subspace_from_rows
 
 F = Fraction
@@ -180,6 +180,32 @@ def test_budget_env_and_flag_precedence(capsys, monkeypatch, chain_search):
                        "--scenario", f"{FIX}/sl4_so21.json",
                        "--lattice", f"{FIX}/sl4_pushed_t_half.json")
     assert code == 2 and "NONDIV_VECTOR_BUDGET" in err
+
+
+def test_budget_env_echo_is_cut_short(capsys, monkeypatch):
+    monkeypatch.setenv("NONDIV_VECTOR_BUDGET", "9" * 10 ** 4)
+    code, out, err = run(capsys, "delta", "--lattice", f"{FIX}/z4.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NONDIV_VECTOR_BUDGET: expected an integer") and len(err) < 200
+
+
+@pytest.mark.parametrize("where", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_lattice_path_is_invalid_input(tmp_path, capsys, where):
+    path = str(tmp_path / where)
+    code, out, err = run(capsys, "delta", "--lattice", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def test_other_package_errors_exit_invalid(capsys, monkeypatch):
+    """A NondivError outside the typed branches exits 2 with its class name."""
+    def fail(*args, **kwargs):
+        raise ProtectionFailed("guard cap exceeded covolume 1")
+
+    monkeypatch.setattr(cli, "delta_m", fail)
+    code, out, err = run(capsys, "delta", "--lattice", f"{FIX}/z4.json")
+    assert (code, out) == (2, "")
+    assert err == "error: ProtectionFailed: guard cap exceeded covolume 1\n"
 
 
 def test_delta_incomplete_prints_partial(capsys, chain_search):
@@ -412,6 +438,10 @@ SCENARIO_N2 = {"dimension": 2, "blocks": [[1, 1], [2, 2]], "m_generators": []}
      "basis_columns: expected 2 columns of length 2"),
     ("lattice", {**LATTICE_N2, "basis_columns": [["2", "0"], ["0", "1"]], "determinant": "2"},
      "determinant: basis must be unimodular, got 2"),
+    # long values in the loaders' own messages are echoed cut short too
+    ("scenario", {**SCENARIO_N2, "blocks": [list(range(10 ** 4))]}, "blocks: range [0, 1, "),
+    ("scenario", {**SCENARIO_N2, "dimension": list(range(10 ** 4))}, "dimension: expected"),
+    ("lattice", {**LATTICE_N2, "dimension": list(range(10 ** 4))}, "dimension: expected"),
 ], ids=["basis-bools", "determinant-bool", "lattice-dimension-bool",
         "lattice-dimension-1", "scenario-dimension-bool", "blocks-bool",
         "generator-bool", "max-steps-bool", "vector-budget-bool", "eta0-bool",
@@ -420,7 +450,8 @@ SCENARIO_N2 = {"dimension": 2, "blocks": [[1, 1], [2, 2]], "m_generators": []}
         "long-value-echo", "string-digits", "missing-determinant", "missing-blocks",
         "blocks-empty", "block-empty-range", "blocks-short", "generator-shape",
         "generators-not-list", "torus-family", "config-not-object", "basis-shape",
-        "determinant-not-unimodular"])
+        "determinant-not-unimodular", "long-block-range-echo", "long-scenario-dimension-echo",
+        "long-lattice-dimension-echo"])
 def test_file_field_rejected(tmp_path, capsys, kind, doc, field):
     argv = ["drive"]
     for k, d in {"scenario": SCENARIO_N2, "lattice": LATTICE_N2, kind: doc}.items():

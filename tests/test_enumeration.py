@@ -711,8 +711,32 @@ def test_enumerate_int_gram_matches_fraction_copy():
             bud_int, bud_rat = _Budget(10 ** 6), _Budget(10 ** 6)
             got = _enumerate_gram(elimination_state(g_int), bound * den, bud_int, spanning)
             want = reference_enumerate_gram(g_rat, bound, bud_rat, spanning)
-            assert [(qv / den, x) for qv, x in got] == want
+            assert [(F(qv, den), x) for qv, x in got] == want
             assert bud_int.used == bud_rat.used
+
+
+def test_enumerate_gram_yields_int_norms():
+    """Each norm `_enumerate_gram` yields is the exact int x·g·xᵀ of its
+    integer Gram, under an int bound and under a Fraction one."""
+    rng = random.Random(131)
+    seen = set()
+    for trial in range(60):
+        n = 1 + trial % 5
+        g = random_pd_gram(rng, n, rational=False)
+        if n > 3:
+            u = lll_reduce_gram(g)
+            g = rl.mat_mul(rl.mat_mul(u, g), rl.transpose(u))
+        top = min(g[i][i] for i in range(n)) * rng.randint(1, 4)
+        for bound in (top, F(2 * top + 1, 2)):
+            for spanning in (False, True):
+                for norm, x in _enumerate_gram(elimination_state(g), bound,
+                                               _Budget(10 ** 6), spanning):
+                    assert type(norm) is int
+                    assert norm == sum(x[i] * g[i][j] * x[j]
+                                       for i in range(n) for j in range(n))
+                    assert 0 < norm <= bound
+                    seen.add(type(bound))
+    assert seen == {int, F}
 
 
 def run_enumerator(enum, g, bound, cap, spanning):
@@ -1073,7 +1097,7 @@ def test_delta_accepts_int_and_fraction_budget():
     assert delta_m(lat, sc, budget=F(10 ** 4)) == want
 
 
-@pytest.mark.parametrize("bound", [1.5, None, True, "2"])
+@pytest.mark.parametrize("bound", [1.5, None, True, "2", 0, F(-1, 2)])
 def test_short_vectors_rejects_inexact_bound(bound):
     with pytest.raises(ValidationError) as err:
         short_vectors(standard_lattice(2), bound)

@@ -295,6 +295,15 @@ def test_apply_group():
     assert lat.basis == ((F(2), F(0)), (F(0), F(1, 2)))
     with pytest.raises(NotUnimodular):
         apply_group([[2, 0], [0, 1]], z2)
+    with pytest.raises(NotUnimodular):
+        UnimodularLattice(basis=[[2, 0], [0, 1]])
+
+
+def test_apply_torus_refuses_another_dimension():
+    s = TorusElement((F(2), F(1, 2)), (1, 1))
+    with pytest.raises(ValidationError) as err:
+        apply_torus(s, standard_lattice(3))
+    assert (err.value.field, err.value.message) == ("scalars", "torus element dimension mismatch")
 
 
 def fresh_action(lat, sc):
@@ -499,6 +508,24 @@ def test_values_built_from_lists_equal_frozen_ones():
      "m_generators[1]", "must be a list or tuple, got int"),
     (lambda: TorusElement(5, (1,)), "scalars", "must be a list or tuple, got int"),
     (lambda: TorusElement((1,), 1), "block_dims", "must be a list or tuple, got int"),
+    # matrix entries other than int, Fraction and str, bool included
+    (lambda: UnimodularLattice(basis=[[True, False], [False, True]]),
+     "rows[0][0]", "expected an int, Fraction or str, got bool"),
+    (lambda: make_lattice([[None, 0], [0, 1]]),
+     "rows[0][0]", "expected an int, Fraction or str, got NoneType"),
+    (lambda: make_lattice([[1, [0]], [0, 1]]),
+     "rows[0][1]", "expected an int, Fraction or str, got list"),
+    (lambda: make_lattice([[1, 0], [1j, 1]]),
+     "rows[1][0]", "expected an int, Fraction or str, got complex"),
+    (lambda: Scenario(n=2, blocks=[[0, 2]], m_generators=([[True, True], [False, True]],)),
+     "rows[0][0]", "expected an int, Fraction or str, got bool"),
+    (lambda: apply_group([[1, 0], [True, 1]], standard_lattice(2)),
+     "rows[1][0]", "expected an int, Fraction or str, got bool"),
+    (lambda: apply_group([[1, None], [0, 1]], standard_lattice(2)),
+     "rows[0][1]", "expected an int, Fraction or str, got NoneType"),
+    (lambda: Scenario(n=1, blocks=[[0, 1]], m_generators=()), "dimension", "must be >= 2, got 1"),
+    (lambda: Scenario(n=2, blocks=[[0, 3]], m_generators=()),
+     "blocks[0]", "range end 3 exceeds dimension 2"),
 ], ids=["lattice-float", "make-lattice-float", "lattice-ragged", "lattice-non-square",
         "lattice-n1", "scenario-float", "scenario-ragged", "scenario-non-square",
         "scenario-det", "torus-float", "torus-det", "torus-det-dims", "torus-negative",
@@ -506,7 +533,9 @@ def test_values_built_from_lists_equal_frozen_ones():
         "lattice-exponent", "lattice-text", "lattice-digits", "lattice-decimal-digits",
         "blocks-float", "blocks-bool", "subspace-float", "blocks-shape", "block-shape",
         "block-short", "block-long", "generators-shape", "generator-shape",
-        "generator-row-shape", "scalars-shape", "block-dims-shape"])
+        "generator-row-shape", "scalars-shape", "block-dims-shape",
+        "lattice-bool", "lattice-none", "lattice-list", "lattice-complex",
+        "scenario-bool", "group-bool", "group-none", "scenario-n1", "block-past-end"])
 def test_boundary_rejects_bad_values(call, field, message):
     with pytest.raises(ValidationError) as err:
         call()

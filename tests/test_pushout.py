@@ -80,6 +80,10 @@ def test_config_rejects_inexact_numbers(field, value):
     (lambda: dyadic_guard(F(1, 16), 1.5), "dimension"),
     (lambda: dyadic_guard(F(1, 16), True), "dimension"),
     (lambda: dyadic_guard(F(1, 16), F(7, 2)), "dimension"),
+    # the floor must lie in (0, 1) and leave a guard above 1 on the 1/256 grid
+    (lambda: dyadic_guard(F(0), 4), "eta0"),
+    (lambda: dyadic_guard(F(1), 4), "eta0"),
+    (lambda: dyadic_guard(F(255, 256), 4), "eta0"),
 ])
 def test_pushout_rejects_inexact_numbers(call, field):
     with pytest.raises(ValidationError) as err:
@@ -284,7 +288,7 @@ def test_pushout_step_sl4():
     assert rec.expansion.s.scalars == (F(8), F(1, 2))
     assert rec.growth_qpow_factor == 64
     assert rec.qpow_ratio == F(2) ** 72
-    assert rec.eta0_sq == F(1, 16)
+    assert rec.protection.eta0_sq == F(1, 16)
     assert rec.delta_after.delta_sq_vs(F(1)) == 0
 
 
@@ -295,7 +299,7 @@ def test_pushout_step_case_two():
     lat = diagonal_lattice(F(1, 4), F(4, 3), F(3))
     new_lat, rec = pushout_step(lat, sc3, PushoutConfig(eta0_override=F(1, 2)))
     assert rec.case_tag == "II"
-    assert rec.w_infinity.rows == ((1, 0, 0),)
+    assert rec.protection.w_infinity.rows == ((1, 0, 0),)
     assert rec.delta_after.witness.rows == ((0, 1, 0),)
     assert rec.expansion.s.scalars == (F(4), F(1, 2), F(1, 2))
     assert rec.qpow_ratio == F(2 ** 36, 531441)
@@ -322,7 +326,7 @@ def test_pushout_step_not_below_floor():
     with pytest.raises(NotBelowEta0) as e:
         pushout_step(Z4, SC4, CFG_QUARTER)
     assert e.value.eta0_sq == F(1, 16)
-    assert e.value.delta_sq_pow == 1
+    assert e.value.delta.delta_sq_pow == 1
     # the adaptive floor for this scenario sits below delta = 1/8
     with pytest.raises(NotBelowEta0) as e:
         pushout_step(sl4_torus_lattice(F(1, 2)), SC4, PushoutConfig())
@@ -424,7 +428,7 @@ def test_growth_decision_matches_lpower(monkeypatch):
 
 def lpower_bound(cert):
     """`cert.step_bound` as the former L-power iteration computed it."""
-    eta0_max = max(cert.eta0_sq, *(rec.eta0_sq for rec in cert.steps))
+    eta0_max = max(cert.eta0_sq, *(rec.protection.eta0_sq for rec in cert.steps))
     return lpower_step_bound(cert.initial_delta.delta_sq_pow,
                              min(rec.growth_qpow_factor for rec in cert.steps),
                              eta0_max ** cert.initial_delta.lcm_pow)
