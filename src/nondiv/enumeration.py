@@ -37,7 +37,9 @@ closures are measured.
 
 One integer elimination serves a node: integral LLL keeps the minors D_i
 and the λ_ij of the basis it reduces, and Fincke-Pohst reads them as they
-are, so the reduced Gram is never formed nor eliminated again. A quotient
+are, so the reduced Gram is never formed nor eliminated again. The
+enumerator takes that reduction whole, transform and state, and hands the
+search primitive vectors only, in the quotient's own coordinates. A quotient
 Gram is an integer matrix over `scale`, so every norm the node meets is an
 integer there, and its bounds are the integer floors `_node_bound` computes.
 
@@ -100,7 +102,8 @@ def _as_budget(budget) -> _Budget:
 
 def _lll(a):
     """(u, state): u unimodular with u·a·uᵀ LLL-reduced, and state the
-    elimination of the reduced Gram that `_enumerate_gram` reads.
+    elimination of the reduced Gram. The pair is the reduction
+    `_enumerate_gram` takes: it reads state and maps what it yields through u.
 
     Integral LLL (Cohen, Alg. 2.6.7) on a positive definite, symmetric
     integer Gram a. With D_i (D_0 = 1) and λ_ij = D_{j+1}·μ_ij from
@@ -178,28 +181,33 @@ def lll_reduce_gram(a):
         raise ValidationError("gram", "must be positive definite") from None
 
 
-def _enumerate_gram(state, bound: int | Fraction, budget: _Budget, spanning: bool):
-    """All x ≠ 0 with x·g·xᵀ ≤ bound, canonical sign (highest nonzero positive).
+def _enumerate_gram(reduction, bound: int | Fraction, budget: _Budget, primitive: bool):
+    """(x·g·xᵀ, x·u) for all x ≠ 0 with x·g·xᵀ ≤ bound, x of canonical sign
+    (highest nonzero positive); primitive mode keeps the x with gcd 1 only.
 
-    The integer Gram g is given by its elimination state = (λ, D), as `_lll`
-    returns it: D_l and λ_il (i > l) are those of `rl.bareiss` on g.
+    reduction = (u, state) pairs the rows u of a basis, in the search's own
+    coordinates, with the elimination state = (λ, D) of the integer Gram g
+    on that basis, as `_lll` returns them: D_l and λ_il (i > l) are those of
+    `rl.bareiss` on g. u is unimodular (an LLL transform) or a saturated
+    basis (an eigen-line space), so x·u is primitive exactly when x is, and
+    reduced coordinates never leave this function.
     Fincke-Pohst on integers, depth first, t ascending at every level. With
     num = Σ_{i>l} λ_il·x_i, x_l = t adds (D_{l+1}·t + num)²/(D_l·D_{l+1})
     to x·g·xᵀ, so the range of t needs only isqrt(⌊rem·D_l·D_{l+1}⌋). The
     remaining bound rem is one int over Q = lcm(bound's denominator, every
     D_l·D_{l+1}), so a node does integer work only, and every t keeps rem ≥ 0.
     bound is an int or a Fraction, never floored, so the nodes visited are
-    those of the rational bound. Outputs are (x·g·xᵀ, x); the norm is the
-    exact int (Q·bound − rem)/Q.
+    those of the rational bound. The norm is the exact int (Q·bound − rem)/Q.
 
-    spanning mode collapses multiples along the first basis direction (only
-    x = (1,0,..,0) survives of the pure-axis family); used by subspace search
-    where only spans matter.
+    Every node and leaf is charged to budget; a leaf is mapped through u
+    only after its charge. Of the pure-axis family (t,0,..,0) primitive mode
+    visits t = 1 alone.
     """
-    lam, d = state
+    u, (lam, d) = reduction
     n = len(d) - 1
     if bound <= 0:
         return []
+    cols = tuple(zip(*u))
     scale = [d[l] * d[l + 1] for l in range(n)]
     q = lcm(bound.denominator, *scale)
     # x_l = t takes (D_{l+1}·t + num)²·step[l] off rem·Q
@@ -219,7 +227,7 @@ def _enumerate_gram(state, bound: int | Fraction, budget: _Budget, spanning: boo
         lo, hi = -((s + num) // dl), (s - num) // dl
         if outer_zero:
             lo = max(lo, 0)
-            if spanning and level == 0:
+            if primitive and level == 0:
                 hi = min(hi, 1)
         for t in range(lo, hi + 1):
             if level == 0 and outer_zero and t == 0:
@@ -229,7 +237,9 @@ def _enumerate_gram(state, bound: int | Fraction, budget: _Budget, spanning: boo
             rem2 = rem - y * y * c
             if level == 0:
                 budget.consume()
-                out.append(((total - rem2) // q, tuple(x)))
+                if not primitive or gcd(*x) == 1:
+                    out.append(((total - rem2) // q,
+                                tuple(sum(map(mul, x, col)) for col in cols)))
             else:
                 recurse(level - 1, rem2, outer_zero and t == 0)
         x[level] = 0
@@ -258,10 +268,9 @@ def short_vectors(lat: UnimodularLattice, bound_sq, budget=None) -> list[tuple[i
         raise ValidationError("bound_sq", "must be positive")
     bud = _as_budget(budget)
     a, den = lat.int_gram
-    u, state = _lll(a)
-    mapped = sorted((qv, _canon_sign(tuple(sum(map(mul, xs, col)) for col in zip(*u))))
-                    for qv, xs in _enumerate_gram(state, bound_sq * den, bud, spanning=False))
-    return [v for _, v in mapped]
+    found = sorted((qv, _canon_sign(v))
+                   for qv, v in _enumerate_gram(_lll(a), bound_sq * den, bud, primitive=False))
+    return [v for _, v in found]
 
 
 def _int_nthroot_floor(m: int, r: int) -> int:
@@ -271,18 +280,14 @@ def _int_nthroot_floor(m: int, r: int) -> int:
         return m
     if r == 2:
         return isqrt(m)
-    # integer Newton from 2^⌈bits/r⌉ ≥ m^{1/r}: decreases to the floor, no floats
+    # integer Newton from 2^⌈bits/r⌉ ≥ m^{1/r}, no floats: it decreases strictly
+    # while t > m^{1/r} and, by AM–GM, never drops below the floor, so it stops there
     t = 1 << -(-m.bit_length() // r)
     while True:
         s = ((r - 1) * t + m // t ** (r - 1)) // r
         if s >= t:
-            break
+            return t
         t = s
-    while t ** r > m:
-        t -= 1
-    while (t + 1) ** r <= m:
-        t += 1
-    return t
 
 
 def _dyadic_root(num: int, den: int, r: int) -> tuple[int, int]:
@@ -406,8 +411,8 @@ class _Quotient:
         """(u, state) from `_lll` on `gram`; one reduction per quotient.
 
         u is the LLL transform, and state = (λ, D) the elimination of the
-        reduced Gram u·gram·uᵀ (integer, over `scale`) that `_enumerate_gram`
-        reads, so the reduced Gram itself is never formed.
+        reduced Gram u·gram·uᵀ (integer, over `scale`). `_enumerate_gram`
+        takes the pair, so the reduced Gram itself is never formed.
         """
         return _lll(self.gram)
 
@@ -613,18 +618,18 @@ def common_eigenspace_bases(reps, eigenvalues, dim: int):
 
 def _stable_quotient_lines(quot: _Quotient, bound, budget: _Budget):
     """(y, y·gram·yᵀ) for the primitive quotient vectors y spanning M-stable
-    lines with y·gram·yᵀ ≤ bound, on the quotient's integer scale. The
-    spaces are saturated, so y = w·comp is primitive exactly when w is, and
-    meet only in 0, so no line comes twice."""
-    for comp, state in quot.eigen_lines:
+    lines with y·gram·yᵀ ≤ bound, on the quotient's integer scale. Each
+    space's (comp, state) is the reduction `_enumerate_gram` maps through,
+    so it yields such y in quotient coordinates; the spaces meet only in 0,
+    so no line comes twice."""
+    for reduction in quot.eigen_lines:
+        comp, (_, d) = reduction
         if len(comp) == 1:
-            if state[1][1] <= bound:
-                yield comp[0], state[1][1]
+            if d[1] <= bound:
+                yield comp[0], d[1]
             continue
-        for norm, w in _enumerate_gram(state, bound, budget, spanning=True):
-            if rl.primitive_part(w) == w:
-                yield tuple(sum(w[i] * comp[i][j] for i in range(len(w)))
-                            for j in range(quot.rank)), norm
+        for norm, y in _enumerate_gram(reduction, bound, budget, primitive=True):
+            yield y, norm
 
 
 def stable_subspaces_within(lat: UnimodularLattice, sc: Scenario, cap_sq,
@@ -792,14 +797,9 @@ def _chain_search(lat: UnimodularLattice, sc: Scenario, caps,
                     emit(line(quot, y), quot.covol_sq * norm / quot.scale)
         if not bounds:
             return
-        u, state = quot.reduced
         deeper: dict = {}
-        for norm, w in _enumerate_gram(state, max(bounds.values()), bud, spanning=True):
+        for norm, y in _enumerate_gram(quot.reduced, max(bounds.values()), bud, primitive=True):
             met = [k for k, b in bounds.items() if norm <= b]
-            y = tuple(sum(w[i] * u[i][j] for i in range(len(w)))
-                      for j in range(quot.rank))
-            if rl.primitive_part(y) != y:
-                continue
             cl = (line(quot, y) if fold
                   else _m_closure(lat, sc, z_rows + (quot.lift(y),)))
             if cl.dim in met:
@@ -955,16 +955,13 @@ def _saturated_subspaces(lat: UnimodularLattice, k: int, cap_sq, bud: _Budget):
         c = tuple(sorted(rest + (m,)))
         return 0 if m in rest else (-1) ** (c.index(m) + j) * p[index[c]]
 
-    u, state = _lll(_compound(a, k))
     out = []
-    for norm, w in _enumerate_gram(state, cap_sq * den ** k, bud, spanning=True):
-        p = tuple(sum(map(mul, w, col)) for col in zip(*u))
-        if rl.primitive_part(p) == p:
-            lead = subsets[next(i for i, x in enumerate(p) if x)]
-            sat = rl.saturate([[at(p, j, lead[:j] + lead[j + 1:], m) for m in range(n)]
-                               for j in range(k)])
-            if _compound(sat, k)[0] in (p, tuple(-x for x in p)):
-                out.append((RationalSubspace._trusted(n, sat), F(norm, den ** k)))
+    for norm, p in _enumerate_gram(_lll(_compound(a, k)), cap_sq * den ** k, bud, primitive=True):
+        lead = subsets[next(i for i, x in enumerate(p) if x)]
+        sat = rl.saturate([[at(p, j, lead[:j] + lead[j + 1:], m) for m in range(n)]
+                           for j in range(k)])
+        if _compound(sat, k)[0] in (p, tuple(-x for x in p)):
+            out.append((RationalSubspace._trusted(n, sat), F(norm, den ** k)))
     return out
 
 

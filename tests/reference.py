@@ -49,6 +49,7 @@ scales its input.
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from nondiv import ratlin as rl
@@ -366,12 +367,20 @@ def elimination_state(g):
     return tuple(tuple(row[:i]) for i, row in enumerate(lam)), tuple(d)
 
 
-def enumerate_rational_gram(g, bound, budget, spanning):
-    """`_enumerate_gram` on a rational Gram g: den·g under bound·den, with
-    den the lcm of g's denominators, and each norm divided by den again."""
+def enumerate_rational_gram(g, bound, budget, primitive):
+    """`_enumerate_gram` on a rational Gram g over the identity basis: den·g
+    under bound·den, with den the lcm of g's denominators, and each norm
+    divided by den again."""
     scaled, den = rl.scale_to_int(g)
-    return [(F(qv, den), x) for qv, x in _enumerate_gram(elimination_state(scaled),
-                                                         F(bound) * den, budget, spanning)]
+    reduction = (rl.identity(len(g)), elimination_state(scaled))
+    return [(F(qv, den), x) for qv, x in _enumerate_gram(reduction, F(bound) * den,
+                                                         budget, primitive)]
+
+
+def gcd_one(out):
+    """An enumerator's output kept to its vectors of gcd 1, as primitive mode
+    yields them ("exceeded" passes through)."""
+    return out if out == "exceeded" else [(qv, x) for qv, x in out if gcd(*x) == 1]
 
 
 def _hermite_sq_bound(r: int) -> Fraction:
@@ -423,8 +432,8 @@ def per_dimension_stable_search(lat: UnimodularLattice, sc: Scenario, caps,
         bound = _hermite_sq_bound(r) * rat_root_upper(t_sq, r)
         u = quot.reduced[0]
         g = rl.mat_mul(rl.mat_mul(u, quot.gram), rl.transpose(u))
-        for _, w in _enumerate_gram(elimination_state(g), bound * quot.scale, bud,
-                                    spanning=True):
+        for _, w in _enumerate_gram((rl.identity(len(g)), elimination_state(g)),
+                                    bound * quot.scale, bud, primitive=True):
             y = tuple(sum(w[i] * u[i][j] for i in range(len(w)))
                       for j in range(quot.rank))
             if rl.primitive_part(y) != y:

@@ -3,7 +3,8 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from operator import mul
 
 import pytest
 
@@ -28,8 +29,8 @@ from nondiv import ratlin as rl
 from conftest import (random_unimodular_int, random_unimodular_lattice,
                       real_coordinate_subspace)
 import reference
-from reference import (elimination_state, enumerate_rational_gram, rat_inverse,
-                       real_rows, shortest_vector_sq)
+from reference import (elimination_state, enumerate_rational_gram, gcd_one,
+                       rat_inverse, real_rows, shortest_vector_sq)
 
 F = Fraction
 
@@ -513,6 +514,12 @@ def test_int_nthroot_floor_exact():
     for m, r in cases:
         t = _int_nthroot_floor(m, r)
         assert t ** r <= m < (t + 1) ** r, (m, r)
+    # integer Newton alone lands on the floor: brute force for small m
+    for m in range(2000):
+        assert _int_nthroot_floor(m, 2) == isqrt(m)
+        for r in range(3, 12):
+            floor = next(t for t in itertools.count() if (t + 1) ** r > m)
+            assert _int_nthroot_floor(m, r) == floor, (m, r)
 
 
 def test_delta_n7_no_overflow():
@@ -707,10 +714,13 @@ def test_enumerate_int_gram_matches_fraction_copy():
         g_int = rl.mat_mul(rl.mat_mul(u, a), rl.transpose(u))
         g_rat = tuple(tuple(F(x, den) for x in row) for row in g_int)
         bound = F(rng.randint(1, 9), rng.randint(1, 3))
-        for spanning in (False, True):
+        for primitive in (False, True):
             bud_int, bud_rat = _Budget(10 ** 6), _Budget(10 ** 6)
-            got = _enumerate_gram(elimination_state(g_int), bound * den, bud_int, spanning)
-            want = reference_enumerate_gram(g_rat, bound, bud_rat, spanning)
+            got = _enumerate_gram((rl.identity(len(g_int)), elimination_state(g_int)),
+                                  bound * den, bud_int, primitive)
+            want = reference_enumerate_gram(g_rat, bound, bud_rat, primitive)
+            if primitive:
+                want = gcd_one(want)
             assert [(F(qv, den), x) for qv, x in got] == want
             assert bud_int.used == bud_rat.used
 
@@ -728,9 +738,9 @@ def test_enumerate_gram_yields_int_norms():
             g = rl.mat_mul(rl.mat_mul(u, g), rl.transpose(u))
         top = min(g[i][i] for i in range(n)) * rng.randint(1, 4)
         for bound in (top, F(2 * top + 1, 2)):
-            for spanning in (False, True):
-                for norm, x in _enumerate_gram(elimination_state(g), bound,
-                                               _Budget(10 ** 6), spanning):
+            for primitive in (False, True):
+                for norm, x in _enumerate_gram((rl.identity(n), elimination_state(g)),
+                                               bound, _Budget(10 ** 6), primitive):
                     assert type(norm) is int
                     assert norm == sum(x[i] * g[i][j] * x[j]
                                        for i in range(n) for j in range(n))
@@ -739,11 +749,55 @@ def test_enumerate_gram_yields_int_norms():
     assert seen == {int, F}
 
 
-def run_enumerator(enum, g, bound, cap, spanning):
+def test_enumerate_gram_maps_primitive_vectors_through_the_reduction():
+    """`_enumerate_gram` yields, in order, the earlier enumerator's vectors x
+    of the reduced Gram mapped to x·u, only those of gcd 1 in primitive
+    mode, and spends the same budget. u is an LLL transform (unimodular) or
+    an eigen-line style basis u·s of a saturated k-row s, so each mapped
+    vector is primitive exactly when x is."""
+    rng = random.Random(137)
+    seen = set()
+    for trial in range(120):
+        n = 1 + trial % 5
+        g = random_pd_gram(rng, n, rational=False)
+        basis = rl.identity(n)
+        if trial % 3 == 2 and n > 1:
+            # k saturated rows: the leading rows of a unimodular matrix
+            basis = random_unimodular_int(rng, n, shears=6, c=2)[:rng.randint(1, n - 1)]
+            g = rl.mat_mul(rl.mat_mul(basis, g), rl.transpose(basis))
+        u, state = _lll(g)
+        comp = rl.mat_mul(u, basis)
+        reduced = rl.mat_mul(rl.mat_mul(u, g), rl.transpose(u))
+        top = min(reduced[i][i] for i in range(len(u))) * rng.randint(1, 4)
+        for bound in (top, F(2 * top + 1, 2)):
+            for cap in (rng.randint(1, 20), 10 ** 6):
+                for primitive in (False, True):
+                    got = run_enumerator(lambda _, *args: _enumerate_gram((comp, state), *args),
+                                         None, bound, cap, primitive)
+                    want, used = run_enumerator(reference_enumerate_gram,
+                                                rl.rat_matrix(reduced), bound, cap, primitive)
+                    if want != "exceeded":
+                        want = [(qv, tuple(sum(map(mul, x, col)) for col in zip(*comp)))
+                                for qv, x in (gcd_one(want) if primitive else want)]
+                        assert not primitive or all(gcd(*y) == 1 for _, y in want)
+                    assert got == (want, used), (g, basis, bound, cap, primitive)
+                    seen.add((type(bound), primitive, want == "exceeded", len(comp) < n))
+    assert len(seen) == 16
+
+
+def test_enumerate_gram_under_no_bound_charges_nothing():
+    bud = _Budget(5)
+    for bound in (0, F(-1, 2)):
+        for primitive in (False, True):
+            assert _enumerate_gram(_lll(((2, 1), (1, 2))), bound, bud, primitive) == []
+    assert bud.used == 0
+
+
+def run_enumerator(enum, g, bound, cap, primitive):
     """(output or 'exceeded', budget.used) of one enumeration under cap."""
     bud = _Budget(cap)
     try:
-        return enum(g, bound, bud, spanning), bud.used
+        return enum(g, bound, bud, primitive), bud.used
     except BudgetExceeded:
         return "exceeded", bud.used
 
@@ -783,10 +837,12 @@ def test_enumerate_matches_reference_enumerator():
     seen_exceeded = seen_complete = 0
     for _, g, bound, caps in enumerator_cases():
         for cap in caps:
-            for spanning in (False, True):
-                got = run_enumerator(enumerate_rational_gram, g, bound, cap, spanning)
-                want = run_enumerator(reference_enumerate_gram, g, bound, cap, spanning)
-                assert got == want, (g, bound, cap, spanning)
+            for primitive in (False, True):
+                got = run_enumerator(enumerate_rational_gram, g, bound, cap, primitive)
+                want = run_enumerator(reference_enumerate_gram, g, bound, cap, primitive)
+                if primitive:
+                    want = gcd_one(want[0]), want[1]
+                assert got == want, (g, bound, cap, primitive)
                 if got[0] == "exceeded":
                     seen_exceeded += 1
                 else:

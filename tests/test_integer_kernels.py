@@ -26,8 +26,8 @@ from nondiv.lattice import (covolume_sq, make_lattice, make_scenario,
                             subspace_from_rows, trivial_scenario)
 from nondiv.pushout import PushoutConfig, drive, select_index_set
 from nondiv.samples import sl4_so21_scenario, sl4_torus_lattice
-from reference import (enumerate_rational_gram, fraction_det, hnf_complete_to_basis,
-                       rat_inverse, scaled_bareiss, subspace_sum)
+from reference import (enumerate_rational_gram, fraction_det, gcd_one,
+                       hnf_complete_to_basis, rat_inverse, scaled_bareiss, subspace_sum)
 
 from conftest import random_unimodular_lattice
 from test_enumeration import one_pass_inputs
@@ -327,10 +327,10 @@ def reference_enumerate_gram(g, bound, budget, spanning):
     return out
 
 
-def run_enumerator(enum, g, bound, cap, spanning):
+def run_enumerator(enum, g, bound, cap, primitive):
     bud = _Budget(cap)
     try:
-        out = enum(g, bound, bud, spanning)
+        out = enum(g, bound, bud, primitive)
     except BudgetExceeded:
         out = "exceeded"
     return out, bud.used
@@ -351,10 +351,12 @@ def test_enumerate_gram_matches_fraction_remainder():
             g = rl.mat_mul(rl.mat_mul(u, g), rl.transpose(u))
         bound = min(g[i][i] for i in range(n)) * F(rng.randint(1, 8), rng.randint(1, 3))
         for cap in (rng.randint(1, 150), 10 ** 6):
-            for spanning in (False, True):
-                got = run_enumerator(enumerate_rational_gram, g, bound, cap, spanning)
-                want = run_enumerator(reference_enumerate_gram, g, bound, cap, spanning)
-                assert got == want, (g, bound, cap, spanning)
+            for primitive in (False, True):
+                got = run_enumerator(enumerate_rational_gram, g, bound, cap, primitive)
+                want = run_enumerator(reference_enumerate_gram, g, bound, cap, primitive)
+                if primitive:
+                    want = gcd_one(want[0]), want[1]
+                assert got == want, (g, bound, cap, primitive)
                 if got[0] == "exceeded":
                     exceeded += 1
                 else:
@@ -371,7 +373,7 @@ def all_ints(*rows) -> bool:
 
 def test_search_kernels_take_integer_grams_only(monkeypatch):
     """`_lll` gets an integer Gram and hands on integer (λ, D), and
-    `_enumerate_gram` reads integer states only, on every search of the
+    `_enumerate_gram` reads integer reductions only, on every search of the
     fixture drives and of delta_m and protect's search above the witness on
     the one-pass inputs (seeded SL4 and the lattices its drives move to,
     UNIPOTENT, a Jordan block, -I and the trivial group); a Fraction Gram
@@ -386,11 +388,11 @@ def test_search_kernels_take_integer_grams_only(monkeypatch):
         seen["lll", min(len(a), 3)] += 1
         return out
 
-    def enumerate_gram(state, bound, budget, spanning):
-        lam, d = state
-        assert all_ints(*lam, d)
+    def enumerate_gram(reduction, bound, budget, primitive):
+        u, (lam, d) = reduction
+        assert all_ints(*u, *lam, d)
         seen["enumerate"] += 1
-        return real_enumerate(state, bound, budget, spanning)
+        return real_enumerate(reduction, bound, budget, primitive)
 
     monkeypatch.setattr(enumeration, "_lll", lll)
     monkeypatch.setattr(enumeration, "_enumerate_gram", enumerate_gram)

@@ -297,6 +297,9 @@ def test_apply_group():
         apply_group([[2, 0], [0, 1]], z2)
     with pytest.raises(NotUnimodular):
         UnimodularLattice(basis=[[2, 0], [0, 1]])
+    with pytest.raises(ValidationError) as err:
+        apply_group([[1, 0], [0]], z2)
+    assert (err.value.field, err.value.message) == ("rows[1]", "ragged matrix")
 
 
 def test_apply_torus_refuses_another_dimension():

@@ -23,8 +23,8 @@ from nondiv.pushout import (ProtectResult, PushoutConfig, Terminated,
                             _sigma_sq_upper, _step_count_bound, drive, dyadic_guard,
                             expansion_element, protect, pushout_step,
                             select_index_set)
-from nondiv.samples import (diagonal_lattice, sl4_so21_scenario,
-                            sl4_torus_lattice, squash_lattice_2d)
+from nondiv.samples import (diagonal_lattice, random_upper_triangular_lattices,
+                            sl4_so21_scenario, sl4_torus_lattice, squash_lattice_2d)
 
 from conftest import random_unimodular_int, random_unimodular_lattice
 from reference import (lpower_step_bound, rat_rank, rat_right_kernel, real_rows,
@@ -913,3 +913,29 @@ def test_cli_drive_builds_each_quotient_once(monkeypatch, capsys, tmp_path, n):
     assert built and max(built.values()) == 1
     assert len(set(map(id, lattices))) > 1
     assert measured == []
+
+
+def test_step_that_reaches_the_whole_space_is_tagged_none():
+    # a floor of 1/2 on an SL4 input: one step moves δ to the whole space
+    lat = random_upper_triangular_lattices(4, 11)[10]
+    cfg = PushoutConfig(eta0_override=F(1, 2))
+    cert = drive(lat, SC4, cfg)
+    assert cert.terminated is Terminated.REACHED_ETA0
+    assert [s.case_tag for s in cert.steps] == ["none"]
+    assert cert.final_delta.witness.is_full
+    assert (cert.eta0_sq, cert.step_bound) == (F(1, 4), 4)
+    _, step = pushout_step(lat, SC4, cfg)
+    assert step.case_tag == "none"
+
+
+def test_moved_lattice_search_out_of_budget_is_incomplete():
+    # budget 6 certifies the initial δ but not the moved lattice's
+    lat = random_upper_triangular_lattices(3, 1)[0]
+    sc = trivial_scenario(3)
+    cfg = PushoutConfig(eta0_override=F(1, 2), vector_budget=6)
+    assert delta_m(lat, sc, budget=6).complete
+    with pytest.raises(IncompleteSearch, match="moved lattice's delta could not be certified"):
+        pushout_step(lat, sc, cfg)
+    cert = drive(lat, sc, cfg)
+    assert cert.terminated is Terminated.INCOMPLETE
+    assert cert.steps == ()
